@@ -1,4 +1,4 @@
-"""Static catalog of built-in and common library predicates.
+"""Doc text for the builtin registry (`engine.BUILTIN_INDICATORS`).
 
 Plain-text format, records separated by blank lines:
     name/arity
@@ -8,38 +8,21 @@ Plain-text format, records separated by blank lines:
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 _DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "builtin_catalog.txt")
 
 
 @dataclass
 class CatalogEntry:
-    name: str
-    arity: int
     synopsis: str
-    arguments: list[str] = field(default_factory=list)
-
-    @property
-    def indicator(self) -> str:
-        return f"{self.name}/{self.arity}"
+    arguments: list[str]
 
 
-class BuiltinCatalog:
-    def __init__(self, entries: list[CatalogEntry]):
-        self._by_key = {(e.name, e.arity): e for e in entries}
-
-    def get(self, name: str, arity: int) -> Optional[CatalogEntry]:
-        return self._by_key.get((name, arity))
-
-    def entries(self) -> list[CatalogEntry]:
-        return sorted(self._by_key.values(), key=lambda e: (e.name, e.arity))
-
-
-def parse_catalog(text: str) -> BuiltinCatalog:
-    entries: list[CatalogEntry] = []
+def parse_catalog(text: str) -> dict[tuple[str, int], CatalogEntry]:
+    entries: dict[tuple[str, int], CatalogEntry] = {}
     for chunk in text.split("\n\n"):
         lines = [line.rstrip() for line in chunk.strip().splitlines() if line.strip()]
         if len(lines) < 2:
@@ -48,19 +31,12 @@ def parse_catalog(text: str) -> BuiltinCatalog:
         name, _, arity_text = indicator.rpartition("/")
         if not name or not arity_text.isdigit():
             continue
-        entries.append(
-            CatalogEntry(name, int(arity_text), lines[1].strip(),
-                         [line.strip() for line in lines[2:]])
-        )
-    return BuiltinCatalog(entries)
+        entries[name, int(arity_text)] = CatalogEntry(
+            lines[1].strip(), [line.strip() for line in lines[2:]])
+    return entries
 
 
-_cached: Optional[BuiltinCatalog] = None
-
-
-def load_default_catalog() -> BuiltinCatalog:
-    global _cached
-    if _cached is None:
-        with open(_DEFAULT_PATH, encoding="utf-8") as fh:
-            _cached = parse_catalog(fh.read())
-    return _cached
+@functools.cache
+def load_default_catalog() -> dict[tuple[str, int], CatalogEntry]:
+    with open(_DEFAULT_PATH, encoding="utf-8") as fh:
+        return parse_catalog(fh.read())

@@ -8,7 +8,7 @@ from typing import Optional
 
 from . import errors
 from .spans import SourceSpan
-from .terms import Atom, Compound, Term, indicator_of
+from .terms import Term, indicator_of
 
 PREFIX_FIXITIES = ("fy", "fx")
 INFIX_FIXITIES = ("xfx", "xfy", "yfx")
@@ -145,14 +145,8 @@ class OperatorTable:
     def postfix(self, name: str) -> Optional[OperatorDef]:
         return self._by_name.get(name, {}).get("postfix")
 
-    def is_operator(self, name: str) -> bool:
-        return name in self._by_name
-
     def defs(self, name: str) -> list[OperatorDef]:
         return list(self._by_name.get(name, {}).values())
-
-    def all_defs(self) -> list[OperatorDef]:
-        return [d for defs in self._by_name.values() for d in defs.values()]
 
 
 @dataclass(frozen=True)
@@ -195,7 +189,6 @@ class ImportRecord:
 class ModuleInfo:
     name: str
     exports: set[PredicateIndicator] = field(default_factory=set)
-    defining_file: Optional[str] = None
 
 
 class Database:

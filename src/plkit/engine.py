@@ -4,12 +4,14 @@ execution, a minimal resolution engine, and the interactive read-eval loop."""
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import errors
 from .database import (
+    Clause,
     Database,
     ImportRecord,
     ModuleInfo,
@@ -34,18 +36,6 @@ from .terms import (
 )
 
 EngineHandler = Callable[[Sentence, Database, "Loader"], list[Diagnostic]]
-
-# Predicates the resolution engine implements natively; also the set the
-# cross-file analysis treats as always defined.
-BUILTIN_INDICATORS = {
-    ("true", 0), ("fail", 0), ("false", 0), ("!", 0),
-    (",", 2), (";", 2), ("->", 2), ("=", 2), ("\\=", 2),
-    ("is", 2), ("=:=", 2), ("=\\=", 2), ("<", 2), (">", 2),
-    ("=<", 2), (">=", 2), ("==", 2), ("\\==", 2),
-    ("atom", 1), ("var", 1), ("nonvar", 1), ("number", 1),
-    ("functor", 3), ("arg", 3), ("=..", 2), ("call", 1), ("\\+", 1),
-}
-
 
 @dataclass
 class SolveLimits:
@@ -593,21 +583,22 @@ class Solver:
         ind = indicator_of(goal)
         if ind is None:
             raise errors.type_error("goal must be callable")
-        name, arity = ind
-        method = getattr(self, f"_bi_{_BUILTIN_METHODS[ind]}", None) \
-            if ind in _BUILTIN_METHODS else None
-        if method is not None:
-            yield from method(goal, depth)
-            return
-        yield from self._solve_user(goal, name, arity, depth)
+        native = BUILTIN_INDICATORS.get(ind)
+        if callable(native):
+            yield from native(self, goal, depth)
+        else:
+            yield from self._solve_user(goal, *ind, depth)
 
     def _solve_user(self, goal: Term, name: str, arity: int,
                     depth: int) -> Iterator[None]:
+        # the user's own definition wins over the prelude's
         entry = self.db.lookup(PredicateIndicator(name, arity))
-        if entry is None:
+        clauses = entry.clauses if entry is not None \
+            else BUILTIN_INDICATORS.get((name, arity))
+        if clauses is None:
             raise errors.existence_error(f"unknown predicate {name}/{arity}")
         trail: list[int] = []
-        for clause in list(entry.clauses):
+        for clause in list(clauses):
             mapping: dict[int, Var] = {}
             head = self.rename(clause.head, mapping)
             body = self.rename(clause.body, mapping)
@@ -669,35 +660,6 @@ class Solver:
             yield
         self.undo(trail, 0)
 
-    def _arith_compare(self, goal, op):
-        a = self.eval_arith(goal.args[0])
-        b = self.eval_arith(goal.args[1])
-        return op(a, b)
-
-    def _bi_arith_eq(self, goal, depth):
-        if self._arith_compare(goal, lambda a, b: a == b):
-            yield
-
-    def _bi_arith_neq(self, goal, depth):
-        if self._arith_compare(goal, lambda a, b: a != b):
-            yield
-
-    def _bi_lt(self, goal, depth):
-        if self._arith_compare(goal, lambda a, b: a < b):
-            yield
-
-    def _bi_gt(self, goal, depth):
-        if self._arith_compare(goal, lambda a, b: a > b):
-            yield
-
-    def _bi_le(self, goal, depth):
-        if self._arith_compare(goal, lambda a, b: a <= b):
-            yield
-
-    def _bi_ge(self, goal, depth):
-        if self._arith_compare(goal, lambda a, b: a >= b):
-            yield
-
     def _syntactic_eq(self, a: Term, b: Term) -> bool:
         a = self.walk(a)
         b = self.walk(b)
@@ -719,22 +681,6 @@ class Solver:
 
     def _bi_struct_neq(self, goal, depth):
         if not self._syntactic_eq(goal.args[0], goal.args[1]):
-            yield
-
-    def _bi_atom(self, goal, depth):
-        if isinstance(self.walk(goal.args[0]), Atom):
-            yield
-
-    def _bi_var(self, goal, depth):
-        if isinstance(self.walk(goal.args[0]), Var):
-            yield
-
-    def _bi_nonvar(self, goal, depth):
-        if not isinstance(self.walk(goal.args[0]), Var):
-            yield
-
-    def _bi_number(self, goal, depth):
-        if isinstance(self.walk(goal.args[0]), (Int, Float)):
             yield
 
     def _bi_functor(self, goal, depth):
@@ -836,34 +782,81 @@ class Solver:
         yield
 
 
-_BUILTIN_METHODS = {
-    ("true", 0): "true",
-    ("!", 0): "true",  # cut is approximated by success
-    ("fail", 0): "fail",
-    ("false", 0): "fail",
-    (",", 2): "conj",
-    (";", 2): "disj",
-    ("->", 2): "ifthen",
-    ("=", 2): "unify",
-    ("\\=", 2): "not_unify",
-    ("is", 2): "is",
-    ("=:=", 2): "arith_eq",
-    ("=\\=", 2): "arith_neq",
-    ("<", 2): "lt",
-    (">", 2): "gt",
-    ("=<", 2): "le",
-    (">=", 2): "ge",
-    ("==", 2): "struct_eq",
-    ("\\==", 2): "struct_neq",
-    ("atom", 1): "atom",
-    ("var", 1): "var",
-    ("nonvar", 1): "nonvar",
-    ("number", 1): "number",
-    ("functor", 3): "functor",
-    ("arg", 3): "arg",
-    ("=..", 2): "univ",
-    ("call", 1): "call",
-    ("\\+", 1): "naf",
+def _arith_compare(op):
+    def compare(solver: Solver, goal, depth):
+        if op(solver.eval_arith(goal.args[0]), solver.eval_arith(goal.args[1])):
+            yield
+    return compare
+
+
+def _type_test(test):
+    def check(solver: Solver, goal, depth):
+        if test(solver.walk(goal.args[0])):
+            yield
+    return check
+
+
+# Library predicates after ISO/IEC 13211-1 §8, in Prolog and without helper
+# predicates. The solver runs them like user predicates, after the user's own.
+PRELUDE = """\
+member(X, [X|_]).
+member(X, [_|T]) :- member(X, T).
+append([], L, L).
+append([H|T], L, [H|R]) :- append(T, L, R).
+length([], 0).
+length([_|T], N) :-
+    ( nonvar(N) -> N > 0, N0 is N - 1, length(T, N0) ; length(T, N0), N is N0 + 1 ).
+reverse([], []).
+reverse([H|T], R) :- reverse(T, RT), append(RT, [H], R).
+nth0(0, [X|_], X).
+nth0(I, [_|T], X) :-
+    ( var(I) -> nth0(I0, T, X), I is I0 + 1 ; I > 0, I0 is I - 1, nth0(I0, T, X) ).
+nth1(I, L, X) :- nth0(I0, L, X), I is I0 + 1.
+between(L, H, L) :- L =< H.
+between(L, H, X) :- L < H, L1 is L + 1, between(L1, H, X).
+last([X], X).
+last([_|T], X) :- last(T, X).
+"""
+
+
+def _prelude_clauses() -> dict[tuple[str, int], list[Clause]]:
+    db = Database()
+    consult_source(PRELUDE, db, Loader(), "<prelude>")
+    return {(i.name, i.arity): e.clauses for i, e in db.predicates.items()}
+
+
+# The one builtin registry: each indicator maps to its native solver function
+# or to its prelude clauses. The solver, the cross-file analysis, hover and
+# completion all read it; builtin_catalog.txt holds each entry's doc text.
+BUILTIN_INDICATORS: dict[tuple[str, int], Callable | list[Clause]] = {
+    ("true", 0): Solver._bi_true,
+    ("!", 0): Solver._bi_true,  # cut is approximated by success
+    ("fail", 0): Solver._bi_fail,
+    ("false", 0): Solver._bi_fail,
+    (",", 2): Solver._bi_conj,
+    (";", 2): Solver._bi_disj,
+    ("->", 2): Solver._bi_ifthen,
+    ("=", 2): Solver._bi_unify,
+    ("\\=", 2): Solver._bi_not_unify,
+    ("is", 2): Solver._bi_is,
+    ("=:=", 2): _arith_compare(operator.eq),
+    ("=\\=", 2): _arith_compare(operator.ne),
+    ("<", 2): _arith_compare(operator.lt),
+    (">", 2): _arith_compare(operator.gt),
+    ("=<", 2): _arith_compare(operator.le),
+    (">=", 2): _arith_compare(operator.ge),
+    ("==", 2): Solver._bi_struct_eq,
+    ("\\==", 2): Solver._bi_struct_neq,
+    ("atom", 1): _type_test(lambda t: isinstance(t, Atom)),
+    ("var", 1): _type_test(lambda t: isinstance(t, Var)),
+    ("nonvar", 1): _type_test(lambda t: not isinstance(t, Var)),
+    ("number", 1): _type_test(lambda t: isinstance(t, (Int, Float))),
+    ("functor", 3): Solver._bi_functor,
+    ("arg", 3): Solver._bi_arg,
+    ("=..", 2): Solver._bi_univ,
+    ("call", 1): Solver._bi_call,
+    ("\\+", 1): Solver._bi_naf,
+    **_prelude_clauses(),
 }
 
 
@@ -886,8 +879,7 @@ def solve(goal: Term, db: Database,
         try:
             binding = {}
             for var in goal_vars:
-                value = _occurs_checked(solver, var)
-                binding[var.name] = value
+                binding[var.name] = solver.resolve_out(var)
         except _Cyclic:
             continue
         yield binding
@@ -896,17 +888,13 @@ def solve(goal: Term, db: Database,
             return
 
 
-def _occurs_checked(solver: Solver, var: Var) -> Term:
-    return solver.resolve_out(var)
-
-
 # --- read-eval loop -------------------------------------------------------
 
 
 def repl(db: Database, inp, out, loader: Optional[Loader] = None,
          limits: Optional[SolveLimits] = None) -> None:
     """Interactive goal loop: '?- ' prompt, ';' asks for the next solution."""
-    from .lexer import TokenKind, tokenize
+    from .lexer import tokenize
 
     loader = loader or Loader()
     limits = limits or SolveLimits()

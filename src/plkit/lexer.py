@@ -1,8 +1,8 @@
 """Lossless tokenizer for Prolog source text.
 
-Tokenization itself is context-free; operator sensitivity is provided by
-`classify`, which reinterprets atom tokens against the operator table in
-force at the moment the parser consumes them.
+Tokenization itself is context-free; whether an atom token is an operator
+is decided by the reader, against the operator table in force at the
+moment it consumes the token.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ class Token:
         if self.kind == TokenKind.BAR:
             return "|"
         return self.text
-
-
-class TokenRole(enum.Enum):
-    OPERAND = "operand"
-    PREFIX_OP = "prefix_op"
-    INFIX_OP = "infix_op"
-    POSTFIX_OP = "postfix_op"
-    AMBIGUOUS = "ambiguous"
 
 
 _ESCAPES = {
@@ -381,29 +373,3 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[Token], list[
     scanner = _Scanner(source, file_id)
     scanner.run()
     return scanner.tokens, scanner.diagnostics
-
-
-def classify(token: Token, table) -> TokenRole:
-    """Role of `token` under the operator table in force right now.
-
-    Quoted atoms are deliberately never operators; only name, symbol and
-    solo atoms (plus ',' and '|') consult the table.
-    """
-    if token.kind in (TokenKind.COMMA, TokenKind.BAR):
-        name = token.atom_name()
-    elif token.kind in ATOM_KINDS and token.kind != TokenKind.QUOTED_ATOM:
-        name = token.text
-    else:
-        return TokenRole.OPERAND
-    prefix = table.prefix(name)
-    infix = table.infix(name)
-    postfix = table.postfix(name)
-    if prefix and (infix or postfix):
-        return TokenRole.AMBIGUOUS
-    if prefix:
-        return TokenRole.PREFIX_OP
-    if infix:
-        return TokenRole.INFIX_OP
-    if postfix:
-        return TokenRole.POSTFIX_OP
-    return TokenRole.OPERAND

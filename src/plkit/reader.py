@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .database import Database, OperatorDef
+from .database import Database
 from .diagnostics import Diagnostic, Severity
 from .lexer import ATOM_KINDS, Token, TokenKind, TRIVIA_KINDS
 from .spans import SourceSpan
@@ -412,27 +412,3 @@ class Reader:
         close = self._expect(TokenKind.CLOSE_BRACE, "'}'")
         return Compound("{}", [inner], open_tok.span.enclose(close.span),
                         functor_span=open_tok.span)
-
-
-def read_all(source: str, db: Database, file_id: str = "<string>",
-             on_sentence=None) -> tuple[list[Sentence], list[Diagnostic]]:
-    """Read every sentence of `source`, invoking `on_sentence` after each
-    successful parse (the hook point where directive execution mutates the
-    grammar between sentences)."""
-    from .lexer import tokenize
-
-    tokens, diagnostics = tokenize(source, file_id)
-    reader = Reader(tokens, db, file_id)
-    sentences: list[Sentence] = []
-    while True:
-        result = reader.read_sentence()
-        diagnostics.extend(result.diagnostics)
-        if result.at_eof:
-            break
-        if result.sentence is not None:
-            sentences.append(result.sentence)
-            if on_sentence is not None:
-                extra = on_sentence(result.sentence)
-                if extra:
-                    diagnostics.extend(extra)
-    return sentences, diagnostics

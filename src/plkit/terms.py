@@ -26,9 +26,6 @@ class Term:
         self.span = span
         self.functor_span = functor_span or span
 
-    def is_callable(self) -> bool:
-        return False
-
 
 class Atom(Term):
     __slots__ = ("name",)
@@ -36,9 +33,6 @@ class Atom(Term):
     def __init__(self, name: str, span=None, functor_span=None):
         super().__init__(span, functor_span)
         self.name = name
-
-    def is_callable(self):
-        return True
 
     def __repr__(self):
         return f"Atom({self.name!r})"
@@ -98,9 +92,6 @@ class Compound(Term):
         super().__init__(span, functor_span)
         self.name = name
         self.args = args
-
-    def is_callable(self):
-        return True
 
     @property
     def arity(self) -> int:

@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .catalog import BuiltinCatalog, load_default_catalog
+from .catalog import load_default_catalog
 from .database import (
     Database,
     ImportRecord,
@@ -24,7 +24,7 @@ from .lexer import ATOM_KINDS, Token, TokenKind
 from .printer import atom_text, pretty_print
 from .reader import Sentence
 from .spans import SourceSpan
-from .terms import Atom, Compound, Str, Term, Var, indicator_of
+from .terms import Atom, Compound, Term, Var, indicator_of
 
 
 @dataclass
@@ -133,7 +133,6 @@ class ProjectModel:
     index: GlobalIndex
     diagnostics: list[Diagnostic]
     sources: dict[str, str]
-    catalog: BuiltinCatalog
     loader: Loader
 
     def file_index(self, file: str) -> Optional[FileIndex]:
@@ -440,7 +439,6 @@ def build_project(root: str, config: Optional[ProjectConfig] = None,
         index=index,
         diagnostics=diagnostics,
         sources=sources,
-        catalog=load_default_catalog(),
         loader=loader,
     )
 
@@ -499,18 +497,6 @@ def _sentence_at(index: FileIndex, offset: int) -> Optional[Sentence]:
         if sentence.span.start_offset <= offset < sentence.span.end_offset:
             return sentence
     return None
-
-
-def _innermost_term(term: Term, offset: int, best=None):
-    if term.span is None or not term.span.covers(offset):
-        return best
-    best = term
-    if isinstance(term, Compound):
-        for arg in term.args:
-            best2 = _innermost_term(arg, offset, None)
-            if best2 is not None:
-                return best2 if best2 is not None else best
-    return best
 
 
 def _enclosing_chain(term: Term, offset: int, chain: list) -> bool:
@@ -579,13 +565,8 @@ def hover(file: str, offset: int, mode: str,
                 and term.functor_span.covers(offset):
             d = term.op
             op_line = f"op({d.priority}, {d.fixity}, {atom_text(d.name)})"
-            entry = model.catalog.get(name, arity)
-            if entry is not None:
-                text = f"{name}/{arity}: {entry.synopsis}"
-                if entry.arguments:
-                    text += "\n" + "\n".join(entry.arguments)
-                return HoverInfo(text + "\n" + op_line, span)
-            return HoverInfo(op_line, span)
+            doc = _builtin_doc(name, arity)
+            return HoverInfo(op_line if doc is None else doc + "\n" + op_line, span)
     defs = index.db.operators.defs(name)
     if defs and arity == 0:
         lines = [f"op({d.priority}, {d.fixity}, {atom_text(d.name)})"
@@ -601,19 +582,21 @@ def hover(file: str, offset: int, mode: str,
         where = os.path.basename(def_file)
         return HoverInfo(f"{synopsis} defined at {where}:{line}", span)
 
-    entry = model.catalog.get(name, arity)
-    if entry is not None:
-        text = f"{name}/{arity}: {entry.synopsis}"
-        if entry.arguments:
-            text += "\n" + "\n".join(entry.arguments)
-        return HoverInfo(text, span)
-    return None
+    doc = _builtin_doc(name, arity)
+    return HoverInfo(doc, span) if doc is not None else None
+
+
+def _builtin_doc(name: str, arity: int) -> Optional[str]:
+    entry = load_default_catalog().get((name, arity))
+    if entry is None:
+        return None
+    return "\n".join([f"{name}/{arity}: {entry.synopsis}", *entry.arguments])
 
 
 def _hover_import(target: Term, index: FileIndex, model: ProjectModel,
                   span: SourceSpan) -> Optional[HoverInfo]:
     for record in index.imports:
-        if record.span is None:
+        if record.target is not target:
             continue
         if record.resolved_file:
             target_index = model.index.files.get(record.resolved_file)
@@ -721,12 +704,9 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
                 if found is not None and found.first_head is not None:
                     synopsis = pretty_print(found.first_head)
             add(f"{name}/{arity}", "Predicate", synopsis, name, 1)
-        seen_builtin = set()
-        for entry in model.catalog.entries():
-            seen_builtin.add((entry.name, entry.arity))
-            add(entry.indicator, "Keyword", entry.synopsis, entry.name, 2)
-        for name, arity in sorted(BUILTIN_INDICATORS - seen_builtin):
-            add(f"{name}/{arity}", "Keyword", "built-in", name, 2)
+        catalog = load_default_catalog()
+        for name, arity in BUILTIN_INDICATORS:
+            add(f"{name}/{arity}", "Keyword", catalog[name, arity].synopsis, name, 2)
 
     items.sort(key=lambda pair: pair[0])
     return [item for _, item in items[: model.config.completion_cap]]

@@ -42,6 +42,14 @@ def test_check_errors_exit_one(project, capsys):
     assert all(f.isdigit() for f in (sl, sc, el, ec))
 
 
+def test_check_accepts_prelude_predicates(project, capsys):
+    root = project({"a.pl": ("p(L, N) :- member(x, L), append(L, [y], M), "
+                             "length(M, N), between(1, N, _).\n")})
+    code, out, _ = run(["check", root, "--format=machine"], capsys)
+    assert code == 0
+    assert "undefined_predicate" not in out
+
+
 def test_check_warnings_only_exit_zero(project, capsys):
     root = project({"a.pl": "p(X, Unused) :- q(X).\nq(1).\n"})
     code, out, _ = run(["check", root, "--format=machine"], capsys)

@@ -3,6 +3,7 @@ import io
 import pytest
 
 from conftest import read_one, read_term
+from plkit.catalog import load_default_catalog
 from plkit.database import Database, PredicateIndicator
 from plkit.diagnostics import Severity
 from plkit.engine import (
@@ -321,6 +322,27 @@ def test_unknown_predicate_raises_existence_error():
     assert err.value.kind == "existence_error"
 
 
+def test_prelude_library_predicates():
+    db = Database()
+    assert [r["X"].value for r in solutions("member(X, [1,2])", db)] == [1, 2]
+    assert [r["X"].value for r in solutions("between(1, 3, X)", db)] == [1, 2, 3]
+    assert len(solutions("append(X, Y, [1,2])", db)) == 3
+    assert solutions("length([a,b,c], N)", db)[0]["N"].value == 3
+    assert len(solutions("length(L, 2), L = [_,_]", db)) == 1
+    assert [r["I"].value for r in solutions("nth0(I, [a,b], b)", db)] == [1]
+    assert solutions("nth1(2, [a,b,c], X)", db)[0]["X"].name == "b"
+    assert solutions("last([1,2,3], X)", db)[0]["X"].value == 3
+    reversed_ = solutions("reverse([1,2,3], R)", db)[0]["R"]
+    assert struct_eq(reversed_, read_term("[3,2,1]"))
+
+
+def test_user_definition_wins_over_prelude():
+    db, _, _ = load("append(_, _, mine).\n")
+    assert [r["X"].name for r in solutions("append([], [], X)", db)] == ["mine"]
+    # the other prelude predicates stay available
+    assert len(solutions("member(a, [a])", db)) == 1
+
+
 def test_depth_limit_terminates():
     db, _, _ = load("loop :- loop.\n")
     with pytest.raises(PrologError) as err:
@@ -332,6 +354,10 @@ def test_solution_cap_on_infinite_relation():
     db, _, _ = load("nat(z).\nnat(s(N)) :- nat(N).\n")
     results = solutions("nat(X)", db, max_solutions=5)
     assert len(results) == 5
+
+
+def test_catalog_documents_exactly_the_registry():
+    assert set(load_default_catalog()) == set(BUILTIN_INDICATORS)
 
 
 def test_builtin_set_is_closed():

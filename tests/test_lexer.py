@@ -1,11 +1,8 @@
-from plkit.database import Database, OperatorDef
 from plkit.lexer import (
     ATOM_KINDS,
     TRIVIA_KINDS,
     Token,
     TokenKind,
-    TokenRole,
-    classify,
     tokenize,
 )
 
@@ -134,25 +131,3 @@ def test_unterminated_quoted_atom():
 def test_unterminated_block_comment():
     _, diagnostics = tokenize("/* never closed", "<t>")
     assert any(d.code == "unterminated_block_comment" for d in diagnostics)
-
-
-def test_classify_against_operator_table():
-    db = Database()
-
-    def role(text):
-        token = toks(text)[0]
-        return classify(token, db.operators)
-
-    assert role("foo") == TokenRole.OPERAND
-    assert role("mod") == TokenRole.INFIX_OP
-    assert role("\\+") == TokenRole.PREFIX_OP
-    assert role("-") == TokenRole.AMBIGUOUS  # prefix and infix
-    assert role("'+'") == TokenRole.OPERAND  # quoting disables operator-hood
-
-
-def test_classify_follows_table_changes():
-    db = Database()
-    token = toks("loves")[0]
-    assert classify(token, db.operators) == TokenRole.OPERAND
-    db.operators.add(OperatorDef("loves", 700, "xfx"))
-    assert classify(token, db.operators) == TokenRole.INFIX_OP

@@ -113,6 +113,8 @@ def test_negative_number_literals():
 
 def test_operator_atom_as_operand():
     assert tup("f(+)") == ("compound", "f", [("atom", "+")])
+    # quoting disables operator-hood: '-' is the left operand of infix -
+    assert tup("'-' - a") == ("compound", "-", [("atom", "-"), ("atom", "a")])
     assert tup("[=, mod]") == (
         "compound", ".",
         [("atom", "="),

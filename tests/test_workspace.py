@@ -236,12 +236,15 @@ def test_hover_operator(project):
 
 
 def test_hover_import_target_lists_exports(project):
-    model, root = build(project, {"a.pl": A_SOURCE, "b.pl": B_SOURCE})
+    model, root = build(project, {
+        "a.pl": A_SOURCE + ":- use_module(c).\n", "b.pl": B_SOURCE,
+        "c.pl": ":- module(c, [k/0]).\nk.\n"})
     file = fpath(root, "a.pl")
-    offset = model.sources[file].index("use_module(b") + len("use_module(")
-    info = hover(file, offset, "definition", model)
-    assert info is not None
-    assert "f/1" in info.text and "h/2" in info.text
+    for target, exports in (("b", "b exports: f/1, h/2"), ("c", "c exports: k/0")):
+        offset = model.sources[file].index(f"use_module({target}") + len("use_module(")
+        info = hover(file, offset, "definition", model)
+        assert info is not None
+        assert info.text == exports
 
 
 def test_hover_doc_mode(project):
