@@ -175,6 +175,9 @@ class PredicateEntry:
     indicator: PredicateIndicator
     clauses: list[Clause] = field(default_factory=list)
     properties: set[str] = field(default_factory=set)
+    # The solver's compiled form of `clauses`, built on the first call and
+    # dropped whenever a clause is added.
+    compiled: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -216,6 +219,7 @@ class Database:
         indicator = PredicateIndicator(ind[0], ind[1])
         entry = self.predicates.setdefault(indicator, PredicateEntry(indicator))
         entry.clauses.append(Clause(head, body, span))
+        entry.compiled = None
         return entry
 
     def lookup(self, indicator: PredicateIndicator) -> Optional[PredicateEntry]:

@@ -11,11 +11,11 @@ from typing import Callable, Iterator, Optional
 
 from . import errors
 from .database import (
-    Clause,
     Database,
     ImportRecord,
     ModuleInfo,
     OperatorDef,
+    PredicateEntry,
     PredicateIndicator,
 )
 from .diagnostics import Diagnostic, Severity
@@ -39,6 +39,12 @@ EngineHandler = Callable[[Sentence, Database, "Loader"], list[Diagnostic]]
 
 @dataclass
 class SolveLimits:
+    """Bounds on one solve() call. `max_depth` is the number of user or
+    prelude predicate calls nested on the current branch (a countdown from n
+    nests n + 1), a goal run through a variable counting as one more; going
+    past it raises resource_error. `max_solutions` caps the solutions
+    solve() yields."""
+
     max_depth: int = 10_000
     max_solutions: int = 10_000
 
@@ -434,6 +440,126 @@ _DIRECTIVES = {
 
 
 # --- resolution engine ----------------------------------------------------
+#
+# One iterative machine after Aït-Kaci, "Warren's Abstract Machine: A
+# Tutorial Reconstruction" (1991): a goal list, a choicepoint stack and a
+# trail, without the WAM's compiler. Cut follows ISO/IEC 13211-1 §7.7-7.8.
+#
+# A frame of the goal list is (goal, next frame, depth, cut barrier, home):
+# depth counts the user or prelude calls nested above the goal, the cut
+# barrier is the choicepoint height that `!` truncates to, and home is the
+# database whose definitions the goal's calls see first. The goal list ends
+# in _SOLVED. A choicepoint is (trail mark, goal, next, depth, home,
+# clauses, index of the next clause) for a call with clauses left, or
+# (trail mark, None, frame) for the other branch of ';' or the success of
+# '\+'.
+
+_SOLVED = ("solved",)
+_CUT = Atom("!")
+_FAIL = Atom("fail")
+
+
+class _Compiled:
+    """A predicate's clauses as templates, indexed on the first argument.
+
+    A clause is (head argument templates, body goal templates in reverse
+    order, variable names by slot). `index` maps a first-argument key to the
+    clauses that may match it, in source order; `unkeyed` holds the clauses
+    whose first argument is a variable, which match any other key."""
+
+    __slots__ = ("clauses", "index", "unkeyed")
+
+    def __init__(self, entry: PredicateEntry):
+        self.clauses = []
+        self.index: dict = {}
+        self.unkeyed = []
+        for clause in entry.clauses:
+            goals = _comma_list(clause.body)
+            variables = term_variables(Compound(",", [clause.head, *goals]))
+            slots = {v.vid: i for i, v in enumerate(variables)}
+            head = clause.head.args if isinstance(clause.head, Compound) else []
+            compiled = (
+                tuple(_template(arg, slots) for arg in head),
+                # a variable goal X runs as call(X)
+                tuple(_template(Compound("call", [g]) if isinstance(g, Var) else g,
+                                slots)
+                      for g in reversed(goals)
+                      if not (isinstance(g, Atom) and g.name == "true")),
+                tuple(v.name for v in variables),
+            )
+            self.clauses.append(compiled)
+            key = _index_key(head[0]) if head else None
+            if key is None:
+                self.unkeyed.append(compiled)
+                for alternatives in self.index.values():
+                    alternatives.append(compiled)
+            else:
+                alternatives = self.index.get(key)
+                if alternatives is None:
+                    alternatives = self.index[key] = self.unkeyed.copy()
+                alternatives.append(compiled)
+
+
+def _index_key(term: Term):
+    """First-argument index key of a dereferenced term: an atom's name, a
+    compound's (name, arity), a number's or string's (type, value); None
+    for a variable."""
+    if isinstance(term, Compound):
+        return term.name, len(term.args)
+    if isinstance(term, Atom):
+        return term.name
+    if isinstance(term, Var):
+        return None
+    return type(term), term.value
+
+
+def _template(term: Term, slots: dict[int, int]):
+    """`term` as a clause template: a variable becomes its slot number and a
+    compound holding a variable becomes (name, argument templates). Ground
+    subterms stay the clause's own objects, so they are never copied.
+    Explicit stack."""
+    out: list = []
+    todo: list = [(term, False)]
+    while todo:
+        t, done = todo.pop()
+        if done:
+            args = tuple(out[-len(t.args):])
+            del out[-len(t.args):]
+            ground = all(a is b for a, b in zip(args, t.args))
+            out.append(t if ground else (t.name, args))
+        elif isinstance(t, Var):
+            out.append(slots[t.vid])
+        elif isinstance(t, Compound):
+            todo.append((t, True))
+            todo.extend((a, False) for a in reversed(t.args))
+        else:
+            out.append(t)
+    return out[0]
+
+
+def _same_atomic(a: Term, b: Term) -> bool:
+    if type(a) is not type(b):
+        return False
+    return a.name == b.name if type(a) is Atom else a.value == b.value
+
+
+def _divide(a, b):
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return a // b
+    return a / b
+
+
+_EVALUABLE = {
+    ("+", 2): operator.add,
+    ("-", 2): operator.sub,
+    ("*", 2): operator.mul,
+    ("/", 2): _divide,
+    ("//", 2): lambda a, b: int(a) // int(b),
+    ("mod", 2): operator.mod,
+    ("-", 1): operator.neg,
+    ("+", 1): operator.pos,
+    ("abs", 1): abs,
+}
 
 
 class Solver:
@@ -442,6 +568,9 @@ class Solver:
         self.limits = limits or SolveLimits()
         self._vids = itertools.count(1_000_000)
         self.subst: dict[int, Term] = {}
+        self.trail: list[int] = []
+        self.choicepoints: list[tuple] = []
+        self._indicators: dict[tuple[str, int], PredicateIndicator] = {}
 
     # substitution helpers
 
@@ -453,239 +582,394 @@ class Solver:
             term = bound
         return term
 
-    def bind(self, var: Var, term: Term, trail: list[int]):
+    def bind(self, var: Var, term: Term):
         self.subst[var.vid] = term
-        trail.append(var.vid)
+        self.trail.append(var.vid)
 
-    def undo(self, trail: list[int], mark: int):
+    def undo(self, mark: int):
+        trail, subst = self.trail, self.subst
         while len(trail) > mark:
-            del self.subst[trail.pop()]
+            del subst[trail.pop()]
 
-    def unify(self, a: Term, b: Term, trail: list[int]) -> bool:
-        a = self.walk(a)
-        b = self.walk(b)
-        # Identity short-circuit; also keeps unification of a cyclic
-        # binding against itself (X = f(X) inside a larger goal) finite.
-        if a is b:
-            return True
-        if isinstance(a, Var):
-            if isinstance(b, Var) and a.vid == b.vid:
-                return True
-            self.bind(a, b, trail)
-            return True
-        if isinstance(b, Var):
-            self.bind(b, a, trail)
-            return True
-        if isinstance(a, Atom):
-            return isinstance(b, Atom) and a.name == b.name
-        if isinstance(a, Int):
-            return isinstance(b, Int) and a.value == b.value
-        if isinstance(a, Float):
-            return isinstance(b, Float) and a.value == b.value
-        if isinstance(a, Str):
-            return isinstance(b, Str) and a.value == b.value
-        if isinstance(a, Compound):
-            if not (isinstance(b, Compound) and a.name == b.name
-                    and a.arity == b.arity):
-                return False
-            for x, y in zip(a.args, b.args):
-                if not self.unify(x, y, trail):
+    def unify(self, a: Term, b: Term) -> bool:
+        """Unify `a` and `b`, trailing each binding. Explicit stack; a
+        compound pair met again is skipped, so cyclic bindings terminate."""
+        subst = self.subst
+        todo: Optional[list] = None
+        while True:
+            while type(a) is Var:
+                bound = subst.get(a.vid)
+                if bound is None:
+                    break
+                a = bound
+            while type(b) is Var:
+                bound = subst.get(b.vid)
+                if bound is None:
+                    break
+                b = bound
+            if a is b:
+                pass
+            elif type(a) is Var:
+                if type(b) is not Var or a.vid != b.vid:
+                    self.bind(a, b)
+            elif type(b) is Var:
+                self.bind(b, a)
+            elif isinstance(a, Compound):
+                if not (isinstance(b, Compound) and a.name == b.name
+                        and len(a.args) == len(b.args)):
                     return False
-            return True
-        return False
+                if todo is None:
+                    todo, seen = [], set()
+                pair = (id(a), id(b))
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.extend(zip(a.args, b.args))
+            elif not _same_atomic(a, b):
+                return False
+            if not todo:
+                return True
+            a, b = todo.pop()
 
-    def rename(self, term: Term, mapping: dict[int, Var]) -> Term:
-        if isinstance(term, Var):
-            fresh = mapping.get(term.vid)
-            if fresh is None:
-                fresh = Var(term.name, next(self._vids))
-                mapping[term.vid] = fresh
-            return fresh
-        if isinstance(term, Compound):
-            return Compound(term.name, [self.rename(a, mapping) for a in term.args])
-        return term
-
-    def resolve_out(self, term: Term, active: frozenset = frozenset()) -> Term:
-        """Fully dereference for output; raises _Cyclic on self-reference."""
-        traversed = set()
-        t = term
-        while isinstance(t, Var):
-            if t.vid in active:
-                raise _Cyclic()
-            traversed.add(t.vid)
-            bound = self.subst.get(t.vid)
-            if bound is None:
-                return t
-            t = bound
-        if isinstance(t, Compound):
-            inner = active | traversed
-            return Compound(t.name, [self.resolve_out(a, inner) for a in t.args])
-        return t
+    def resolve_out(self, term: Term) -> Term:
+        """Fully dereference for output; raises _Cyclic on self-reference.
+        Explicit stack."""
+        subst = self.subst
+        out: list[Term] = []
+        active: set[int] = set()  # bound variables on the path from the root
+        todo: list = [(term, None)]
+        while todo:
+            t, left = todo.pop()
+            if left is not None:  # every argument of t is resolved
+                args = out[-len(t.args):]
+                del out[-len(t.args):]
+                out.append(Compound(t.name, args))
+                active.difference_update(left)
+                continue
+            passed = []
+            while isinstance(t, Var):
+                bound = subst.get(t.vid)
+                if bound is None:
+                    break
+                if t.vid in active:
+                    raise _Cyclic()
+                passed.append(t.vid)
+                t = bound
+            if isinstance(t, Compound):
+                active.update(passed)
+                todo.append((t, passed))
+                todo.extend((a, None) for a in reversed(t.args))
+            else:
+                out.append(t)
+        return out[0]
 
     # arithmetic
 
     def eval_arith(self, term: Term):
-        term = self.walk(term)
-        if isinstance(term, Int) or isinstance(term, Float):
-            return term.value
-        if isinstance(term, Var):
-            raise errors.instantiation_error("unbound variable in arithmetic")
-        if isinstance(term, Compound):
-            name, arity = term.name, term.arity
-            if arity == 2:
-                a = self.eval_arith(term.args[0])
-                b = self.eval_arith(term.args[1])
-                if name == "+":
-                    return a + b
-                if name == "-":
-                    return a - b
-                if name == "*":
-                    return a * b
-                if name == "/":
-                    if b == 0:
-                        raise errors.PrologError("evaluation_error", "zero divisor")
-                    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-                        return a // b
-                    return a / b
-                if name == "//":
-                    if b == 0:
-                        raise errors.PrologError("evaluation_error", "zero divisor")
-                    return int(a) // int(b)
-                if name == "mod":
-                    if b == 0:
-                        raise errors.PrologError("evaluation_error", "zero divisor")
-                    return a % b
-            if arity == 1:
-                a = self.eval_arith(term.args[0])
-                if name == "-":
-                    return -a
-                if name == "+":
-                    return a
-                if name == "abs":
-                    return abs(a)
-        raise errors.type_error(
-            f"not an arithmetic expression: {pretty_print(self.resolve_out(term))}"
-        )
+        """The value of an arithmetic expression. Explicit stack: each
+        evaluable compound leaves (function, arity, the variables passed to
+        reach it) below its arguments, and a variable met again inside its
+        own value makes the expression cyclic."""
+        subst = self.subst
+        values: list = []
+        active: set[int] = set()  # bound variables on the path from the root
+        todo: list = [term]
+        while todo:
+            item = todo.pop()
+            if type(item) is tuple:
+                function, arity, passed = item
+                try:
+                    if arity == 2:
+                        b = values.pop()
+                        values[-1] = function(values[-1], b)
+                    else:
+                        values[-1] = function(values[-1])
+                except ZeroDivisionError:
+                    raise errors.PrologError("evaluation_error",
+                                             "zero divisor") from None
+                active.difference_update(passed)
+                continue
+            t = item
+            passed = []
+            while isinstance(t, Var):
+                bound = subst.get(t.vid)
+                if bound is None:
+                    raise errors.instantiation_error("unbound variable in arithmetic")
+                if t.vid in active:
+                    raise errors.type_error("cyclic arithmetic expression")
+                passed.append(t.vid)
+                t = bound
+            if isinstance(t, (Int, Float)):
+                values.append(t.value)
+                continue
+            function = _EVALUABLE.get((t.name, len(t.args))) \
+                if isinstance(t, Compound) else None
+            if function is None:
+                try:
+                    t = self.resolve_out(t)
+                except _Cyclic:
+                    pass  # shown with its variables unresolved
+                raise errors.type_error(
+                    f"not an arithmetic expression: {pretty_print(t)}")
+            active.update(passed)
+            todo.append((function, len(t.args), passed))
+            todo.extend(reversed(t.args))
+        return values[0]
 
     @staticmethod
     def to_number(value) -> Term:
         return Int(value) if isinstance(value, int) else Float(value)
 
-    # the resolution loop
+    # the machine
 
-    def solve(self, goal: Term, depth: int = 0) -> Iterator[None]:
+    def solve(self, goal: Term) -> Iterator[None]:
         """Yield once per solution; bindings live in self.subst."""
-        if depth > self.limits.max_depth:
-            raise errors.resource_error("depth limit exceeded")
-        goal = self.walk(goal)
-        if isinstance(goal, Var):
-            raise errors.instantiation_error("unbound goal")
-        ind = indicator_of(goal)
-        if ind is None:
-            raise errors.type_error("goal must be callable")
-        native = BUILTIN_INDICATORS.get(ind)
-        if callable(native):
-            yield from native(self, goal, depth)
-        else:
-            yield from self._solve_user(goal, *ind, depth)
+        cps = self.choicepoints
+        max_depth = self.limits.max_depth
+        frame = (goal, _SOLVED, 0, 0, self.db)
+        while True:
+            if frame is None:
+                frame = self._backtrack()
+                if frame is None:
+                    return
+            if frame is _SOLVED:
+                yield
+                frame = None
+                continue
+            goal, nxt, depth, cut, home = frame
+            if isinstance(goal, Var):
+                # A variable goal runs as call/1, one level deeper: every
+                # cyclic goal passes through one, so its depth is bounded too.
+                goal = self.walk(goal)
+                cut = len(cps)
+                depth += 1
+                if depth > max_depth:
+                    raise errors.resource_error("depth limit exceeded")
+            if isinstance(goal, Compound):
+                name = goal.name
+                key = name, len(goal.args)
+            elif isinstance(goal, Atom):
+                name = goal.name
+                key = name, 0
+            elif isinstance(goal, Var):
+                raise errors.instantiation_error("unbound goal")
+            else:
+                raise errors.type_error("goal must be callable")
+            native = BUILTIN_INDICATORS.get(key)
+            if native is None or native.__class__ is PredicateEntry:
+                if depth >= max_depth:
+                    raise errors.resource_error("depth limit exceeded")
+                home, clauses = self._solve_user(goal, key, home)
+                frame = self._try_clauses(goal, nxt, depth + 1, home, clauses, 0)
+            elif native is Solver._control:
+                frame = self._control(name, goal, nxt, depth, cut, home)
+            elif native(self, goal):
+                frame = nxt
+            else:
+                frame = None
 
-    def _solve_user(self, goal: Term, name: str, arity: int,
-                    depth: int) -> Iterator[None]:
-        # the user's own definition wins over the prelude's
-        entry = self.db.lookup(PredicateIndicator(name, arity))
-        clauses = entry.clauses if entry is not None \
-            else BUILTIN_INDICATORS.get((name, arity))
-        if clauses is None:
-            raise errors.existence_error(f"unknown predicate {name}/{arity}")
-        trail: list[int] = []
-        for clause in list(clauses):
-            mapping: dict[int, Var] = {}
-            head = self.rename(clause.head, mapping)
-            body = self.rename(clause.body, mapping)
+    def _solve_user(self, goal: Term, key: tuple[str, int],
+                    home: Database) -> tuple[Database, list]:
+        """One call of a user or prelude predicate: the database it is
+        defined in and the clauses to try, narrowed by the first-argument
+        index. The caller's home database is searched first, then the
+        prelude, so a program's own append/3 wins in the program, and the
+        prelude's in the prelude. Called once per call; backtracking into
+        another clause does not call it again."""
+        indicator = self._indicators.get(key)
+        if indicator is None:
+            indicator = self._indicators[key] = PredicateIndicator(*key)
+        entry = home.lookup(indicator)
+        if entry is None and home is not _PRELUDE:
+            home = _PRELUDE
+            entry = home.lookup(indicator)
+        if entry is None:
+            raise errors.existence_error(f"unknown predicate {indicator}")
+        compiled = entry.compiled
+        if compiled is None:
+            compiled = entry.compiled = _Compiled(entry)
+        if key[1]:
+            first = _index_key(self.walk(goal.args[0]))
+            if first is not None:
+                return home, compiled.index.get(first, compiled.unkeyed)
+        return home, compiled.clauses
+
+    def _try_clauses(self, goal: Term, nxt, depth: int, home: Database,
+                     clauses: list, start: int):
+        """Resolve `goal` with the first of clauses[start:] whose head
+        unifies: its body frames, pushed in front of `nxt`, or None when no
+        head unifies. A choicepoint records any clauses left."""
+        trail, cps = self.trail, self.choicepoints
+        barrier = len(cps)
+        args = goal.args if isinstance(goal, Compound) else ()
+        for i in range(start, len(clauses)):
+            head, body, names = clauses[i]
+            slots = [None] * len(names)
             mark = len(trail)
-            if self.unify(goal, head, trail):
-                yield from self.solve(body, depth + 1)
-            self.undo(trail, mark)
+            if self._match(head, args, slots, names):
+                if i + 1 < len(clauses):
+                    cps.append((mark, goal, nxt, depth, home, clauses, i + 1))
+                frame = nxt
+                for template in body:
+                    frame = (self._build(template, slots, names), frame,
+                             depth, barrier, home)
+                return frame
+            self.undo(mark)
+        return None
 
-    # built-ins
+    def _match(self, head: tuple, args, slots: list, names: tuple) -> bool:
+        """Unify a clause's head argument templates with a call's arguments,
+        left to right. A slot takes the call's term at its first occurrence;
+        no head term is built unless it meets an unbound variable. Explicit
+        stack of argument-pair iterators."""
+        subst, trail = self.subst, self.trail
+        todo = [zip(head, args)]
+        while todo:
+            for t, x in todo[-1]:
+                while type(x) is Var:
+                    bound = subst.get(x.vid)
+                    if bound is None:
+                        break
+                    x = bound
+                kind = type(t)
+                if kind is int:
+                    if slots[t] is None:
+                        slots[t] = x
+                    elif not self.unify(slots[t], x):
+                        return False
+                elif kind is tuple:
+                    if type(x) is Var:
+                        subst[x.vid] = self._build(t, slots, names)
+                        trail.append(x.vid)
+                    elif (isinstance(x, Compound) and x.name == t[0]
+                          and len(x.args) == len(t[1])):
+                        todo.append(zip(t[1], x.args))
+                        break
+                    else:
+                        return False
+                elif type(x) is Var:
+                    subst[x.vid] = t
+                    trail.append(x.vid)
+                elif t is not x and not self.unify(t, x):
+                    return False
+            else:
+                todo.pop()
+        return True
 
-    def _bi_true(self, goal, depth):
-        yield
+    def _build(self, template, slots: list, names: tuple) -> Term:
+        """Instantiate a clause template: a slot becomes its term, or a fresh
+        variable at its first occurrence. Explicit stack."""
+        kind = type(template)
+        if kind is int:
+            term = slots[template]
+            if term is None:
+                term = slots[template] = Var(names[template], next(self._vids))
+            return term
+        if kind is not tuple:
+            return template
+        root = Compound(template[0], list(template[1]))
+        todo = [root.args]
+        while todo:
+            args = todo.pop()
+            for i, t in enumerate(args):
+                kind = type(t)
+                if kind is int:
+                    term = slots[t]
+                    if term is None:
+                        term = slots[t] = Var(names[t], next(self._vids))
+                    args[i] = term
+                elif kind is tuple:
+                    args[i] = Compound(t[0], list(t[1]))
+                    todo.append(args[i].args)
+        return root
 
-    def _bi_fail(self, goal, depth):
-        return
-        yield  # pragma: no cover
+    def _backtrack(self):
+        """Undo to the newest choicepoint and take its next alternative: the
+        frame to run, or None once no choicepoint is left."""
+        cps = self.choicepoints
+        while cps:
+            choice = cps.pop()
+            self.undo(choice[0])
+            if choice[1] is None:
+                return choice[2]
+            _, goal, nxt, depth, home, clauses, start = choice
+            frame = self._try_clauses(goal, nxt, depth, home, clauses, start)
+            if frame is not None:
+                return frame
+        return None
 
-    def _bi_conj(self, goal, depth):
-        a, b = goal.args
-        for _ in self.solve(a, depth + 1):
-            yield from self.solve(b, depth + 1)
+    def _control(self, name: str, goal: Term, nxt, depth: int, cut: int,
+                 home: Database):
+        """The frame after a control construct. `!` truncates the
+        choicepoints to its barrier; a cut in an if-then-else condition, in
+        '\\+' or in call/1 is local to it, and one in a ';' branch cuts the
+        clause."""
+        cps = self.choicepoints
+        if name == "!":
+            del cps[cut:]
+            return nxt
+        args = goal.args
+        if name == ",":
+            return (args[0], (args[1], nxt, depth, cut, home), depth, cut, home)
+        if name == "call":
+            return (args[0], nxt, depth, len(cps), home)
+        height = len(cps)
+        mark = len(self.trail)
+        if name == "\\+":
+            cps.append((mark, None, nxt))
+            fail = (_FAIL, None, depth, cut, home)
+            return (args[0], (_CUT, fail, depth, height, home),
+                    depth, height + 1, home)
+        if name == ";":
+            cps.append((mark, None, (args[1], nxt, depth, cut, home)))
+            left = self.walk(args[0])
+            if not (isinstance(left, Compound) and left.name == "->"
+                    and len(left.args) == 2):
+                return (args[0], nxt, depth, cut, home)
+            cond, then = left.args
+        else:  # "->" without an else branch
+            cond, then = args
+        # A cut in the condition reaches back to the current height only; the
+        # commit after it cuts to `height`, dropping any else branch too.
+        commit = (_CUT, (then, nxt, depth, cut, home), depth, height, home)
+        return (cond, commit, depth, len(cps), home)
 
-    def _bi_disj(self, goal, depth):
-        a, b = goal.args
-        a_w = self.walk(a)
-        if isinstance(a_w, Compound) and a_w.name == "->" and a_w.arity == 2:
-            cond, then = a_w.args
-            for _ in self.solve(cond, depth + 1):
-                yield from self.solve(then, depth + 1)
-                return
-            yield from self.solve(b, depth + 1)
-            return
-        yield from self.solve(a, depth + 1)
-        yield from self.solve(b, depth + 1)
+    # built-ins: each returns whether it succeeded; its bindings are trailed
 
-    def _bi_ifthen(self, goal, depth):
-        cond, then = goal.args
-        for _ in self.solve(cond, depth + 1):
-            yield from self.solve(then, depth + 1)
-            return
+    def _bi_true(self, goal):
+        return True
 
-    def _bi_unify(self, goal, depth):
-        trail: list[int] = []
-        if self.unify(goal.args[0], goal.args[1], trail):
-            yield
-        self.undo(trail, 0)
+    def _bi_fail(self, goal):
+        return False
 
-    def _bi_not_unify(self, goal, depth):
-        trail: list[int] = []
-        ok = self.unify(goal.args[0], goal.args[1], trail)
-        self.undo(trail, 0)
-        if not ok:
-            yield
+    def _bi_unify(self, goal):
+        return self.unify(goal.args[0], goal.args[1])
 
-    def _bi_is(self, goal, depth):
+    def _bi_not_unify(self, goal):
+        mark = len(self.trail)
+        unifies = self.unify(goal.args[0], goal.args[1])
+        self.undo(mark)
+        return not unifies
+
+    def _bi_is(self, goal):
         value = self.to_number(self.eval_arith(goal.args[1]))
-        trail: list[int] = []
-        if self.unify(goal.args[0], value, trail):
-            yield
-        self.undo(trail, 0)
+        return self.unify(goal.args[0], value)
 
     def _syntactic_eq(self, a: Term, b: Term) -> bool:
-        a = self.walk(a)
-        b = self.walk(b)
-        if isinstance(a, Var) or isinstance(b, Var):
-            return isinstance(a, Var) and isinstance(b, Var) and a.vid == b.vid
-        if isinstance(a, Compound) and isinstance(b, Compound):
-            return (a.name == b.name and a.arity == b.arity
-                    and all(self._syntactic_eq(x, y)
-                            for x, y in zip(a.args, b.args)))
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Atom):
-            return a.name == b.name
-        return a.value == b.value  # Int/Float/Str
+        """Whether `a` and `b` are identical under the bindings: they unify
+        without binding anything."""
+        mark = len(self.trail)
+        identical = self.unify(a, b) and len(self.trail) == mark
+        self.undo(mark)
+        return identical
 
-    def _bi_struct_eq(self, goal, depth):
-        if self._syntactic_eq(goal.args[0], goal.args[1]):
-            yield
+    def _bi_struct_eq(self, goal):
+        return self._syntactic_eq(goal.args[0], goal.args[1])
 
-    def _bi_struct_neq(self, goal, depth):
-        if not self._syntactic_eq(goal.args[0], goal.args[1]):
-            yield
+    def _bi_struct_neq(self, goal):
+        return not self._syntactic_eq(goal.args[0], goal.args[1])
 
-    def _bi_functor(self, goal, depth):
+    def _bi_functor(self, goal):
         t = self.walk(goal.args[0])
-        trail: list[int] = []
         if isinstance(t, Var):
             name_t = self.walk(goal.args[1])
             arity_t = self.walk(goal.args[2])
@@ -694,18 +978,13 @@ class Solver:
             if not isinstance(arity_t, Int) or arity_t.value < 0:
                 raise errors.type_error("functor/3: bad arity")
             if arity_t.value == 0:
-                built = name_t
-            else:
-                if not isinstance(name_t, Atom):
-                    raise errors.type_error("functor/3: functor must be an atom")
-                built = Compound(
-                    name_t.name,
-                    [Var("_", next(self._vids)) for _ in range(arity_t.value)],
-                )
-            if self.unify(t, built, trail):
-                yield
-            self.undo(trail, 0)
-            return
+                return self.unify(t, name_t)
+            if not isinstance(name_t, Atom):
+                raise errors.type_error("functor/3: functor must be an atom")
+            return self.unify(t, Compound(
+                name_t.name,
+                [Var("_", next(self._vids)) for _ in range(arity_t.value)],
+            ))
         if isinstance(t, Compound):
             name_term: Term = Atom(t.name)
             arity = t.arity
@@ -715,39 +994,29 @@ class Solver:
         else:
             name_term = t
             arity = 0
-        if self.unify(goal.args[1], name_term, trail) and self.unify(
-            goal.args[2], Int(arity), trail
-        ):
-            yield
-        self.undo(trail, 0)
+        return self.unify(goal.args[1], name_term) \
+            and self.unify(goal.args[2], Int(arity))
 
-    def _bi_arg(self, goal, depth):
+    def _bi_arg(self, goal):
         n = self.walk(goal.args[0])
         t = self.walk(goal.args[1])
         if isinstance(n, Var) or isinstance(t, Var):
             raise errors.instantiation_error("arg/3: underinstantiated")
         if not isinstance(n, Int) or not isinstance(t, Compound):
             raise errors.type_error("arg/3: bad arguments")
-        if 1 <= n.value <= t.arity:
-            trail: list[int] = []
-            if self.unify(goal.args[2], t.args[n.value - 1], trail):
-                yield
-            self.undo(trail, 0)
+        return 1 <= n.value <= t.arity \
+            and self.unify(goal.args[2], t.args[n.value - 1])
 
-    def _bi_univ(self, goal, depth):
+    def _bi_univ(self, goal):
         from .terms import make_list
 
         t = self.walk(goal.args[0])
-        trail: list[int] = []
         if not isinstance(t, Var):
             if isinstance(t, Compound):
                 items: list[Term] = [Atom(t.name)] + list(t.args)
             else:
                 items = [t]
-            if self.unify(goal.args[1], make_list(items), trail):
-                yield
-            self.undo(trail, 0)
-            return
+            return self.unify(goal.args[1], make_list(items))
         spec = self.walk(goal.args[1])
         elems: list[Term] = []
         node = spec
@@ -769,35 +1038,24 @@ class Solver:
             if not isinstance(head, Atom):
                 raise errors.type_error("=../2: functor must be an atom")
             built = Compound(head.name, elems[1:])
-        if self.unify(t, built, trail):
-            yield
-        self.undo(trail, 0)
-
-    def _bi_call(self, goal, depth):
-        yield from self.solve(goal.args[0], depth + 1)
-
-    def _bi_naf(self, goal, depth):
-        for _ in self.solve(goal.args[0], depth + 1):
-            return
-        yield
+        return self.unify(t, built)
 
 
 def _arith_compare(op):
-    def compare(solver: Solver, goal, depth):
-        if op(solver.eval_arith(goal.args[0]), solver.eval_arith(goal.args[1])):
-            yield
+    def compare(solver: Solver, goal):
+        return op(solver.eval_arith(goal.args[0]), solver.eval_arith(goal.args[1]))
     return compare
 
 
 def _type_test(test):
-    def check(solver: Solver, goal, depth):
-        if test(solver.walk(goal.args[0])):
-            yield
+    def check(solver: Solver, goal):
+        return test(solver.walk(goal.args[0]))
     return check
 
 
 # Library predicates after ISO/IEC 13211-1 §8, in Prolog and without helper
-# predicates. The solver runs them like user predicates, after the user's own.
+# predicates. The solver runs them like user predicates, after the user's
+# own; their own inner calls see the prelude first.
 PRELUDE = """\
 member(X, [X|_]).
 member(X, [_|T]) :- member(X, T).
@@ -819,23 +1077,26 @@ last([_|T], X) :- last(T, X).
 """
 
 
-def _prelude_clauses() -> dict[tuple[str, int], list[Clause]]:
+def _consult_prelude() -> Database:
     db = Database()
     consult_source(PRELUDE, db, Loader(), "<prelude>")
-    return {(i.name, i.arity): e.clauses for i, e in db.predicates.items()}
+    return db
 
+
+_PRELUDE = _consult_prelude()
 
 # The one builtin registry: each indicator maps to its native solver function
-# or to its prelude clauses. The solver, the cross-file analysis, hover and
+# (a test that returns whether it succeeded), to the machine's control case,
+# or to its prelude entry. The solver, the cross-file analysis, hover and
 # completion all read it; builtin_catalog.txt holds each entry's doc text.
-BUILTIN_INDICATORS: dict[tuple[str, int], Callable | list[Clause]] = {
+BUILTIN_INDICATORS: dict[tuple[str, int], Callable | PredicateEntry] = {
     ("true", 0): Solver._bi_true,
-    ("!", 0): Solver._bi_true,  # cut is approximated by success
+    ("!", 0): Solver._control,  # ISO cut: commits to the clause's choices
     ("fail", 0): Solver._bi_fail,
     ("false", 0): Solver._bi_fail,
-    (",", 2): Solver._bi_conj,
-    (";", 2): Solver._bi_disj,
-    ("->", 2): Solver._bi_ifthen,
+    (",", 2): Solver._control,
+    (";", 2): Solver._control,
+    ("->", 2): Solver._control,
     ("=", 2): Solver._bi_unify,
     ("\\=", 2): Solver._bi_not_unify,
     ("is", 2): Solver._bi_is,
@@ -854,9 +1115,9 @@ BUILTIN_INDICATORS: dict[tuple[str, int], Callable | list[Clause]] = {
     ("functor", 3): Solver._bi_functor,
     ("arg", 3): Solver._bi_arg,
     ("=..", 2): Solver._bi_univ,
-    ("call", 1): Solver._bi_call,
-    ("\\+", 1): Solver._bi_naf,
-    **_prelude_clauses(),
+    ("call", 1): Solver._control,
+    ("\\+", 1): Solver._control,
+    **{(i.name, i.arity): entry for i, entry in _PRELUDE.predicates.items()},
 }
 
 

@@ -158,16 +158,20 @@ def struct_eq(a: Term, b: Term) -> bool:
     raise TypeError(f"not a term: {a!r}")
 
 
-def term_variables(term: Term, acc: Optional[list] = None) -> list:
-    """Variables in first-occurrence order (one entry per vid)."""
-    if acc is None:
-        acc = []
-    if isinstance(term, Var):
-        if all(v.vid != term.vid for v in acc):
-            acc.append(term)
-    elif isinstance(term, Compound):
-        for arg in term.args:
-            term_variables(arg, acc)
+def term_variables(term: Term) -> list:
+    """Variables in first-occurrence order (one entry per vid). Explicit
+    stack, linear in the size of the term."""
+    seen: set[int] = set()
+    acc = []
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            if t.vid not in seen:
+                seen.add(t.vid)
+                acc.append(t)
+        elif isinstance(t, Compound):
+            todo.extend(reversed(t.args))
     return acc
 
 

@@ -134,9 +134,27 @@ class ProjectModel:
     diagnostics: list[Diagnostic]
     sources: dict[str, str]
     loader: Loader
+    # doc hover text by predicate (name, arity) or module (name, 0), built
+    # on the first doc hover
+    _doc_texts: Optional[dict] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def file_index(self, file: str) -> Optional[FileIndex]:
         return self.index.files.get(os.path.abspath(file))
+
+    def doc_text(self, name: str, arity: int) -> Optional[str]:
+        """The doc block text of predicate name/arity or, with arity 0, of
+        module `name`; the first block in file order wins."""
+        if self._doc_texts is None:
+            from .docgen import project_docs
+
+            self._doc_texts = {}
+            for block in project_docs(self).blocks:
+                key = block.target if block.target_kind == "predicate" \
+                    else (block.target, 0)
+                self._doc_texts.setdefault(
+                    key, "\n".join(f"{tag} {body}" for tag, body in block.entries))
+        return self._doc_texts.get((name, arity))
 
 
 class StaleFixError(Exception):
@@ -552,7 +570,8 @@ def hover(file: str, offset: int, mode: str,
     name, arity = name_arity
 
     if mode == "doc":
-        return _hover_doc(name, arity, index, model, span)
+        text = model.doc_text(name, arity)
+        return HoverInfo(text, span) if text is not None else None
 
     # operator atom: render its definition(s)
     chain: list[Term] = []
@@ -620,22 +639,6 @@ def _find_def(name: str, arity: int, index: FileIndex,
         other = model.index.files.get(path)
         if other is not None and indicator in other.defined:
             return other.defined[indicator], path
-    return None
-
-
-def _hover_doc(name: str, arity: int, index: FileIndex, model: ProjectModel,
-               span: SourceSpan) -> Optional[HoverInfo]:
-    from .docgen import project_docs
-
-    docs = project_docs(model)
-    for block in docs.blocks:
-        if block.target_kind == "predicate" and block.target == (name, arity):
-            text = "\n".join(f"{tag} {body}" for tag, body in block.entries)
-            return HoverInfo(text, span)
-        if block.target_kind == "module" and arity == 0 \
-                and block.target == name:
-            text = "\n".join(f"{tag} {body}" for tag, body in block.entries)
-            return HoverInfo(text, span)
     return None
 
 

@@ -10,6 +10,7 @@ from plkit.engine import (
     BUILTIN_INDICATORS,
     Loader,
     SolveLimits,
+    Solver,
     consult_source,
     default_chain,
     dispatch,
@@ -17,7 +18,7 @@ from plkit.engine import (
     solve,
 )
 from plkit.errors import PrologError
-from plkit.terms import Atom, Int, Var, struct_eq
+from plkit.terms import Atom, Compound, Int, Var, make_list, struct_eq
 from term_gen import to_tuple, tt_apply, tt_unify, tt_variant
 
 
@@ -341,6 +342,9 @@ def test_user_definition_wins_over_prelude():
     assert [r["X"].name for r in solutions("append([], [], X)", db)] == ["mine"]
     # the other prelude predicates stay available
     assert len(solutions("member(a, [a])", db)) == 1
+    # and the prelude's own calls still see the prelude's append/3
+    reversed_ = [r["R"] for r in solutions("reverse([1,2], R)", db)]
+    assert len(reversed_) == 1 and struct_eq(reversed_[0], read_term("[2,1]"))
 
 
 def test_depth_limit_terminates():
@@ -348,6 +352,157 @@ def test_depth_limit_terminates():
     with pytest.raises(PrologError) as err:
         solutions("loop", db, max_depth=50)
     assert err.value.kind == "resource_error"
+
+
+def test_depth_limit_counts_nested_calls():
+    db, _, _ = load(COUNT)
+    # count(n) nests n + 1 calls of count/1
+    assert len(solutions("count(49)", db, max_depth=50)) == 1
+    with pytest.raises(PrologError) as err:
+        solutions("count(50)", db, max_depth=50)
+    assert err.value.kind == "resource_error"
+
+
+# --- cut ------------------------------------------------------------------
+
+CUT_PROGRAM = """\
+m(1).
+m(2).
+m(3).
+first(X) :- m(X), !.
+in_branch(X) :- ( m(X), ! ; X = 9 ).
+in_branch(8).
+in_condition(X) :- ( (!, fail) -> X = 0 ; X = 1 ).
+in_condition(2).
+in_negation(X) :- \\+ (!, fail), X = 1.
+in_negation(2).
+in_call(X) :- call(!), m(X).
+in_call(4).
+"""
+
+
+@pytest.mark.parametrize("goal, answers", [
+    ("first(X)", [1]),
+    ("in_branch(X)", [1]),  # a cut in a ';' branch cuts the clause
+    # a cut in an if-then-else condition, in \+ and in call/1 is local
+    ("in_condition(X)", [1, 2]),
+    ("in_negation(X)", [1, 2]),
+    ("in_call(X)", [1, 2, 3, 4]),
+])
+def test_cut(goal, answers):
+    db, _, diagnostics = load(CUT_PROGRAM)
+    assert not diagnostics
+    assert [r["X"].value for r in solutions(goal, db)] == answers
+
+
+def test_cut_at_top_level_commits():
+    db, _, _ = load(CUT_PROGRAM)
+    assert [r["X"].value for r in solutions("m(X), !", db)] == [1]
+    assert [r["X"].value for r in solutions("(m(X) ; X = 4), X > 1, !", db)] == [2]
+
+
+# --- scale: none of these may raise RecursionError ------------------------
+
+COUNT = "count(0).\ncount(N) :- N > 0, N1 is N - 1, count(N1).\n"
+NREV = ("app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n"
+        "nrev([], []).\nnrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n")
+
+
+def nrev_goal(n):
+    return Compound("nrev", [make_list([Int(i) for i in range(n)]), Var("R", -1)])
+
+
+def int_list(term):
+    values = []
+    while isinstance(term, Compound) and term.name == ".":
+        values.append(term.args[0].value)
+        term = term.args[1]
+    assert isinstance(term, Atom) and term.name == "[]"
+    return values
+
+
+def test_long_countdown():
+    db, _, _ = load(COUNT)
+    assert len(solutions("count(5000)", db)) == 1
+
+
+def test_nrev_1000():
+    db, _, _ = load(NREV)
+    (result,) = solve(nrev_goal(1000), db)
+    assert int_list(result["R"]) == list(reversed(range(1000)))
+
+
+def test_long_list_unifies():
+    db = Database()
+    items = make_list([Int(i) for i in range(1, 3001)])
+    (result,) = solve(Compound("=", [Var("X", -1), items]), db)
+    assert int_list(result["X"]) == list(range(1, 3001))
+    copy = make_list([Int(i) for i in range(1, 3001)])
+    assert len(list(solve(Compound("==", [items, copy]), db))) == 1
+
+
+def test_cyclic_unification_terminates():
+    db = Database()
+    assert solutions("X = f(X), Y = f(Y), X = Y", db) == []
+    assert solutions("X = f(X), Y = f(Y), X == Y", db) == []
+
+
+@pytest.mark.parametrize("goal, kind", [
+    ("X = X + 1, Y is X", "type_error"),
+    ("X = f(X), Y is X", "type_error"),
+    ("X = (true, X), call(X)", "resource_error"),
+    ("X = (fail ; X), X", "resource_error"),
+])
+def test_cyclic_goals_raise(goal, kind):
+    with pytest.raises(PrologError) as err:
+        solutions(goal, Database(), max_depth=50)
+    assert err.value.kind == kind
+
+
+def test_prelude_recursion_is_not_bounded_by_python():
+    db = Database()
+    assert solutions(f"length({list(range(400))}, N)", db)[0]["N"].value == 400
+    assert len(solutions("between(1, 1000, 400)", db)) == 1
+    assert [r["X"].value for r in solutions("between(1, 1000, X), X > 998", db)] \
+        == [999, 1000]
+
+
+# --- resolution steps and indexing ------------------------------------------
+
+
+def test_one_solve_user_call_per_predicate_call(monkeypatch):
+    calls = []
+    original = Solver._solve_user
+
+    def counted(self, *args):
+        calls.append(args[1])
+        return original(self, *args)
+
+    monkeypatch.setattr(Solver, "_solve_user", counted)
+    db, _, _ = load(NREV)
+    assert len(list(solve(nrev_goal(30), db))) == 1
+    assert len(calls) == 31 * 32 // 2
+    # backtracking into another clause is not another call
+    calls.clear()
+    db, _, _ = load(CUT_PROGRAM)
+    assert len(solutions("m(X)", db)) == 3
+    assert calls == [("m", 1)]
+
+
+def test_first_argument_index_keeps_source_order():
+    db, _, _ = load("p(a, 1).\np(_, 2).\np(b, 3).\np(a, 4).\n"
+                    "p(_, 5).\np(f(x), 6).\np(1, 7).\np(a, 8).\n")
+    assert [r["N"].value for r in solutions("p(a, N)", db)] == [1, 2, 4, 5, 8]
+    assert [r["N"].value for r in solutions("p(f(Y), N)", db)] == [2, 5, 6]
+    assert [r["N"].value for r in solutions("p(1, N)", db)] == [2, 5, 7]
+    assert [r["N"].value for r in solutions("p(K, N)", db)] == list(range(1, 9))
+
+
+def test_assert_clause_drops_the_compiled_form():
+    db, _, _ = load("q(1).\n")
+    assert len(solutions("q(X)", db)) == 1
+    db.assert_clause(read_term("q(2)"), Atom("true"))
+    assert [r["X"].value for r in solutions("q(X)", db)] == [1, 2]
 
 
 def test_solution_cap_on_infinite_relation():

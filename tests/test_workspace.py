@@ -247,13 +247,22 @@ def test_hover_import_target_lists_exports(project):
         assert info.text == exports
 
 
-def test_hover_doc_mode(project):
+def test_hover_doc_mode(project, monkeypatch):
+    from plkit import docgen
+
+    calls = []
+    original = docgen.project_docs
+    monkeypatch.setattr(docgen, "project_docs",
+                        lambda model: calls.append(model) or original(model))
     model, root = build(project, {"a.pl": A_SOURCE, "b.pl": B_SOURCE})
     file, offset = at(model, root, "b.pl", "f(X)")
-    info = hover(file, offset, "doc", model)
-    assert info is not None
-    assert "Jan" in info.text
-    assert "Wraps g/1." in info.text
+    for _ in range(2):
+        info = hover(file, offset, "doc", model)
+        assert info is not None
+        assert "Jan" in info.text
+        assert "Wraps g/1." in info.text
+    # the doc blocks are extracted once per model
+    assert len(calls) == 1
 
 
 def test_hover_nothing_on_layout(project):
