@@ -15,7 +15,7 @@ from .database import (
     default_table,
 )
 from .diagnostics import Diagnostic, Severity
-from .engine import Loader, SolveLimits, consult_source, dispatch, repl, solve
+from .engine import Loader, SolveLimits, consult_source, repl, solve
 from .errors import PrologError
 from .lexer import Token, TokenKind, tokenize
 from .printer import pretty_print, sentence_text

@@ -4,7 +4,7 @@ operator table, predicate database, module info, and flags."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import errors
 from .spans import SourceSpan
@@ -99,9 +99,8 @@ class OperatorTable:
         self._by_name: dict[str, dict[str, OperatorDef]] = {}
         if seed_defaults:
             for priority, fixity, name in DEFAULT_OPERATORS:
-                self._by_name.setdefault(name, {})[
-                    OperatorDef(name, priority, fixity).op_class
-                ] = OperatorDef(name, priority, fixity)
+                definition = OperatorDef(name, priority, fixity)
+                self._by_name.setdefault(name, {})[definition.op_class] = definition
 
     def copy(self) -> "OperatorTable":
         t = OperatorTable(seed_defaults=False)
@@ -149,15 +148,11 @@ class OperatorTable:
         return list(self._by_name.get(name, {}).values())
 
 
-@dataclass(frozen=True)
-class PredicateIndicator:
+class PredicateIndicator(NamedTuple):
+    """name/arity; equal to, and hashed as, the plain (name, arity) tuple."""
+
     name: str
     arity: int
-    module: Optional[str] = None
-
-    def __post_init__(self):
-        if self.arity < 0:
-            raise ValueError("negative arity")
 
     def __str__(self):
         return f"{self.name}/{self.arity}"
@@ -216,13 +211,13 @@ class Database:
         ind = indicator_of(head)
         if ind is None:
             raise errors.type_error("clause head must be an atom or compound term")
-        indicator = PredicateIndicator(ind[0], ind[1])
+        indicator = PredicateIndicator(*ind)
         entry = self.predicates.setdefault(indicator, PredicateEntry(indicator))
         entry.clauses.append(Clause(head, body, span))
         entry.compiled = None
         return entry
 
-    def lookup(self, indicator: PredicateIndicator) -> Optional[PredicateEntry]:
+    def lookup(self, indicator: tuple[str, int]) -> Optional[PredicateEntry]:
         return self.predicates.get(indicator)
 
     def declare(self, indicator: PredicateIndicator, prop: str) -> PredicateEntry:

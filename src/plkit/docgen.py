@@ -338,7 +338,7 @@ def _file_page(model, docs: ProjectDocs, path: str) -> str:
             f'<h3 id="{anchor}">{html.escape(info.display_label)}</h3>'
         )
         parts.append(f"<p><code>{html.escape(_synopsis(info))}</code></p>")
-        block = doc_by_target.get((info.indicator.name, info.indicator.arity))
+        block = doc_by_target.get(info.indicator)
         if block is not None:
             parts.append(_entries_html(block))
     return _wrap(rel, "\n".join(parts))

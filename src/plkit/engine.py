@@ -1,5 +1,5 @@
-"""Post-processing of parsed sentences: the engine chain, directive
-execution, a minimal resolution engine, and the interactive read-eval loop."""
+"""Consulting parsed sentences (directive execution and clause storage), a
+minimal resolution engine, and the interactive read-eval loop."""
 
 from __future__ import annotations
 
@@ -34,8 +34,6 @@ from .terms import (
     indicator_of,
     term_variables,
 )
-
-EngineHandler = Callable[[Sentence, Database, "Loader"], list[Diagnostic]]
 
 @dataclass
 class SolveLimits:
@@ -131,81 +129,50 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-# --- engine chain ---------------------------------------------------------
+# --- consulting -----------------------------------------------------------
 
 
-def directive_engine(sentence: Sentence, db: Database,
+def consult_sentence(sentence: Sentence, db: Database,
                      loader: Loader) -> list[Diagnostic]:
-    if sentence.kind != "directive":
-        return []
-    return exec_directive(sentence.goal, db, loader)
-
-
-def storage_engine(sentence: Sentence, db: Database,
-                   loader: Loader) -> list[Diagnostic]:
-    if sentence.kind == "directive":
-        return []
+    """Run a directive, or store a clause, fact or DCG rule. A PrologError
+    becomes a diagnostic on the sentence."""
     try:
-        if sentence.kind == "clause":
-            db.assert_clause(sentence.head, sentence.body, sentence.span)
-        elif sentence.kind == "fact":
-            db.assert_clause(sentence.head, Atom("true"), sentence.span)
-        elif sentence.kind == "dcg_rule":
-            entry = db.assert_clause(sentence.head, sentence.body, sentence.span)
+        if sentence.kind == "directive":
+            return exec_directive(sentence.goal, db, loader)
+        body = Atom("true") if sentence.kind == "fact" else sentence.body
+        entry = db.assert_clause(sentence.head, body, sentence.span)
+        if sentence.kind == "dcg_rule":
             entry.properties.add("dcg")
     except PrologError as err:
-        return [Diagnostic(Severity.ERROR, err.kind, err.message,
-                           sentence.head.span or sentence.span)]
+        return [Diagnostic(Severity.ERROR, err.kind, err.message, sentence.span)]
     return []
 
 
-def default_chain() -> list[EngineHandler]:
-    return [directive_engine, storage_engine]
-
-
-def dispatch(sentence: Sentence, chain: list[EngineHandler], db: Database,
-             loader: Loader) -> list[Diagnostic]:
-    """Pass one sentence through every engine in order, containing failures."""
-    diagnostics: list[Diagnostic] = []
-    for handler in chain:
-        try:
-            diagnostics.extend(handler(sentence, db, loader) or [])
-        except PrologError as err:
-            diagnostics.append(
-                Diagnostic(Severity.ERROR, err.kind, err.message, sentence.span)
-            )
-    return diagnostics
-
-
-def consult_source(source: str, db: Database, loader: Loader, file_id: str,
-                   chain: Optional[list[EngineHandler]] = None,
-                   ) -> tuple[list[Sentence], list[Diagnostic]]:
-    """Phase I for one file: read sentences, dispatching each before the
-    next is parsed so directives reshape the grammar mid-file."""
+def consult_source(source: str, db: Database, loader: Loader,
+                   file_id: str) -> tuple[list[Sentence], list[Diagnostic]]:
+    """Phase I for one file: tokenize, then consult_tokens."""
     from .lexer import tokenize
 
     tokens, lex_diags = tokenize(source, file_id)
-    return consult_tokens(tokens, lex_diags, db, loader, file_id, chain)
+    return consult_tokens(tokens, lex_diags, db, loader, file_id)
 
 
 def consult_tokens(tokens: list, lex_diags: list[Diagnostic], db: Database,
                    loader: Loader, file_id: str,
-                   chain: Optional[list[EngineHandler]] = None,
                    ) -> tuple[list[Sentence], list[Diagnostic]]:
-    """Phase I over an already-tokenized file."""
-    if chain is None:
-        chain = default_chain()
-    diagnostics = list(lex_diags)
+    """Phase I over an already-tokenized file: read sentences, consulting
+    each before the next is parsed so directives reshape the grammar
+    mid-file."""
     reader = Reader(tokens, db, file_id)
+    # The reader appends its parse errors here too, so they interleave with
+    # the consult diagnostics in source order.
+    diagnostics = reader.diagnostics = list(lex_diags)
     sentences: list[Sentence] = []
-    while True:
-        result = reader.read_sentence()
-        diagnostics.extend(result.diagnostics)
-        if result.at_eof:
-            break
-        if result.sentence is not None:
-            sentences.append(result.sentence)
-            diagnostics.extend(dispatch(result.sentence, chain, db, loader))
+    while not reader.at_eof():
+        sentence = reader.read_sentence()
+        if sentence is not None:
+            sentences.append(sentence)
+            diagnostics.extend(consult_sentence(sentence, db, loader))
     return sentences, diagnostics
 
 
@@ -570,7 +537,6 @@ class Solver:
         self.subst: dict[int, Term] = {}
         self.trail: list[int] = []
         self.choicepoints: list[tuple] = []
-        self._indicators: dict[tuple[str, int], PredicateIndicator] = {}
 
     # substitution helpers
 
@@ -775,15 +741,13 @@ class Solver:
         prelude, so a program's own append/3 wins in the program, and the
         prelude's in the prelude. Called once per call; backtracking into
         another clause does not call it again."""
-        indicator = self._indicators.get(key)
-        if indicator is None:
-            indicator = self._indicators[key] = PredicateIndicator(*key)
-        entry = home.lookup(indicator)
+        entry = home.lookup(key)
         if entry is None and home is not _PRELUDE:
             home = _PRELUDE
-            entry = home.lookup(indicator)
+            entry = home.lookup(key)
         if entry is None:
-            raise errors.existence_error(f"unknown predicate {indicator}")
+            raise errors.existence_error(
+                f"unknown predicate {PredicateIndicator(*key)}")
         compiled = entry.compiled
         if compiled is None:
             compiled = entry.compiled = _Compiled(entry)
@@ -1019,12 +983,16 @@ class Solver:
             return self.unify(goal.args[1], make_list(items))
         spec = self.walk(goal.args[1])
         elems: list[Term] = []
+        cells: set[int] = set()  # ids of the list cells walked so far
         node = spec
         while True:
             node = self.walk(node)
             if isinstance(node, Atom) and node.name == "[]":
                 break
             if isinstance(node, Compound) and node.name == "." and node.arity == 2:
+                if id(node) in cells:
+                    raise errors.type_error("=../2: cyclic list")
+                cells.add(id(node))
                 elems.append(self.walk(node.args[0]))
                 node = node.args[1]
                 continue
@@ -1117,7 +1085,7 @@ BUILTIN_INDICATORS: dict[tuple[str, int], Callable | PredicateEntry] = {
     ("=..", 2): Solver._bi_univ,
     ("call", 1): Solver._control,
     ("\\+", 1): Solver._control,
-    **{(i.name, i.arity): entry for i, entry in _PRELUDE.predicates.items()},
+    **_PRELUDE.predicates,
 }
 
 
@@ -1155,13 +1123,14 @@ def solve(goal: Term, db: Database,
 def repl(db: Database, inp, out, loader: Optional[Loader] = None,
          limits: Optional[SolveLimits] = None) -> None:
     """Interactive goal loop: '?- ' prompt, ';' asks for the next solution."""
-    from .lexer import tokenize
+    from .lexer import TokenKind, tokenize
 
     loader = loader or Loader()
     limits = limits or SolveLimits()
     buffer = ""
     while True:
-        if not _has_end(buffer):
+        tokens, lex_diags = tokenize(buffer, "<repl>")
+        if not any(t.kind == TokenKind.END for t in tokens):
             out.write("?- ")
             try:
                 out.flush()
@@ -1172,27 +1141,20 @@ def repl(db: Database, inp, out, loader: Optional[Loader] = None,
                 return
             buffer += line
             continue
-        tokens, lex_diags = tokenize(buffer, "<repl>")
         reader = Reader(tokens, db, "<repl>")
-        result = reader.read_sentence()
-        consumed = reader.i
-        remainder_offset = (
-            tokens[consumed - 1].span.end_offset if consumed > 0 else len(buffer)
-        )
-        buffer = buffer[remainder_offset:]
-        for diag in lex_diags + result.diagnostics:
+        sentence = reader.read_sentence()
+        buffer = buffer[tokens[reader.i - 1].span.end_offset:]
+        for diag in lex_diags + reader.diagnostics:
             out.write(f"syntax error: {diag.message}\n")
-        if result.sentence is None:
+        if sentence is None:
             continue
-        sentence = result.sentence
         if sentence.kind == "directive":
             for diag in exec_directive(sentence.goal, db, loader):
                 out.write(f"{diag.severity.value}: {diag.message}\n")
             out.write("true\n")
             continue
-        goal = sentence.term
         try:
-            for binding in solve(goal, db, limits):
+            for binding in solve(sentence.term, db, limits):
                 for name, value in binding.items():
                     out.write(f"{name} = {pretty_print(value, db)}\n")
                 out.write("true\n")
@@ -1205,10 +1167,3 @@ def repl(db: Database, inp, out, loader: Optional[Loader] = None,
                 out.write("false\n")
         except PrologError as err:
             out.write(f"error: {err.kind}: {err.message}\n")
-
-
-def _has_end(buffer: str) -> bool:
-    from .lexer import TokenKind, tokenize
-
-    tokens, _ = tokenize(buffer, "<repl>")
-    return any(t.kind == TokenKind.END for t in tokens)

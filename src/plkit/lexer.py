@@ -57,7 +57,7 @@ TRIVIA_KINDS = {TokenKind.LAYOUT, TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMEN
 _CT_PRECEDERS = ATOM_KINDS | {TokenKind.VARIABLE}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: TokenKind
     text: str

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .database import Database, OperatorTable, default_table
+from .database import Database, OperatorTable
 from .lexer import SYMBOL_CHARS
 from .terms import (
     Atom,
@@ -161,9 +161,13 @@ class _Printer:
         return f"{atom_text(term.name)}({args})"
 
 
+# The default operators, for printing without a database; only read.
+_DEFAULT_TABLE = OperatorTable()
+
+
 def pretty_print(term: Term, db: Database | None = None,
                  max_priority: int = 1200) -> str:
-    table = db.operators if db is not None else default_table()
+    table = db.operators if db is not None else _DEFAULT_TABLE
     return _Printer(table).fmt(term, max_priority)
 
 

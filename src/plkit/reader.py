@@ -2,7 +2,7 @@
 
 The reader consumes tokens left to right with one token of lookahead,
 resolving each atom's role against the operator table *at the moment it
-is consumed*, so directives dispatched between sentences change the
+is consumed*, so directives run between sentences change the
 grammar for everything that follows. Parse errors drop tokens up to and
 including the next clause terminator and reading resumes there.
 """
@@ -79,13 +79,6 @@ class Sentence:
         return self.term.args[0]
 
 
-@dataclass
-class ReadResult:
-    sentence: Optional[Sentence]  # None: recovery happened (or EOF)
-    diagnostics: list[Diagnostic]
-    at_eof: bool
-
-
 class ParseFailure(Exception):
     def __init__(self, code: str, message: str, span: SourceSpan):
         super().__init__(message)
@@ -98,7 +91,9 @@ class Reader:
         self.db = db
         self.file_id = file_id
         self.i = 0
+        self.diagnostics: list[Diagnostic] = []  # parse errors, in read order
         self._vid_counter = itertools.count()
+        # Comments since the last sentence, the ones at_eof() skips included.
         self._comments: list[Token] = []
         self._sentence_vars: dict[str, Var] = {}
 
@@ -139,13 +134,13 @@ class Reader:
 
     # --- sentences --------------------------------------------------------
 
-    def read_sentence(self) -> ReadResult:
-        """Read one sentence; on a parse error, recover past the next End."""
-        self._comments = []
+    def read_sentence(self) -> Optional[Sentence]:
+        """Read the next sentence. None at end of input, or after a parse
+        error, which goes to self.diagnostics and is recovered from past the
+        next End."""
         self._sentence_vars = {}
         if self.peek() is None:
-            return ReadResult(None, [], True)
-        diagnostics: list[Diagnostic] = []
+            return None
         try:
             term = self.parse_term(MAX_PRIORITY)
             end_tok = self.peek()
@@ -160,11 +155,13 @@ class Reader:
                 )
             self.next()
         except ParseFailure as failure:
-            diagnostics.append(failure.diagnostic)
+            self.diagnostics.append(failure.diagnostic)
             self.recover()
-            return ReadResult(None, diagnostics, False)
-        sentence = self._classify_sentence(term, end_tok.span)
-        return ReadResult(sentence, diagnostics, False)
+            sentence = None
+        else:
+            sentence = self._classify_sentence(term, end_tok.span)
+        self._comments = []
+        return sentence
 
     def _classify_sentence(self, term: Term, end_span: SourceSpan) -> Sentence:
         kind = "fact"
@@ -175,7 +172,7 @@ class Reader:
                 kind = "clause"
             elif term.name == "-->" and term.arity == 2:
                 kind = "dcg_rule"
-        return Sentence(kind, term, end_span, list(self._comments))
+        return Sentence(kind, term, end_span, self._comments)
 
     def recover(self):
         """Drop tokens up to and including the next End token (or EOF)."""

@@ -6,7 +6,7 @@ import bisect
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Half-open [start_offset, end_offset) region of one file.
 

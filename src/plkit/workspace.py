@@ -307,9 +307,9 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
 
 def _file_exports(index: FileIndex) -> set[tuple[str, int]]:
     if index.module is not None:
-        return {(i.name, i.arity) for i in index.module.exports}
+        return index.module.exports
     # A non-module "database" file exports every top-level definition.
-    return {(d.indicator.name, d.indicator.arity) for d in index.unique_defs()}
+    return {d.indicator for d in index.unique_defs()}
 
 
 def link(indices: dict[str, FileIndex],
@@ -348,9 +348,8 @@ def link(indices: dict[str, FileIndex],
                 visible |= available
             else:
                 for indicator in record.indicators:
-                    key = (indicator.name, indicator.arity)
-                    if key in available:
-                        visible.add(key)
+                    if indicator in available:
+                        visible.add(indicator)
                     else:
                         diagnostics.append(
                             Diagnostic(
@@ -367,16 +366,16 @@ def link(indices: dict[str, FileIndex],
                             )
                         )
 
-        local = {(d.name, d.arity) for d in index.defined}
+        local = set(index.defined)
         # declared-but-undefined dynamic predicates are legitimate call targets
         local |= {
-            (ind.name, ind.arity)
+            ind
             for ind, entry in index.db.predicates.items()
             if "dynamic" in entry.properties
         }
         for call in index.calls:
-            key = (call.indicator.name, call.indicator.arity)
-            if key in local or key in BUILTIN_INDICATORS or key in visible:
+            ind = call.indicator
+            if ind in local or ind in BUILTIN_INDICATORS or ind in visible:
                 continue
             related = []
             neighbors = sorted(
@@ -469,11 +468,7 @@ def outline(file: str, model: ProjectModel) -> list[OutlineItem]:
     if index is None:
         return []
     items: list[OutlineItem] = []
-    exports = (
-        {(i.name, i.arity) for i in index.module.exports}
-        if index.module is not None
-        else set()
-    )
+    exports = index.module.exports if index.module is not None else set()
     if index.module is not None:
         for sentence in index.sentences:
             if sentence.kind == "directive":
@@ -491,7 +486,7 @@ def outline(file: str, model: ProjectModel) -> list[OutlineItem]:
     for info in index.unique_defs():
         if info.dcg:
             kind = "DcgNonterminal"
-        elif (info.indicator.name, info.indicator.arity) in exports:
+        elif info.indicator in exports:
             kind = "ExportedPredicate"
         else:
             kind = "PrivatePredicate"
@@ -635,7 +630,7 @@ def _find_def(name: str, arity: int, index: FileIndex,
     info = index.defined.get(indicator)
     if info is not None:
         return info, index.file
-    for path in model.index.exporters.get((name, arity), []):
+    for path in model.index.exporters.get(indicator, []):
         other = model.index.files.get(path)
         if other is not None and indicator in other.defined:
             return other.defined[indicator], path
@@ -703,7 +698,7 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
             other = model.index.files.get(origin)
             synopsis = f"{name}/{arity} from {os.path.basename(origin)}"
             if other is not None:
-                found = other.defined.get(PredicateIndicator(name, arity))
+                found = other.defined.get((name, arity))
                 if found is not None and found.first_head is not None:
                     synopsis = pretty_print(found.first_head)
             add(f"{name}/{arity}", "Predicate", synopsis, name, 1)
@@ -728,7 +723,7 @@ def _visible_imports(index: FileIndex,
         wanted = (
             available
             if record.indicators is None
-            else {(i.name, i.arity) for i in record.indicators} & available
+            else set(record.indicators) & available
         )
         for key in wanted:
             visible.setdefault(key, target.file)

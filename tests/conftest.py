@@ -16,11 +16,10 @@ def read_one(text: str, db: Database | None = None):
     tokens, lex_diags = tokenize(text, "<test>")
     assert not lex_diags, [d.message for d in lex_diags]
     reader = Reader(tokens, db, "<test>")
-    result = reader.read_sentence()
-    assert result is not None, "no sentence"
-    assert not result.diagnostics, [d.message for d in result.diagnostics]
-    assert result.sentence is not None
-    return result.sentence
+    sentence = reader.read_sentence()
+    assert not reader.diagnostics, [d.message for d in reader.diagnostics]
+    assert sentence is not None, "no sentence"
+    return sentence
 
 
 def read_term(text: str, db: Database | None = None):

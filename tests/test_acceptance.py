@@ -29,9 +29,10 @@ def parse_one(text, db=None):
     db = db or Database()
     tokens, lex_diags = tokenize(text + " .", "<t>")
     assert not lex_diags, text
-    result = Reader(tokens, db, "<t>").read_sentence()
-    assert result.sentence is not None and not result.diagnostics, text
-    return result.sentence.term
+    reader = Reader(tokens, db, "<t>")
+    sentence = reader.read_sentence()
+    assert sentence is not None and not reader.diagnostics, text
+    return sentence.term
 
 
 def read_file_sentences(source, db=None):

@@ -86,6 +86,16 @@ def test_assert_clause_and_lookup():
     assert db.lookup(PredicateIndicator("fact", 2)) is None
 
 
+def test_indicator_is_the_name_arity_tuple():
+    indicator = PredicateIndicator("fact", 1)
+    assert indicator == ("fact", 1)
+    assert hash(indicator) == hash(("fact", 1))
+    assert str(indicator) == "fact/1"
+    db = Database()
+    entry = db.assert_clause(Compound("fact", [Int(1)]), Atom("true"))
+    assert db.lookup(("fact", 1)) is entry
+
+
 def test_assert_clause_rejects_non_callable_head():
     db = Database()
     with pytest.raises(PrologError) as err:

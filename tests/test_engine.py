@@ -2,7 +2,8 @@ import io
 
 import pytest
 
-from conftest import read_one, read_term
+from conftest import read_term
+from plkit import engine
 from plkit.catalog import load_default_catalog
 from plkit.database import Database, PredicateIndicator
 from plkit.diagnostics import Severity
@@ -11,13 +12,14 @@ from plkit.engine import (
     Loader,
     SolveLimits,
     Solver,
+    consult_sentence,
     consult_source,
-    default_chain,
-    dispatch,
     repl,
     solve,
 )
 from plkit.errors import PrologError
+from plkit.lexer import tokenize
+from plkit.reader import Reader
 from plkit.terms import Atom, Compound, Int, Var, make_list, struct_eq
 from term_gen import to_tuple, tt_apply, tt_unify, tt_variant
 
@@ -33,42 +35,37 @@ def solutions(goal_text, db, **kw):
     return list(solve(goal, db, SolveLimits(**kw) if kw else None))
 
 
-# --- engine chain ---------------------------------------------------------
+# --- consulting -----------------------------------------------------------
 
 
-def test_every_sentence_passes_through_every_engine():
-    seen = []
-
-    def spy(sentence, db, loader):
-        seen.append(sentence.kind)
-        return []
-
-    chain = default_chain() + [spy]
+def test_consult_sentence_runs_directives_and_stores_clauses():
     db = Database()
     source = ":- dynamic(p/1).\np(1).\nq(X) :- p(X).\ns --> [t].\n"
-    from plkit.lexer import tokenize
-    from plkit.reader import Reader
-
     tokens, _ = tokenize(source, "<t>")
     reader = Reader(tokens, db, "<t>")
-    while True:
-        result = reader.read_sentence()
-        if result.at_eof:
-            break
-        if result.sentence is not None:
-            dispatch(result.sentence, chain, db, Loader())
-    assert seen == ["directive", "fact", "clause", "dcg_rule"]
+    kinds = []
+    while not reader.at_eof():
+        sentence = reader.read_sentence()
+        kinds.append(sentence.kind)
+        assert consult_sentence(sentence, db, Loader()) == []
+    assert kinds == ["directive", "fact", "clause", "dcg_rule"]
+    p = db.lookup(PredicateIndicator("p", 1))
+    assert "dynamic" in p.properties
+    assert [c.head.args[0].value for c in p.clauses] == [1]
+    (q_clause,) = db.lookup(PredicateIndicator("q", 1)).clauses
+    assert q_clause.body.name == "p"
+    assert "dcg" in db.lookup(PredicateIndicator("s", 0)).properties
 
 
-def test_engine_failure_is_contained():
-    def bomb(sentence, db, loader):
+def test_consult_failure_is_contained(monkeypatch):
+    def bomb(goal, db, loader):
         raise PrologError("type_error", "boom")
 
-    db = Database()
-    sentence = read_one("a.")
-    diagnostics = dispatch(sentence, [bomb], db, Loader())
-    assert len(diagnostics) == 1
-    assert diagnostics[0].code == "type_error"
+    monkeypatch.setattr(engine, "exec_directive", bomb)
+    db, sentences, diagnostics = load(":- dynamic(p/1).\na.\n")
+    assert [d.code for d in diagnostics] == ["type_error"]
+    assert diagnostics[0].span == sentences[0].span
+    assert db.lookup(PredicateIndicator("a", 0)) is not None
 
 
 def test_clauses_stored_in_source_order():
@@ -299,6 +296,9 @@ def test_arg_and_univ():
           [("atom", "a"),
            ("compound", ".", [("atom", "b"), ("atom", "[]")])])])
     assert solutions("T =.. [g, 1]", db)[0]["T"].name == "g"
+    with pytest.raises(PrologError) as err:
+        solutions("T =.. [g|_]", db)
+    assert err.value.kind == "instantiation_error"
 
 
 def test_control_constructs():
@@ -452,6 +452,7 @@ def test_cyclic_unification_terminates():
     ("X = f(X), Y is X", "type_error"),
     ("X = (true, X), call(X)", "resource_error"),
     ("X = (fail ; X), X", "resource_error"),
+    ("X = [a|X], T =.. X", "type_error"),
 ])
 def test_cyclic_goals_raise(goal, kind):
     with pytest.raises(PrologError) as err:
@@ -581,6 +582,24 @@ def test_repl_syntax_error_recovers():
     output = run_repl("f(.\nX = ok.\n")
     assert "syntax error" in output
     assert "X = ok" in output
+
+
+def test_repl_two_goals_on_one_line():
+    output = run_repl("X = 1. Y = 2.\n")
+    assert "X = 1" in output
+    assert "Y = 2" in output
+
+
+def test_repl_goal_split_over_two_lines():
+    output = run_repl("X =\n 1.\n")
+    assert "X = 1" in output
+    assert "syntax error" not in output
+
+
+def test_repl_goal_after_syntax_error_continues_on_next_line():
+    output = run_repl("f(. X =\n 1.\n")
+    assert "syntax error" in output
+    assert "X = 1" in output
 
 
 def test_repl_reports_engine_errors():

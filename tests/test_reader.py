@@ -15,15 +15,12 @@ def read_source(source, db=None):
     db = db or Database()
     tokens, lex_diags = tokenize(source, "<t>")
     reader = Reader(tokens, db, "<t>")
-    sentences, diagnostics = [], list(lex_diags)
-    while True:
-        result = reader.read_sentence()
-        diagnostics.extend(result.diagnostics)
-        if result.at_eof:
-            break
-        if result.sentence is not None:
-            sentences.append(result.sentence)
-    return sentences, diagnostics
+    sentences = []
+    while not reader.at_eof():
+        sentence = reader.read_sentence()
+        if sentence is not None:
+            sentences.append(sentence)
+    return sentences, list(lex_diags) + reader.diagnostics
 
 
 # --- structure ------------------------------------------------------------
