@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -94,7 +95,13 @@ class Loader:
         return None
 
     def consult_file(self, path: str):
-        """Parse `path` into its own database; cached and cycle-safe."""
+        """Parse `path` into its own database; cached and cycle-safe.
+
+        An OSError from reading the file propagates. Any other exception
+        raised while reading, lexing or consulting it (a file that is not
+        UTF-8, or a defect in plkit) becomes an `internal_error` diagnostic
+        on the file, so that one file cannot stop the analysis of the others.
+        """
         path = os.path.abspath(path)
         if path in self._cache:
             return self._cache[path]
@@ -105,12 +112,17 @@ class Loader:
             from .lexer import tokenize
 
             db = Database()
-            source = self.read_file(path)
-            tokens, lex_diags = tokenize(source, path)
-            self._sources[path] = source
-            self._tokens[path] = tokens
-            sentences, diagnostics = consult_tokens(tokens, lex_diags, db,
-                                                    self, path)
+            try:
+                source = self.read_file(path)
+                self._sources[path] = source
+                tokens, lex_diags = tokenize(source, path)
+                self._tokens[path] = tokens
+                sentences, diagnostics = consult_tokens(tokens, lex_diags, db,
+                                                        self, path)
+            except OSError:
+                raise
+            except Exception as err:  # the per-file backstop
+                sentences, diagnostics = [], [_internal_error(path, err)]
             result = (db, sentences, diagnostics)
             self._cache[path] = result
             return result
@@ -122,6 +134,14 @@ class Loader:
 
     def tokens_of(self, path: str) -> list:
         return self._tokens.get(os.path.abspath(path), [])
+
+
+def _internal_error(path: str, err: Exception) -> Diagnostic:
+    """Report `err` on the start of `path`, with where it was raised."""
+    frame, line = list(traceback.walk_tb(err.__traceback__))[-1]
+    where = f"{os.path.basename(frame.f_code.co_filename)}:{line}"
+    return _error(SourceSpan(path, 0, 0, 1, 1, 1, 1), "internal_error",
+                  f"internal error ({type(err).__name__} at {where}): {err}")
 
 
 def _read_text(path: str) -> str:
@@ -996,7 +1016,9 @@ class Solver:
                 elems.append(self.walk(node.args[0]))
                 node = node.args[1]
                 continue
-            raise errors.instantiation_error("=../2: list not proper")
+            if isinstance(node, Var):
+                raise errors.instantiation_error("=../2: partial list")
+            raise errors.type_error("=../2: not a list")
         if not elems:
             raise errors.domain_error("=../2: empty list")
         if len(elems) == 1:

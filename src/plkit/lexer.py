@@ -3,19 +3,25 @@
 Tokenization itself is context-free; whether an atom token is an operator
 is decided by the reader, against the operator table in force at the
 moment it consumes the token.
+
+One master regular expression of named alternatives (the "Writing a
+Tokenizer" recipe of the `re` documentation) scans layout, comments, names,
+variables, decimal numbers, symbol atoms, punctuation and quoted text
+without backslashes. Hand-written code handles escapes, `0'` character
+codes, radix numbers, unterminated tokens, invalid characters and tokens
+that start with a non-ASCII character.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
 from typing import Optional
 
 from .diagnostics import Diagnostic, Severity
-from .spans import LineIndex, SourceSpan
+from .spans import SourceSpan
 
 SYMBOL_CHARS = set("#$&*+-./:<=>?@^~\\")
-SOLO_CHARS = set("!;")
 
 
 class TokenKind(enum.Enum):
@@ -42,6 +48,10 @@ class TokenKind(enum.Enum):
     LAYOUT = "layout"
     INVALID = "invalid"
 
+    # Members are singletons; Enum's own __hash__ is Python code, and the
+    # reader tests kinds against sets for nearly every token.
+    __hash__ = object.__hash__
+
 
 ATOM_KINDS = {
     TokenKind.NAME_ATOM,
@@ -57,14 +67,19 @@ TRIVIA_KINDS = {TokenKind.LAYOUT, TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMEN
 _CT_PRECEDERS = ATOM_KINDS | {TokenKind.VARIABLE}
 
 
-@dataclass(frozen=True, slots=True)
 class Token:
-    kind: TokenKind
-    text: str
-    span: SourceSpan
-    # Decoded payload: int/float value, or unquoted text for quoted
-    # atoms and strings. None for all other kinds.
-    value: object = None
+    __slots__ = ("kind", "text", "span", "value")
+
+    def __init__(self, kind: TokenKind, text: str, span: SourceSpan, value=None):
+        self.kind = kind
+        self.text = text
+        self.span = span
+        # Decoded payload: int/float value, or unquoted text for quoted
+        # atoms and strings. None for all other kinds.
+        self.value = value
+
+    def __repr__(self):
+        return f"Token({self.kind}, {self.text!r}, {self.span!r}, {self.value!r})"
 
     def atom_name(self) -> str:
         """The atom this token denotes, for atom-like kinds."""
@@ -76,6 +91,62 @@ class Token:
             return "|"
         return self.text
 
+
+# Alternatives are tried in order: `end` before `symbol`, radix and
+# character-code prefixes before decimal numbers, `float` before `integer`.
+# A quoted item matches only when it is closed and holds no backslash; the
+# final `hand` alternative takes any other character to the hand-written
+# scanners below.
+_MASTER = re.compile(rf"""
+    (?P<layout>\s+)
+  | (?P<name>[a-z]\w*)
+  | (?P<variable>[A-Z_]\w*)
+  | (?P<punct>[(),|\[\]{{}}])
+  | (?P<solo>[!;])
+  | (?P<end>\.(?=\s|%|/\*|\Z))
+  | (?P<prefixed_number>0['xob])
+  | (?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+  | (?P<integer>[0-9]+)
+  | (?P<line_comment>%[^\n]*)
+  | (?P<block_comment>/\*.*?\*/)
+  | (?P<open_comment>/\*)
+  | (?P<symbol>[{re.escape(''.join(sorted(SYMBOL_CHARS)))}]+)
+  | (?P<quoted>'[^'\\]*(?:''[^'\\]*)*'(?!'))
+  | (?P<string>"[^"\\]*(?:""[^"\\]*)*"(?!"))
+  | (?P<hand>.)
+""", re.VERBOSE | re.DOTALL)
+
+_GROUP_KINDS = {
+    "layout": TokenKind.LAYOUT,
+    "name": TokenKind.NAME_ATOM,
+    "variable": TokenKind.VARIABLE,
+    "solo": TokenKind.SOLO_CHAR,
+    "end": TokenKind.END,
+    "float": TokenKind.FLOAT,
+    "integer": TokenKind.INTEGER,
+    "line_comment": TokenKind.LINE_COMMENT,
+    "block_comment": TokenKind.BLOCK_COMMENT,
+    "symbol": TokenKind.SYMBOL_ATOM,
+    "quoted": TokenKind.QUOTED_ATOM,
+    "string": TokenKind.STRING,
+}
+
+_PUNCT_KINDS = {
+    "(": TokenKind.OPEN_PAREN,
+    ")": TokenKind.CLOSE_PAREN,
+    "[": TokenKind.OPEN_BRACKET,
+    "]": TokenKind.CLOSE_BRACKET,
+    "{": TokenKind.OPEN_BRACE,
+    "}": TokenKind.CLOSE_BRACE,
+    ",": TokenKind.COMMA,
+    "|": TokenKind.BAR,
+}
+
+_WORD = re.compile(r"\w+")
+_HEX = re.compile("[0-9a-fA-F]+")
+_OCTAL = re.compile("[0-7]+")
+_RADIX = {"x": (16, _HEX), "o": (8, _OCTAL), "b": (2, re.compile("[01]+"))}
+_UNQUOTED_RUN = {"'": re.compile(r"[^'\\]+"), '"': re.compile(r'[^"\\]+')}
 
 _ESCAPES = {
     "n": "\n",
@@ -92,276 +163,109 @@ _ESCAPES = {
     "0": "\0",
 }
 
+# What a hand-written scanner returns: the token's kind, its end offset, its
+# value, and the (code, message) of the error it reports or None.
+_Scanned = tuple[TokenKind, int, object, Optional[tuple[str, str]]]
 
-class _Scanner:
-    def __init__(self, source: str, file_id: str):
-        self.src = source
-        self.n = len(source)
-        self.file_id = file_id
-        self.lines = LineIndex(source)
-        self.pos = 0
-        self.tokens: list[Token] = []
-        self.diagnostics: list[Diagnostic] = []
 
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.src[i] if i < self.n else ""
+def _scan_by_hand(src: str, start: int) -> _Scanned:
+    ch = src[start]
+    if ch == "0":  # the master regex matched 0' 0x 0o or 0b
+        if src[start + 1] == "'":
+            return _char_code(src, start)
+        base, digits = _RADIX[src[start + 1]]
+        m = digits.match(src, start + 2)
+        if m is None:
+            return (TokenKind.INVALID, start + 2, None,
+                    ("bad_number", "missing digits after radix prefix"))
+        return TokenKind.INTEGER, m.end(), int(m.group(), base), None
+    if ch == "/":  # the master regex matched /* with no closing */
+        return (TokenKind.INVALID, len(src), None,
+                ("unterminated_block_comment", "unterminated block comment"))
+    if ch == "'":
+        return _quoted(src, start, TokenKind.QUOTED_ATOM)
+    if ch == '"':
+        return _quoted(src, start, TokenKind.STRING)
+    if ch.isalpha():  # a non-ASCII letter
+        kind = TokenKind.VARIABLE if ch.isupper() else TokenKind.NAME_ATOM
+        return kind, _WORD.match(src, start).end(), None, None
+    return (TokenKind.INVALID, start + 1, None,
+            ("invalid_character", f"invalid character {ch!r}"))
 
-    def emit(self, kind: TokenKind, start: int, value=None):
-        span = self.lines.span(self.file_id, start, self.pos)
-        self.tokens.append(Token(kind, self.src[start : self.pos], span, value))
 
-    def error(self, code: str, message: str, start: int):
-        span = self.lines.span(self.file_id, start, self.pos)
-        self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
+def _char_code(src: str, start: int) -> _Scanned:
+    pos = start + 2  # 0'
+    if pos == len(src):
+        return (TokenKind.INVALID, pos, None,
+                ("bad_number", "end of input in character code"))
+    ch = src[pos]
+    if ch == "\\":
+        decoded, ok, pos = _escape(src, pos)
+        if not ok or decoded == "":
+            return (TokenKind.INVALID, pos, None,
+                    ("bad_number", "invalid escape in character code"))
+        return TokenKind.INTEGER, pos, ord(decoded), None
+    if ch == "'" and src.startswith("'", pos + 1):
+        return TokenKind.INTEGER, pos + 2, ord("'"), None
+    return TokenKind.INTEGER, pos + 1, ord(ch), None
 
-    def last_solid_kind(self) -> Optional[TokenKind]:
-        if self.tokens:
-            return self.tokens[-1].kind
-        return None
 
-    def run(self):
-        while self.pos < self.n:
-            ch = self.src[self.pos]
-            if ch.isspace():
-                self.layout()
-            elif ch == "%":
-                self.line_comment()
-            elif ch == "/" and self.peek(1) == "*":
-                self.block_comment()
-            elif ch.isdigit():
-                self.number()
-            elif ch == "_" or ch.isalpha():
-                self.name_or_variable()
-            elif ch == "'":
-                self.quoted(TokenKind.QUOTED_ATOM, "'")
-            elif ch == '"':
-                self.quoted(TokenKind.STRING, '"')
-            elif ch in SYMBOL_CHARS:
-                self.symbol()
-            elif ch in SOLO_CHARS:
-                self.pos += 1
-                self.emit(TokenKind.SOLO_CHAR, self.pos - 1)
-            elif ch == ",":
-                self.pos += 1
-                self.emit(TokenKind.COMMA, self.pos - 1)
-            elif ch == "|":
-                self.pos += 1
-                self.emit(TokenKind.BAR, self.pos - 1)
-            elif ch == "(":
-                prev = self.last_solid_kind()
-                self.pos += 1
-                kind = (
-                    TokenKind.OPEN_PAREN_CT
-                    if prev in _CT_PRECEDERS
-                    else TokenKind.OPEN_PAREN
-                )
-                self.emit(kind, self.pos - 1)
-            elif ch == ")":
-                self.pos += 1
-                self.emit(TokenKind.CLOSE_PAREN, self.pos - 1)
-            elif ch == "[":
-                self.pos += 1
-                self.emit(TokenKind.OPEN_BRACKET, self.pos - 1)
-            elif ch == "]":
-                self.pos += 1
-                self.emit(TokenKind.CLOSE_BRACKET, self.pos - 1)
-            elif ch == "{":
-                self.pos += 1
-                self.emit(TokenKind.OPEN_BRACE, self.pos - 1)
-            elif ch == "}":
-                self.pos += 1
-                self.emit(TokenKind.CLOSE_BRACE, self.pos - 1)
-            else:
-                start = self.pos
-                self.pos += 1
-                self.emit(TokenKind.INVALID, start)
-                self.error("invalid_character", f"invalid character {ch!r}", start)
+def _escape(src: str, pos: int) -> tuple[str, bool, int]:
+    """Decode the backslash escape at `pos`: (text, ok, offset after it)."""
+    pos += 1  # backslash
+    if pos == len(src):
+        return "", False, pos
+    ch = src[pos]
+    if ch == "\n":
+        return "", True, pos + 1  # line continuation
+    if ch in _ESCAPES:
+        return _ESCAPES[ch], True, pos + 1
+    if ch == "x":
+        base, m = 16, _HEX.match(src, pos + 1)
+        if m is None:
+            return "", False, pos + 1
+    elif ch in "1234567":
+        base, m = 8, _OCTAL.match(src, pos)
+    else:
+        return "", False, pos
+    code = int(m.group(), base)
+    pos = m.end()
+    if code > 0x10FFFF:
+        return "", False, pos
+    if src.startswith("\\", pos):
+        pos += 1
+    return chr(code), True, pos
 
-    def layout(self):
-        start = self.pos
-        while self.pos < self.n and self.src[self.pos].isspace():
-            self.pos += 1
-        self.emit(TokenKind.LAYOUT, start)
 
-    def line_comment(self):
-        start = self.pos
-        while self.pos < self.n and self.src[self.pos] != "\n":
-            self.pos += 1
-        self.emit(TokenKind.LINE_COMMENT, start)
-
-    def block_comment(self):
-        start = self.pos
-        self.pos += 2
-        while self.pos < self.n:
-            if self.src[self.pos] == "*" and self.peek(1) == "/":
-                self.pos += 2
-                self.emit(TokenKind.BLOCK_COMMENT, start)
-                return
-            self.pos += 1
-        self.emit(TokenKind.INVALID, start)
-        self.error("unterminated_block_comment", "unterminated block comment", start)
-
-    def name_or_variable(self):
-        start = self.pos
-        first = self.src[self.pos]
-        while self.pos < self.n and (
-            self.src[self.pos].isalnum() or self.src[self.pos] == "_"
-        ):
-            self.pos += 1
-        if first == "_" or first.isupper():
-            self.emit(TokenKind.VARIABLE, start)
-        else:
-            self.emit(TokenKind.NAME_ATOM, start)
-
-    def number(self):
-        start = self.pos
-        if self.src[self.pos] == "0" and self.peek(1) == "'":
-            self.char_code(start)
-            return
-        if self.src[self.pos] == "0" and self.peek(1) in ("x", "o", "b"):
-            base = {"x": 16, "o": 8, "b": 2}[self.peek(1)]
-            digits = {16: "0123456789abcdefABCDEF", 8: "01234567", 2: "01"}[base]
-            self.pos += 2
-            dstart = self.pos
-            while self.pos < self.n and self.src[self.pos] in digits:
-                self.pos += 1
-            if self.pos == dstart:
-                self.emit(TokenKind.INVALID, start)
-                self.error("bad_number", "missing digits after radix prefix", start)
-                return
-            self.emit(TokenKind.INTEGER, start, int(self.src[dstart : self.pos], base))
-            return
-        while self.pos < self.n and self.src[self.pos].isdigit():
-            self.pos += 1
-        is_float = False
-        if (
-            self.peek() == "."
-            and self.peek(1).isdigit()
-        ):
-            is_float = True
-            self.pos += 1
-            while self.pos < self.n and self.src[self.pos].isdigit():
-                self.pos += 1
-        if self.peek() in ("e", "E"):
-            j = 1
-            if self.peek(1) in ("+", "-"):
-                j = 2
-            if self.peek(j).isdigit():
-                is_float = True
-                self.pos += j + 1
-                while self.pos < self.n and self.src[self.pos].isdigit():
-                    self.pos += 1
-        text = self.src[start : self.pos]
-        if is_float:
-            self.emit(TokenKind.FLOAT, start, float(text))
-        else:
-            self.emit(TokenKind.INTEGER, start, int(text))
-
-    def char_code(self, start: int):
-        self.pos += 2  # 0'
-        ch = self.peek()
-        if ch == "":
-            self.emit(TokenKind.INVALID, start)
-            self.error("bad_number", "end of input in character code", start)
-            return
-        if ch == "\\":
-            decoded, ok = self.escape_sequence()
-            if not ok or decoded == "":
-                self.emit(TokenKind.INVALID, start)
-                self.error("bad_number", "invalid escape in character code", start)
-                return
-            self.emit(TokenKind.INTEGER, start, ord(decoded))
-            return
-        if ch == "'" and self.peek(1) == "'":
-            self.pos += 2
-            self.emit(TokenKind.INTEGER, start, ord("'"))
-            return
-        self.pos += 1
-        self.emit(TokenKind.INTEGER, start, ord(ch))
-
-    def escape_sequence(self) -> tuple[str, bool]:
-        """Consume one backslash escape; returns (decoded text, ok)."""
-        self.pos += 1  # backslash
-        ch = self.peek()
-        if ch == "":
-            return "", False
-        if ch == "\n":
-            self.pos += 1
-            return "", True  # line continuation
-        if ch in _ESCAPES:
-            self.pos += 1
-            return _ESCAPES[ch], True
-        if ch == "x":
-            self.pos += 1
-            dstart = self.pos
-            while self.peek() in "0123456789abcdefABCDEF" and self.peek() != "":
-                self.pos += 1
-            if self.pos == dstart:
-                return "", False
-            code = int(self.src[dstart : self.pos], 16)
-            if self.peek() == "\\":
-                self.pos += 1
-            return chr(code), True
-        if ch.isdigit():
-            dstart = self.pos
-            while self.peek().isdigit():
-                self.pos += 1
-            code = int(self.src[dstart : self.pos], 8)
-            if self.peek() == "\\":
-                self.pos += 1
-            return chr(code), True
-        return "", False
-
-    def quoted(self, kind: TokenKind, quote: str):
-        start = self.pos
-        self.pos += 1
-        parts: list[str] = []
-        while self.pos < self.n:
-            ch = self.src[self.pos]
-            if ch == quote:
-                if self.peek(1) == quote:  # doubled quote
-                    parts.append(quote)
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                self.emit(kind, start, "".join(parts))
-                return
-            if ch == "\\":
-                decoded, ok = self.escape_sequence()
-                if not ok:
-                    # Lenient: keep the character after the backslash verbatim.
-                    if self.peek() != "":
-                        parts.append(self.peek())
-                        self.pos += 1
-                    continue
-                parts.append(decoded)
+def _quoted(src: str, start: int, kind: TokenKind) -> _Scanned:
+    quote = src[start]
+    unquoted_run = _UNQUOTED_RUN[quote]
+    n = len(src)
+    pos = start + 1
+    parts: list[str] = []
+    while pos < n:
+        m = unquoted_run.match(src, pos)
+        if m is not None:
+            parts.append(m.group())
+            pos = m.end()
+            continue
+        if src[pos] == quote:
+            if src.startswith(quote, pos + 1):  # doubled quote
+                parts.append(quote)
+                pos += 2
                 continue
-            parts.append(ch)
-            self.pos += 1
-        self.emit(TokenKind.INVALID, start)
-        what = "quoted atom" if quote == "'" else "string"
-        code = "unterminated_quoted_atom" if quote == "'" else "unterminated_string"
-        self.error(code, f"unterminated {what}", start)
-
-    def symbol(self):
-        start = self.pos
-        # A lone '.' followed by layout, a comment, or end-of-input is the
-        # clause terminator.
-        if self.src[self.pos] == ".":
-            nxt = self.peek(1)
-            if (
-                nxt == ""
-                or nxt.isspace()
-                or nxt == "%"
-                or (nxt == "/" and self.peek(2) == "*")
-            ):
-                self.pos += 1
-                self.emit(TokenKind.END, start)
-                return
-        while self.pos < self.n and self.src[self.pos] in SYMBOL_CHARS:
-            self.pos += 1
-        self.emit(TokenKind.SYMBOL_ATOM, start)
+            return kind, pos + 1, "".join(parts), None
+        decoded, ok, pos = _escape(src, pos)
+        if ok:
+            parts.append(decoded)
+        elif pos < n:
+            # Lenient: keep the character after the backslash verbatim.
+            parts.append(src[pos])
+            pos += 1
+    if quote == "'":
+        return (TokenKind.INVALID, n, None,
+                ("unterminated_quoted_atom", "unterminated quoted atom"))
+    return TokenKind.INVALID, n, None, ("unterminated_string", "unterminated string")
 
 
 def tokenize(source: str, file_id: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
@@ -370,6 +274,56 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[Token], list[
     Joining all token texts reproduces the source exactly; lexical errors
     become INVALID tokens plus diagnostics, never exceptions.
     """
-    scanner = _Scanner(source, file_id)
-    scanner.run()
-    return scanner.tokens, scanner.diagnostics
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    match = _MASTER.match
+    group_kinds = _GROUP_KINDS
+    # Locals: on Python 3.11 each TokenKind.X lookup runs EnumType.__getattr__.
+    INTEGER, FLOAT, QUOTED_ATOM, STRING, OPEN_PAREN = (
+        TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.QUOTED_ATOM,
+        TokenKind.STRING, TokenKind.OPEN_PAREN)
+    n = len(source)
+    pos = 0
+    line = col = 1  # of pos
+    prev = None  # kind of the last token
+    while pos < n:
+        m = match(source, pos)
+        group = m.lastgroup
+        kind = group_kinds.get(group)
+        end = m.end()
+        value = error = None
+        if kind is None:
+            if group == "punct":
+                kind = _PUNCT_KINDS[source[pos]]
+                if kind is OPEN_PAREN and prev in _CT_PRECEDERS:
+                    kind = TokenKind.OPEN_PAREN_CT
+            else:
+                kind, end, value, error = _scan_by_hand(source, pos)
+            text = source[pos:end]
+        else:
+            text = source[pos:end]
+            if kind is INTEGER:
+                try:
+                    value = int(text)
+                except ValueError:  # more digits than the interpreter converts
+                    kind = TokenKind.INVALID
+                    error = ("bad_number", "integer literal has too many digits")
+            elif kind is FLOAT:
+                value = float(text)
+            elif kind is QUOTED_ATOM:
+                value = text[1:-1].replace("''", "'")
+            elif kind is STRING:
+                value = text[1:-1].replace('""', '"')
+        if "\n" in text:
+            end_line = line + text.count("\n")
+            end_col = end - source.rfind("\n", pos, end)
+        else:
+            end_line = line
+            end_col = col + end - pos
+        span = SourceSpan(file_id, pos, end, line, col, end_line, end_col)
+        tokens.append(Token(kind, text, span, value))
+        if error is not None:
+            diagnostics.append(Diagnostic(Severity.ERROR, error[0], error[1], span))
+        prev = kind
+        pos, line, col = end, end_line, end_col
+    return tokens, diagnostics

@@ -28,18 +28,37 @@ from .terms import (
     Var,
 )
 
+# Token kinds as module globals: on Python 3.11 every `TokenKind.X` lookup
+# runs `EnumType.__getattr__`, and the parser tests kinds per token.
+BAR = TokenKind.BAR
+CLOSE_BRACE = TokenKind.CLOSE_BRACE
+CLOSE_BRACKET = TokenKind.CLOSE_BRACKET
+CLOSE_PAREN = TokenKind.CLOSE_PAREN
+COMMA = TokenKind.COMMA
+END = TokenKind.END
+FLOAT = TokenKind.FLOAT
+INTEGER = TokenKind.INTEGER
+LAYOUT = TokenKind.LAYOUT
+OPEN_BRACE = TokenKind.OPEN_BRACE
+OPEN_BRACKET = TokenKind.OPEN_BRACKET
+OPEN_PAREN = TokenKind.OPEN_PAREN
+OPEN_PAREN_CT = TokenKind.OPEN_PAREN_CT
+QUOTED_ATOM = TokenKind.QUOTED_ATOM
+STRING = TokenKind.STRING
+VARIABLE = TokenKind.VARIABLE
+
 MAX_PRIORITY = 1200
 ARG_PRIORITY = 999
 
 _OPERAND_START_KINDS = {
-    TokenKind.INTEGER,
-    TokenKind.FLOAT,
-    TokenKind.STRING,
-    TokenKind.VARIABLE,
-    TokenKind.OPEN_PAREN,
-    TokenKind.OPEN_PAREN_CT,
-    TokenKind.OPEN_BRACKET,
-    TokenKind.OPEN_BRACE,
+    INTEGER,
+    FLOAT,
+    STRING,
+    VARIABLE,
+    OPEN_PAREN,
+    OPEN_PAREN_CT,
+    OPEN_BRACKET,
+    OPEN_BRACE,
 } | ATOM_KINDS
 
 
@@ -102,11 +121,15 @@ class Reader:
     def _skip_trivia(self):
         while self.i < len(self.toks) and self.toks[self.i].kind in TRIVIA_KINDS:
             tok = self.toks[self.i]
-            if tok.kind != TokenKind.LAYOUT:
+            if tok.kind != LAYOUT:
                 self._comments.append(tok)
             self.i += 1
 
     def peek(self) -> Optional[Token]:
+        if self.i < len(self.toks):
+            tok = self.toks[self.i]
+            if tok.kind not in TRIVIA_KINDS:
+                return tok
         self._skip_trivia()
         if self.i < len(self.toks):
             return self.toks[self.i]
@@ -147,7 +170,7 @@ class Reader:
             if end_tok is None:
                 raise ParseFailure("missing_end", "expected '.' before end of input",
                                    self._eof_span())
-            if end_tok.kind != TokenKind.END:
+            if end_tok.kind != END:
                 raise ParseFailure(
                     "unexpected_token",
                     f"operator or '.' expected, found {end_tok.text!r}",
@@ -179,7 +202,7 @@ class Reader:
         while self.i < len(self.toks):
             tok = self.toks[self.i]
             self.i += 1
-            if tok.kind == TokenKind.END:
+            if tok.kind == END:
                 return
 
     # --- terms ------------------------------------------------------------
@@ -208,27 +231,27 @@ class Reader:
             raise ParseFailure("unexpected_token", "unexpected end of input",
                                self._eof_span())
         kind = tok.kind
-        if kind == TokenKind.INTEGER:
+        if kind == INTEGER:
             self.next()
             return Int(tok.value, tok.span), 0
-        if kind == TokenKind.FLOAT:
+        if kind == FLOAT:
             self.next()
             return Float(tok.value, tok.span), 0
-        if kind == TokenKind.STRING:
+        if kind == STRING:
             self.next()
             return Str(tok.value, tok.span), 0
-        if kind == TokenKind.VARIABLE:
+        if kind == VARIABLE:
             self.next()
             return self._fresh_var(tok.text, tok.span), 0
-        if kind in (TokenKind.OPEN_PAREN, TokenKind.OPEN_PAREN_CT):
+        if kind in (OPEN_PAREN, OPEN_PAREN_CT):
             self.next()
             inner = self.parse_term(MAX_PRIORITY)
-            close = self._expect(TokenKind.CLOSE_PAREN, "')'")
+            close = self._expect(CLOSE_PAREN, "')'")
             inner.span = tok.span.enclose(close.span)
             return inner, 0
-        if kind == TokenKind.OPEN_BRACKET:
+        if kind == OPEN_BRACKET:
             return self._parse_list(), 0
-        if kind == TokenKind.OPEN_BRACE:
+        if kind == OPEN_BRACE:
             return self._parse_curly(), 0
         if kind in ATOM_KINDS:
             return self._parse_atom_primary(tok, max_priority)
@@ -242,23 +265,23 @@ class Reader:
         self.next()
         name = tok.atom_name()
         nxt = self.peek()
-        if nxt is not None and nxt.kind == TokenKind.OPEN_PAREN_CT:
+        if nxt is not None and nxt.kind == OPEN_PAREN_CT:
             args, close = self._parse_arglist()
             span = tok.span.enclose(close.span)
             return Compound(name, args, span, functor_span=tok.span), 0
-        if tok.kind == TokenKind.QUOTED_ATOM:
+        if tok.kind == QUOTED_ATOM:
             return Atom(name, tok.span), 0
         # Adjacent '-'/'+' before a numeric literal folds into the literal.
         if (
             name in ("-", "+")
             and nxt is not None
-            and nxt.kind in (TokenKind.INTEGER, TokenKind.FLOAT)
+            and nxt.kind in (INTEGER, FLOAT)
             and tok.span.end_offset == nxt.span.start_offset
         ):
             self.next()
             sign = -1 if name == "-" else 1
             span = tok.span.enclose(nxt.span)
-            if nxt.kind == TokenKind.INTEGER:
+            if nxt.kind == INTEGER:
                 return Int(sign * nxt.value, span), 0
             return Float(sign * nxt.value, span), 0
         prefix = self.db.operators.prefix(name)
@@ -285,9 +308,9 @@ class Reader:
             tok = self.peek()
             if tok is None:
                 return left
-            if tok.kind in (TokenKind.COMMA, TokenKind.BAR):
+            if tok.kind in (COMMA, BAR):
                 name = tok.atom_name()
-            elif tok.kind in ATOM_KINDS and tok.kind != TokenKind.QUOTED_ATOM:
+            elif tok.kind in ATOM_KINDS and tok.kind != QUOTED_ATOM:
                 name = tok.text
             else:
                 return left
@@ -350,8 +373,8 @@ class Reader:
         if tok.kind != kind:
             code = (
                 "unbalanced_delimiter"
-                if kind in (TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET,
-                            TokenKind.CLOSE_BRACE)
+                if kind in (CLOSE_PAREN, CLOSE_BRACKET,
+                            CLOSE_BRACE)
                 else "unexpected_token"
             )
             raise ParseFailure(code, f"expected {what}, found {tok.text!r}",
@@ -364,34 +387,34 @@ class Reader:
         args = [self.parse_term(ARG_PRIORITY)]
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == TokenKind.COMMA:
+            if tok is not None and tok.kind == COMMA:
                 self.next()
                 args.append(self.parse_term(ARG_PRIORITY))
             else:
                 break
-        close = self._expect(TokenKind.CLOSE_PAREN, "')'")
+        close = self._expect(CLOSE_PAREN, "')'")
         return args, close
 
     def _parse_list(self) -> Term:
         open_tok = self.next()
         tok = self.peek()
-        if tok is not None and tok.kind == TokenKind.CLOSE_BRACKET:
+        if tok is not None and tok.kind == CLOSE_BRACKET:
             self.next()
             return Atom("[]", open_tok.span.enclose(tok.span))
         items = [self.parse_term(ARG_PRIORITY)]
         tail: Optional[Term] = None
         while True:
             tok = self.peek()
-            if tok is not None and tok.kind == TokenKind.COMMA:
+            if tok is not None and tok.kind == COMMA:
                 self.next()
                 items.append(self.parse_term(ARG_PRIORITY))
-            elif tok is not None and tok.kind == TokenKind.BAR:
+            elif tok is not None and tok.kind == BAR:
                 self.next()
                 tail = self.parse_term(ARG_PRIORITY)
                 break
             else:
                 break
-        close = self._expect(TokenKind.CLOSE_BRACKET, "']'")
+        close = self._expect(CLOSE_BRACKET, "']'")
         result = tail if tail is not None else Atom("[]", close.span)
         for item in reversed(items):
             result = Compound(".", [item, result],
@@ -402,10 +425,10 @@ class Reader:
     def _parse_curly(self) -> Term:
         open_tok = self.next()
         tok = self.peek()
-        if tok is not None and tok.kind == TokenKind.CLOSE_BRACE:
+        if tok is not None and tok.kind == CLOSE_BRACE:
             self.next()
             return Atom("{}", open_tok.span.enclose(tok.span))
         inner = self.parse_term(MAX_PRIORITY)
-        close = self._expect(TokenKind.CLOSE_BRACE, "'}'")
+        close = self._expect(CLOSE_BRACE, "'}'")
         return Compound("{}", [inner], open_tok.span.enclose(close.span),
                         functor_span=open_tok.span)

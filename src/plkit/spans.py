@@ -3,27 +3,44 @@
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Half-open [start_offset, end_offset) region of one file.
 
-    Offsets count code points; line/col are 1-based.
+    Offsets count code points; line/col are 1-based. Spans compare and
+    hash by value and are never changed after construction.
     """
 
-    file_id: str
-    start_offset: int
-    end_offset: int
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+    __slots__ = ("file_id", "start_offset", "end_offset", "start_line",
+                 "start_col", "end_line", "end_col")
 
-    def __post_init__(self):
-        if self.start_offset > self.end_offset:
+    def __init__(self, file_id: str, start_offset: int, end_offset: int,
+                 start_line: int, start_col: int, end_line: int, end_col: int):
+        if start_offset > end_offset:
             raise ValueError("span start after end")
+        self.file_id = file_id
+        self.start_offset = start_offset
+        self.end_offset = end_offset
+        self.start_line = start_line
+        self.start_col = start_col
+        self.end_line = end_line
+        self.end_col = end_col
+
+    def _key(self) -> tuple:
+        return (self.file_id, self.start_offset, self.end_offset, self.start_line,
+                self.start_col, self.end_line, self.end_col)
+
+    def __eq__(self, other):
+        if other.__class__ is not SourceSpan:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SourceSpan(%r, %d, %d, %d, %d, %d, %d)" % self._key()
 
     def covers(self, offset: int) -> bool:
         return self.start_offset <= offset < self.end_offset

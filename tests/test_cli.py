@@ -57,6 +57,47 @@ def test_check_warnings_only_exit_zero(project, capsys):
     assert "singleton_variable" in out
 
 
+def test_check_non_ascii_digits_exit_one(project, capsys):
+    files = {"a.pl": "p(²).\n", "b.pl": "X = 1١.\n", "c.pl": "0e١.\n"}
+    root = project(files)
+    code, out, err = run(["check", root, "--format=machine"], capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    reported = {line.split("\t")[0].rsplit(os.sep, 1)[-1] for line in out.splitlines()}
+    assert reported == set(files)
+
+
+def test_check_reports_internal_error_per_file(project, capsys, monkeypatch):
+    import plkit.lexer
+
+    tokenize = plkit.lexer.tokenize
+
+    def failing(source, file_id="<string>"):
+        if file_id.endswith("bad.pl"):
+            raise RuntimeError("lexer defect")
+        return tokenize(source, file_id)
+
+    monkeypatch.setattr(plkit.lexer, "tokenize", failing)
+    root = project({"bad.pl": "ok.\n", **BROKEN})
+    code, out, _ = run(["check", root, "--format=machine"], capsys)
+    assert code == 1
+    lines = sorted(line.split("\t") for line in out.splitlines())
+    assert [(f[0].rsplit(os.sep, 1)[-1], f[6]) for f in lines] == [
+        ("a.pl", "undefined_predicate"), ("bad.pl", "internal_error")]
+    assert "RuntimeError" in lines[1][7] and "lexer defect" in lines[1][7]
+
+
+def test_check_reports_non_utf8_file(project, capsys, tmp_path):
+    root = project({"user.pl": ":- use_module(bad).\nok.\n", **BROKEN})
+    (tmp_path / "bad.pl").write_bytes(b"p(\xff).\n")
+    code, out, _ = run(["check", root, "--format=machine"], capsys)
+    assert code == 1
+    lines = sorted(line.split("\t") for line in out.splitlines())
+    assert [(f[0].rsplit(os.sep, 1)[-1], f[6]) for f in lines] == [
+        ("a.pl", "undefined_predicate"), ("bad.pl", "internal_error")]
+    assert "UnicodeDecodeError" in lines[1][7]
+
+
 def test_check_missing_root_exit_two(project, capsys):
     code, _, err = run(["check", "/no/such/dir"], capsys)
     assert code == 2

@@ -296,9 +296,12 @@ def test_arg_and_univ():
           [("atom", "a"),
            ("compound", ".", [("atom", "b"), ("atom", "[]")])])])
     assert solutions("T =.. [g, 1]", db)[0]["T"].name == "g"
-    with pytest.raises(PrologError) as err:
-        solutions("T =.. [g|_]", db)
-    assert err.value.kind == "instantiation_error"
+    for goal, kind in [("T =.. [g|_]", "instantiation_error"),
+                       ("T =.. foo", "type_error"),
+                       ("T =.. [g|b]", "type_error")]:
+        with pytest.raises(PrologError) as err:
+            solutions(goal, db)
+        assert err.value.kind == kind, goal
 
 
 def test_control_constructs():

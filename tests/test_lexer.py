@@ -1,3 +1,9 @@
+import random
+
+import pytest
+from oracle_lexer import oracle_tokenize
+from test_acceptance import make_corpus
+
 from plkit.lexer import (
     ATOM_KINDS,
     TRIVIA_KINDS,
@@ -5,6 +11,7 @@ from plkit.lexer import (
     TokenKind,
     tokenize,
 )
+from plkit.spans import SourceSpan
 
 
 def toks(source):
@@ -131,3 +138,72 @@ def test_unterminated_quoted_atom():
 def test_unterminated_block_comment():
     _, diagnostics = tokenize("/* never closed", "<t>")
     assert any(d.code == "unterminated_block_comment" for d in diagnostics)
+
+
+def test_non_ascii_digits_are_not_digits():
+    # ISO 6.4.4: number digits are 0-9 only.
+    tokens, diagnostics = tokenize("p(²). X = 1١. 0e١.", "<t>")
+    assert "".join(t.text for t in tokens) == "p(²). X = 1١. 0e١."
+    solid = [(t.kind, t.text) for t in tokens if t.kind not in TRIVIA_KINDS]
+    assert (TokenKind.INVALID, "²") in solid
+    assert solid[solid.index((TokenKind.INTEGER, "1")) + 1] == (TokenKind.INVALID, "١")
+    assert (TokenKind.NAME_ATOM, "e١") in solid
+    assert [d.code for d in diagnostics] == ["invalid_character"] * 2
+
+
+def test_inputs_the_old_scanner_crashed_on():
+    for source in ["'\\8'.", "'\\19\\'.", "0'\\x110000\\.", "'\\x110000\\'.",
+                   "1" * 5000 + "."]:
+        tokens, _ = tokenize(source, "<t>")
+        assert "".join(t.text for t in tokens) == source
+    _, diagnostics = tokenize("1" * 5000 + ".", "<t>")
+    assert [d.code for d in diagnostics] == ["bad_number"]
+
+
+def test_span_value_semantics():
+    a = SourceSpan("f", 1, 3, 1, 2, 1, 4)
+    assert a == SourceSpan("f", 1, 3, 1, 2, 1, 4)
+    assert hash(a) == hash(SourceSpan("f", 1, 3, 1, 2, 1, 4))
+    assert a != SourceSpan("g", 1, 3, 1, 2, 1, 4)
+    with pytest.raises(ValueError):
+        SourceSpan("f", 3, 1, 1, 4, 1, 2)
+
+
+# Every character that can start a token, the ones that continue radix,
+# exponent and escape forms, and a few non-ASCII ones.
+_ALPHABET = (list("azAZ_09'\"%/*.,|!;()[]{}#$&+-:<=>?@^~\\`xobeE \n\t")
+             + ["\f", "\r", "\xa0", "é", "É", "²", "١", "\x01", "0'", "''", "/*", "*/"])
+
+
+def _fields(source):
+    tokens, diagnostics = tokenize(source, "<t>")
+    assert "".join(t.text for t in tokens) == source
+
+    def coords(s):
+        return (s.start_offset, s.end_offset, s.start_line, s.start_col,
+                s.end_line, s.end_col)
+
+    return ([(t.kind.value, t.text, t.value, *coords(t.span)) for t in tokens],
+            [(d.code, d.message, *coords(d.span)) for d in diagnostics])
+
+
+def test_lexer_matches_oracle(tmp_path):
+    """The regex lexer against the character-at-a-time reference scanner:
+    the corpus files and seeded random strings must lex identically, except
+    where the reference raises."""
+    root = tmp_path / "corpus"
+    make_corpus(str(root), 12)
+    sources = [path.read_text(encoding="utf-8") for path in sorted(root.iterdir())]
+    rng = random.Random(5)
+    sources += ["".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 40)))
+                for _ in range(3000)]
+    oracle_raised = 0
+    for source in sources:
+        got = _fields(source)
+        try:
+            expected = oracle_tokenize(source)
+        except (ValueError, OverflowError):
+            oracle_raised += 1
+            continue
+        assert got == expected, source
+    assert oracle_raised < len(sources) // 20

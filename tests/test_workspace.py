@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -57,6 +58,25 @@ def at(model, root, name, needle):
 
 
 # --- project building and linking -----------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_project_restores_gc_setting(project, enabled):
+    root = project({"a.pl": A_SOURCE, "b.pl": B_SOURCE})
+    missing = os.path.join(root, "missing.pl")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        build_project(root)
+        assert gc.isenabled() is enabled
+        model = build_project(root, file_order=[fpath(root, "a.pl"), missing])
+        assert [d.code for d in model.diagnostics] == ["unreadable_file"]
+        assert gc.isenabled() is enabled
+        with pytest.raises(FileNotFoundError):
+            build_project(missing)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_clean_project_has_no_diagnostics(project):
