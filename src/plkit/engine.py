@@ -33,7 +33,6 @@ from .terms import (
     Term,
     Var,
     indicator_of,
-    term_variables,
 )
 
 @dataclass
@@ -432,93 +431,150 @@ _DIRECTIVES = {
 # Tutorial Reconstruction" (1991): a goal list, a choicepoint stack and a
 # trail, without the WAM's compiler. Cut follows ISO/IEC 13211-1 §7.7-7.8.
 #
+# Variables are bound in place: the solver's variables are RuntimeVars whose
+# `ref` holds the binding. A binding goes on the trail only when the variable
+# is older than the newest choicepoint (conditional trailing, §5): a variable
+# made after it disappears when the machine backtracks to it. The age is the
+# vid, drawn from one counter, and each choicepoint records a vid drawn at
+# its creation as its boundary.
+#
 # A frame of the goal list is (goal, next frame, depth, cut barrier, home):
 # depth counts the user or prelude calls nested above the goal, the cut
 # barrier is the choicepoint height that `!` truncates to, and home is the
 # database whose definitions the goal's calls see first. The goal list ends
-# in _SOLVED. A choicepoint is (trail mark, goal, next, depth, home,
-# clauses, index of the next clause) for a call with clauses left, or
-# (trail mark, None, frame) for the other branch of ';' or the success of
-# '\+'.
+# in _SOLVED. A choicepoint is (trail mark, boundary, goal, next, depth,
+# home, clauses, index of the next clause) for a call with clauses left, or
+# (trail mark, boundary, None, frame) for the other branch of ';' or the
+# success of '\+'.
 
 _SOLVED = ("solved",)
 _CUT = Atom("!")
 _FAIL = Atom("fail")
 
 
+class RuntimeVar(Var):
+    """A variable of a running solve: unbound while `ref` is None. Parsed
+    terms keep the plain Var; solve() builds its query into these."""
+
+    __slots__ = ("ref",)
+    span = functor_span = None
+
+    def __init__(self, name: str, vid: int):
+        self.name = name
+        self.vid = vid
+        self.ref = None
+
+
 class _Compiled:
-    """A predicate's clauses as templates, indexed on the first argument.
+    """A predicate's clauses as templates, with an index per argument
+    position built on demand.
 
-    A clause is (head argument templates, body goal templates in reverse
-    order, variable names by slot). `index` maps a first-argument key to the
-    clauses that may match it, in source order; `unkeyed` holds the clauses
-    whose first argument is a variable, which match any other key."""
+    `clauses` holds them as _compile_clause makes them. `indexes` maps an
+    argument position to (index, unkeyed): `index` maps a key of that
+    argument to the clauses that may match it, in source order, and
+    `unkeyed` holds the clauses whose argument there is a variable, which
+    match any other key."""
 
-    __slots__ = ("clauses", "index", "unkeyed")
+    __slots__ = ("clauses", "indexes")
 
     def __init__(self, entry: PredicateEntry):
-        self.clauses = []
-        self.index: dict = {}
-        self.unkeyed = []
-        for clause in entry.clauses:
-            goals = _comma_list(clause.body)
-            variables = term_variables(Compound(",", [clause.head, *goals]))
-            slots = {v.vid: i for i, v in enumerate(variables)}
-            head = clause.head.args if isinstance(clause.head, Compound) else []
-            compiled = (
-                tuple(_template(arg, slots) for arg in head),
-                # a variable goal X runs as call(X)
-                tuple(_template(Compound("call", [g]) if isinstance(g, Var) else g,
-                                slots)
-                      for g in reversed(goals)
-                      if not (isinstance(g, Atom) and g.name == "true")),
-                tuple(v.name for v in variables),
-            )
-            self.clauses.append(compiled)
-            key = _index_key(head[0]) if head else None
-            if key is None:
-                self.unkeyed.append(compiled)
-                for alternatives in self.index.values():
-                    alternatives.append(compiled)
-            else:
-                alternatives = self.index.get(key)
-                if alternatives is None:
-                    alternatives = self.index[key] = self.unkeyed.copy()
-                alternatives.append(compiled)
+        self.clauses = [_compile_clause(clause) for clause in entry.clauses]
+        self.indexes: dict = {}
+
+    def index(self, position: int) -> tuple:
+        """The (index, unkeyed) pair of an argument position, built from the
+        head templates on its first use."""
+        built = self.indexes.get(position)
+        if built is None:
+            index: dict = {}
+            unkeyed: list = []
+            for clause in self.clauses:
+                key = _template_key(clause[0][position])
+                if key is None:
+                    unkeyed.append(clause)
+                    for alternatives in index.values():
+                        alternatives.append(clause)
+                else:
+                    alternatives = index.get(key)
+                    if alternatives is None:
+                        alternatives = index[key] = unkeyed.copy()
+                    alternatives.append(clause)
+            built = self.indexes[position] = (
+                {key: tuple(alternatives) for key, alternatives in index.items()},
+                tuple(unkeyed))
+        return built
+
+
+def _compile_clause(clause) -> tuple:
+    """A clause as (head argument templates, body goal templates in reverse
+    order, variable names by slot). In a template a variable becomes its
+    slot number and a compound holding a variable becomes (name, argument
+    templates); a `true` goal is dropped and a variable goal X runs as
+    call(X)."""
+    slots: dict[int, int] = {}
+    names: list[str] = []
+
+    def slot(var: Var) -> int:
+        number = slots.get(var.vid)
+        if number is None:
+            number = slots[var.vid] = len(names)
+            names.append(var.name)
+        return number
+
+    def template(term: Term):
+        return _rebuild(term, slot, lambda name, args: (name, tuple(args)))
+
+    head = clause.head.args if isinstance(clause.head, Compound) else []
+    goals = _comma_list(clause.body)
+    return (
+        tuple(template(arg) for arg in head),
+        tuple(template(Compound("call", [g]) if isinstance(g, Var) else g)
+              for g in reversed(goals)
+              if not (isinstance(g, Atom) and g.name == "true")),
+        tuple(names),
+    )
 
 
 def _index_key(term: Term):
-    """First-argument index key of a dereferenced term: an atom's name, a
-    compound's (name, arity), a number's or string's (type, value); None
-    for a variable."""
+    """Index key of a bound, dereferenced term: an atom's name, a
+    compound's (name, arity), a number's or string's (type, value)."""
     if isinstance(term, Compound):
         return term.name, len(term.args)
     if isinstance(term, Atom):
         return term.name
-    if isinstance(term, Var):
-        return None
     return type(term), term.value
 
 
-def _template(term: Term, slots: dict[int, int]):
-    """`term` as a clause template: a variable becomes its slot number and a
-    compound holding a variable becomes (name, argument templates). Ground
-    subterms stay the clause's own objects, so they are never copied.
-    Explicit stack."""
+def _template_key(template):
+    """Index key of a head argument template: None for a slot."""
+    kind = type(template)
+    if kind is int:
+        return None
+    if kind is tuple:
+        return template[0], len(template[1])
+    return _index_key(template)
+
+
+def _rebuild(term: Term, variable: Callable, compound: Callable):
+    """`term` with each variable v replaced by variable(v) and each compound
+    that holds a variable by compound(name, new arguments). Ground subterms
+    stay the term's own objects, so they are never copied. Explicit stack; a
+    compound is pushed again as (compound,) below its arguments."""
     out: list = []
-    todo: list = [(term, False)]
+    todo: list = [term]
     while todo:
-        t, done = todo.pop()
-        if done:
-            args = tuple(out[-len(t.args):])
+        t = todo.pop()
+        if type(t) is tuple:
+            t = t[0]
+            args = out[-len(t.args):]
             del out[-len(t.args):]
-            ground = all(a is b for a, b in zip(args, t.args))
-            out.append(t if ground else (t.name, args))
+            # terms compare by identity: true when no argument was replaced
+            out.append(t if args == t.args else compound(t.name, args))
         elif isinstance(t, Var):
-            out.append(slots[t.vid])
+            out.append(variable(t))
         elif isinstance(t, Compound):
-            todo.append((t, True))
-            todo.extend((a, False) for a in reversed(t.args))
+            todo.append((t,))
+            todo.extend(reversed(t.args))
         else:
             out.append(t)
     return out[0]
@@ -536,13 +592,31 @@ def _divide(a, b):
     return a / b
 
 
+def _integers(name: str, a, b):
+    if isinstance(a, float) or isinstance(b, float):
+        raise errors.type_error(f"{name}/2 needs integers")
+
+
+def _int_divide(a, b):
+    """ISO `//`: the quotient truncated toward zero."""
+    _integers("//", a, b)
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
+
+
+def _mod(a, b):
+    """ISO `mod`: the remainder takes the divisor's sign, as Python's."""
+    _integers("mod", a, b)
+    return a % b
+
+
 _EVALUABLE = {
     ("+", 2): operator.add,
     ("-", 2): operator.sub,
     ("*", 2): operator.mul,
     ("/", 2): _divide,
-    ("//", 2): lambda a, b: int(a) // int(b),
-    ("mod", 2): operator.mod,
+    ("//", 2): _int_divide,
+    ("mod", 2): _mod,
     ("-", 1): operator.neg,
     ("+", 1): operator.pos,
     ("abs", 1): abs,
@@ -550,55 +624,83 @@ _EVALUABLE = {
 
 
 class Solver:
+    """Runs goals against a database. `inferences` counts the calls of user
+    or prelude predicates, `backtracks` the choicepoints popped, and
+    `deepest` the largest depth a goal reached (see SolveLimits); they add
+    up over every solve() of the solver."""
+
+    __slots__ = ("db", "limits", "_vids", "trail", "choicepoints", "_boundary",
+                 "inferences", "backtracks", "deepest")
+
     def __init__(self, db: Database, limits: Optional[SolveLimits] = None):
         self.db = db
         self.limits = limits or SolveLimits()
         self._vids = itertools.count(1_000_000)
-        self.subst: dict[int, Term] = {}
-        self.trail: list[int] = []
+        self.trail: list[RuntimeVar] = []
         self.choicepoints: list[tuple] = []
+        # Variables with a vid below this are older than the newest
+        # choicepoint; only their bindings are trailed.
+        self._boundary = 0
+        self.inferences = 0
+        self.backtracks = 0
+        self.deepest = 0
 
-    # substitution helpers
+    # bindings
 
     def walk(self, term: Term) -> Term:
-        while isinstance(term, Var):
-            bound = self.subst.get(term.vid)
+        while type(term) is RuntimeVar:
+            bound = term.ref
             if bound is None:
                 return term
             term = bound
         return term
 
-    def bind(self, var: Var, term: Term):
-        self.subst[var.vid] = term
-        self.trail.append(var.vid)
+    def bind(self, var: RuntimeVar, term: Term):
+        var.ref = term
+        if var.vid < self._boundary:
+            self.trail.append(var)
 
     def undo(self, mark: int):
-        trail, subst = self.trail, self.subst
-        while len(trail) > mark:
-            del subst[trail.pop()]
+        trail = self.trail
+        for var in trail[mark:]:
+            var.ref = None
+        del trail[mark:]
+
+    def _new_boundary(self) -> int:
+        """Count every variable made so far as older than the newest
+        choicepoint, for one about to be pushed; return the boundary."""
+        boundary = self._boundary = next(self._vids)
+        return boundary
+
+    def _restore_boundary(self):
+        """The boundary of the newest choicepoint left, after a pop or cut."""
+        cps = self.choicepoints
+        self._boundary = cps[-1][1] if cps else 0
 
     def unify(self, a: Term, b: Term) -> bool:
-        """Unify `a` and `b`, trailing each binding. Explicit stack; a
-        compound pair met again is skipped, so cyclic bindings terminate."""
-        subst = self.subst
+        """Unify `a` and `b`, binding the younger of two variables. Explicit
+        stack; a compound pair met again is skipped, so cyclic bindings
+        terminate."""
         todo: Optional[list] = None
         while True:
-            while type(a) is Var:
-                bound = subst.get(a.vid)
+            while type(a) is RuntimeVar:
+                bound = a.ref
                 if bound is None:
                     break
                 a = bound
-            while type(b) is Var:
-                bound = subst.get(b.vid)
+            while type(b) is RuntimeVar:
+                bound = b.ref
                 if bound is None:
                     break
                 b = bound
             if a is b:
                 pass
-            elif type(a) is Var:
-                if type(b) is not Var or a.vid != b.vid:
+            elif type(a) is RuntimeVar:
+                if type(b) is RuntimeVar and b.vid > a.vid:
+                    self.bind(b, a)
+                else:
                     self.bind(a, b)
-            elif type(b) is Var:
+            elif type(b) is RuntimeVar:
                 self.bind(b, a)
             elif isinstance(a, Compound):
                 if not (isinstance(b, Compound) and a.name == b.name
@@ -616,10 +718,22 @@ class Solver:
                 return True
             a, b = todo.pop()
 
+    def _unify_and_undo(self, a: Term, b: Term) -> tuple[bool, bool]:
+        """Whether `a` and `b` unify, and whether that binds anything; the
+        bindings are undone. Meanwhile every binding is trailed, a variable
+        younger than every choicepoint too."""
+        boundary = self._boundary
+        self._new_boundary()
+        mark = len(self.trail)
+        unifies = self.unify(a, b)
+        binds = len(self.trail) > mark
+        self.undo(mark)
+        self._boundary = boundary
+        return unifies, binds
+
     def resolve_out(self, term: Term) -> Term:
         """Fully dereference for output; raises _Cyclic on self-reference.
         Explicit stack."""
-        subst = self.subst
         out: list[Term] = []
         active: set[int] = set()  # bound variables on the path from the root
         todo: list = [(term, None)]
@@ -632,8 +746,8 @@ class Solver:
                 active.difference_update(left)
                 continue
             passed = []
-            while isinstance(t, Var):
-                bound = subst.get(t.vid)
+            while type(t) is RuntimeVar:
+                bound = t.ref
                 if bound is None:
                     break
                 if t.vid in active:
@@ -655,7 +769,6 @@ class Solver:
         evaluable compound leaves (function, arity, the variables passed to
         reach it) below its arguments, and a variable met again inside its
         own value makes the expression cyclic."""
-        subst = self.subst
         values: list = []
         active: set[int] = set()  # bound variables on the path from the root
         todo: list = [term]
@@ -676,8 +789,8 @@ class Solver:
                 continue
             t = item
             passed = []
-            while isinstance(t, Var):
-                bound = subst.get(t.vid)
+            while type(t) is RuntimeVar:
+                bound = t.ref
                 if bound is None:
                     raise errors.instantiation_error("unbound variable in arithmetic")
                 if t.vid in active:
@@ -707,8 +820,38 @@ class Solver:
 
     # the machine
 
-    def solve(self, goal: Term) -> Iterator[None]:
-        """Yield once per solution; bindings live in self.subst."""
+    def solve(self, goal: Term) -> Iterator[dict[str, Term]]:
+        """Solutions of `goal` as bindings for its named variables, at most
+        `limits.max_solutions`. The goal is built once into fresh runtime
+        variables (ground subterms shared), so `goal` itself is never bound.
+        One solve at a time: a new one abandons the last."""
+        fresh: dict[int, RuntimeVar] = {}
+
+        def variable(var: Var) -> RuntimeVar:
+            runtime = fresh.get(var.vid)
+            if runtime is None:
+                runtime = fresh[var.vid] = RuntimeVar(var.name, next(self._vids))
+            return runtime
+
+        query = _rebuild(goal, variable, Compound)
+        named = [(var.name, var) for var in fresh.values() if var.name != "_"]
+        self.trail.clear()
+        self.choicepoints.clear()
+        self._boundary = 0
+        count = 0
+        for _ in self._run(query):
+            try:
+                binding = {name: self.resolve_out(var) for name, var in named}
+            except _Cyclic:
+                continue
+            yield binding
+            count += 1
+            if count >= self.limits.max_solutions:
+                return
+
+    def _run(self, goal: Term) -> Iterator[None]:
+        """Yield once per solution of a built goal; the bindings are in its
+        variables."""
         cps = self.choicepoints
         max_depth = self.limits.max_depth
         frame = (goal, _SOLVED, 0, 0, self.db)
@@ -722,7 +865,7 @@ class Solver:
                 frame = None
                 continue
             goal, nxt, depth, cut, home = frame
-            if isinstance(goal, Var):
+            if type(goal) is RuntimeVar:
                 # A variable goal runs as call/1, one level deeper: every
                 # cyclic goal passes through one, so its depth is bounded too.
                 goal = self.walk(goal)
@@ -730,6 +873,8 @@ class Solver:
                 depth += 1
                 if depth > max_depth:
                     raise errors.resource_error("depth limit exceeded")
+                if depth > self.deepest:
+                    self.deepest = depth
             if isinstance(goal, Compound):
                 name = goal.name
                 key = name, len(goal.args)
@@ -744,8 +889,12 @@ class Solver:
             if native is None or native.__class__ is PredicateEntry:
                 if depth >= max_depth:
                     raise errors.resource_error("depth limit exceeded")
+                depth += 1
+                if depth > self.deepest:
+                    self.deepest = depth
+                self.inferences += 1
                 home, clauses = self._solve_user(goal, key, home)
-                frame = self._try_clauses(goal, nxt, depth + 1, home, clauses, 0)
+                frame = self._try_clauses(goal, nxt, depth, home, clauses, 0)
             elif native is Solver._control:
                 frame = self._control(name, goal, nxt, depth, cut, home)
             elif native(self, goal):
@@ -756,11 +905,11 @@ class Solver:
     def _solve_user(self, goal: Term, key: tuple[str, int],
                     home: Database) -> tuple[Database, list]:
         """One call of a user or prelude predicate: the database it is
-        defined in and the clauses to try, narrowed by the first-argument
-        index. The caller's home database is searched first, then the
-        prelude, so a program's own append/3 wins in the program, and the
-        prelude's in the prelude. Called once per call; backtracking into
-        another clause does not call it again."""
+        defined in and the clauses to try, narrowed by the index on the
+        call's leftmost bound argument. The caller's home database is
+        searched first, then the prelude, so a program's own append/3 wins
+        in the program, and the prelude's in the prelude. Called once per
+        call; backtracking into another clause does not call it again."""
         entry = home.lookup(key)
         if entry is None and home is not _PRELUDE:
             home = _PRELUDE
@@ -772,26 +921,37 @@ class Solver:
         if compiled is None:
             compiled = entry.compiled = _Compiled(entry)
         if key[1]:
-            first = _index_key(self.walk(goal.args[0]))
-            if first is not None:
-                return home, compiled.index.get(first, compiled.unkeyed)
+            for position, arg in enumerate(goal.args):
+                arg = self.walk(arg)
+                if type(arg) is not RuntimeVar:
+                    index, unkeyed = compiled.index(position)
+                    return home, index.get(_index_key(arg), unkeyed)
         return home, compiled.clauses
 
     def _try_clauses(self, goal: Term, nxt, depth: int, home: Database,
-                     clauses: list, start: int):
+                     clauses, start: int):
         """Resolve `goal` with the first of clauses[start:] whose head
         unifies: its body frames, pushed in front of `nxt`, or None when no
         head unifies. A choicepoint records any clauses left."""
         trail, cps = self.trail, self.choicepoints
         barrier = len(cps)
         args = goal.args if isinstance(goal, Compound) else ()
-        for i in range(start, len(clauses)):
+        last = len(clauses) - 1
+        for i in range(start, last + 1):
             head, body, names = clauses[i]
+            if i < last:
+                # The choicepoint for the clauses left comes before the head
+                # match, as the WAM's try_me_else: a head that binds a
+                # variable and then fails must be undone.
+                boundary = self._new_boundary()
+            elif i > start:
+                self._restore_boundary()
             slots = [None] * len(names)
             mark = len(trail)
             if self._match(head, args, slots, names):
-                if i + 1 < len(clauses):
-                    cps.append((mark, goal, nxt, depth, home, clauses, i + 1))
+                if i < last:
+                    cps.append((mark, boundary, goal, nxt, depth, home, clauses,
+                                i + 1))
                 frame = nxt
                 for template in body:
                     frame = (self._build(template, slots, names), frame,
@@ -805,12 +965,12 @@ class Solver:
         left to right. A slot takes the call's term at its first occurrence;
         no head term is built unless it meets an unbound variable. Explicit
         stack of argument-pair iterators."""
-        subst, trail = self.subst, self.trail
+        trail, boundary = self.trail, self._boundary
         todo = [zip(head, args)]
         while todo:
             for t, x in todo[-1]:
-                while type(x) is Var:
-                    bound = subst.get(x.vid)
+                while type(x) is RuntimeVar:
+                    bound = x.ref
                     if bound is None:
                         break
                     x = bound
@@ -821,18 +981,20 @@ class Solver:
                     elif not self.unify(slots[t], x):
                         return False
                 elif kind is tuple:
-                    if type(x) is Var:
-                        subst[x.vid] = self._build(t, slots, names)
-                        trail.append(x.vid)
+                    if type(x) is RuntimeVar:
+                        x.ref = self._build(t, slots, names)
+                        if x.vid < boundary:
+                            trail.append(x)
                     elif (isinstance(x, Compound) and x.name == t[0]
                           and len(x.args) == len(t[1])):
                         todo.append(zip(t[1], x.args))
                         break
                     else:
                         return False
-                elif type(x) is Var:
-                    subst[x.vid] = t
-                    trail.append(x.vid)
+                elif type(x) is RuntimeVar:
+                    x.ref = t
+                    if x.vid < boundary:
+                        trail.append(x)
                 elif t is not x and not self.unify(t, x):
                     return False
             else:
@@ -846,10 +1008,11 @@ class Solver:
         if kind is int:
             term = slots[template]
             if term is None:
-                term = slots[template] = Var(names[template], next(self._vids))
+                term = slots[template] = RuntimeVar(names[template], next(self._vids))
             return term
         if kind is not tuple:
             return template
+        vids = self._vids
         root = Compound(template[0], list(template[1]))
         todo = [root.args]
         while todo:
@@ -859,7 +1022,7 @@ class Solver:
                 if kind is int:
                     term = slots[t]
                     if term is None:
-                        term = slots[t] = Var(names[t], next(self._vids))
+                        term = slots[t] = RuntimeVar(names[t], next(vids))
                     args[i] = term
                 elif kind is tuple:
                     args[i] = Compound(t[0], list(t[1]))
@@ -872,10 +1035,12 @@ class Solver:
         cps = self.choicepoints
         while cps:
             choice = cps.pop()
+            self.backtracks += 1
             self.undo(choice[0])
-            if choice[1] is None:
-                return choice[2]
-            _, goal, nxt, depth, home, clauses, start = choice
+            self._restore_boundary()
+            if choice[2] is None:
+                return choice[3]
+            _, _, goal, nxt, depth, home, clauses, start = choice
             frame = self._try_clauses(goal, nxt, depth, home, clauses, start)
             if frame is not None:
                 return frame
@@ -890,6 +1055,7 @@ class Solver:
         cps = self.choicepoints
         if name == "!":
             del cps[cut:]
+            self._restore_boundary()
             return nxt
         args = goal.args
         if name == ",":
@@ -899,12 +1065,13 @@ class Solver:
         height = len(cps)
         mark = len(self.trail)
         if name == "\\+":
-            cps.append((mark, None, nxt))
+            cps.append((mark, self._new_boundary(), None, nxt))
             fail = (_FAIL, None, depth, cut, home)
             return (args[0], (_CUT, fail, depth, height, home),
                     depth, height + 1, home)
         if name == ";":
-            cps.append((mark, None, (args[1], nxt, depth, cut, home)))
+            cps.append((mark, self._new_boundary(),
+                        None, (args[1], nxt, depth, cut, home)))
             left = self.walk(args[0])
             if not (isinstance(left, Compound) and left.name == "->"
                     and len(left.args) == 2):
@@ -929,10 +1096,7 @@ class Solver:
         return self.unify(goal.args[0], goal.args[1])
 
     def _bi_not_unify(self, goal):
-        mark = len(self.trail)
-        unifies = self.unify(goal.args[0], goal.args[1])
-        self.undo(mark)
-        return not unifies
+        return not self._unify_and_undo(goal.args[0], goal.args[1])[0]
 
     def _bi_is(self, goal):
         value = self.to_number(self.eval_arith(goal.args[1]))
@@ -941,10 +1105,8 @@ class Solver:
     def _syntactic_eq(self, a: Term, b: Term) -> bool:
         """Whether `a` and `b` are identical under the bindings: they unify
         without binding anything."""
-        mark = len(self.trail)
-        identical = self.unify(a, b) and len(self.trail) == mark
-        self.undo(mark)
-        return identical
+        unifies, binds = self._unify_and_undo(a, b)
+        return unifies and not binds
 
     def _bi_struct_eq(self, goal):
         return self._syntactic_eq(goal.args[0], goal.args[1])
@@ -967,7 +1129,7 @@ class Solver:
                 raise errors.type_error("functor/3: functor must be an atom")
             return self.unify(t, Compound(
                 name_t.name,
-                [Var("_", next(self._vids)) for _ in range(arity_t.value)],
+                [RuntimeVar("_", next(self._vids)) for _ in range(arity_t.value)],
             ))
         if isinstance(t, Compound):
             name_term: Term = Atom(t.name)
@@ -1122,21 +1284,7 @@ def solve(goal: Term, db: Database,
     Output bindings are fully dereferenced and occurs-checked: a solution
     whose bindings would be cyclic is dropped.
     """
-    limits = limits or SolveLimits()
-    solver = Solver(db, limits)
-    goal_vars = [v for v in term_variables(goal) if v.name != "_"]
-    count = 0
-    for _ in solver.solve(goal):
-        try:
-            binding = {}
-            for var in goal_vars:
-                binding[var.name] = solver.resolve_out(var)
-        except _Cyclic:
-            continue
-        yield binding
-        count += 1
-        if count >= limits.max_solutions:
-            return
+    return Solver(db, limits).solve(goal)
 
 
 # --- read-eval loop -------------------------------------------------------

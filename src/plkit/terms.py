@@ -89,7 +89,9 @@ class Compound(Term):
     def __init__(self, name: str, args: list, span=None, functor_span=None):
         if not args:
             raise ValueError("compound term needs at least one argument")
-        super().__init__(span, functor_span)
+        # Term.__init__ inlined: the solver builds a compound per list cell
+        self.span = span
+        self.functor_span = functor_span or span
         self.name = name
         self.args = args
 
@@ -156,23 +158,6 @@ def struct_eq(a: Term, b: Term) -> bool:
             and all(struct_eq(x, y) for x, y in zip(a.args, b.args))
         )
     raise TypeError(f"not a term: {a!r}")
-
-
-def term_variables(term: Term) -> list:
-    """Variables in first-occurrence order (one entry per vid). Explicit
-    stack, linear in the size of the term."""
-    seen: set[int] = set()
-    acc = []
-    todo = [term]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Var):
-            if t.vid not in seen:
-                seen.add(t.vid)
-                acc.append(t)
-        elif isinstance(t, Compound):
-            todo.extend(reversed(t.args))
-    return acc
 
 
 def indicator_of(term: Term) -> Optional[tuple[str, int]]:

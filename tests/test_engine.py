@@ -236,6 +236,11 @@ def test_arithmetic():
     assert solutions("X is 1 / 2", db)[0]["X"].value == 0.5
     assert solutions("X is 4 / 2", db)[0]["X"].value == 2
     assert solutions("X is -(3)", db)[0]["X"].value == -3
+    # ISO: // truncates toward zero, mod takes the divisor's sign
+    for goal, value in [("X is -7 // 2", -3), ("X is 7 // -2", -3),
+                        ("X is -7 // -2", 3), ("X is -7 mod 2", 1),
+                        ("X is 7 mod -2", -1)]:
+        assert solutions(goal, db)[0]["X"].value == value, goal
 
 
 def test_arithmetic_comparisons():
@@ -257,6 +262,14 @@ def test_arithmetic_errors():
     with pytest.raises(PrologError) as err:
         solutions("X is Y + 1", db)
     assert err.value.kind == "instantiation_error"
+    for goal in ["X is 7.5 // 2", "X is 7 // 2.0", "X is 7.5 mod 2",
+                 "X is 7 mod 2.0"]:
+        with pytest.raises(PrologError) as err:
+            solutions(goal, db)
+        assert err.value.kind == "type_error", goal
+    with pytest.raises(PrologError) as err:
+        solutions("X is 7 // 0", db)
+    assert err.value.kind == "evaluation_error"
 
 
 def test_syntactic_equality():
@@ -431,8 +444,13 @@ def test_long_countdown():
 
 def test_nrev_1000():
     db, _, _ = load(NREV)
-    (result,) = solve(nrev_goal(1000), db)
+    solver = Solver(db)
+    answers = solver.solve(nrev_goal(1000))
+    result = next(answers)
     assert int_list(result["R"]) == list(reversed(range(1000)))
+    # the run leaves no choicepoint, so it trails (almost) no binding
+    assert len(solver.trail) < 1000
+    assert list(answers) == []
 
 
 def test_long_list_unifies():
@@ -493,6 +511,26 @@ def test_one_solve_user_call_per_predicate_call(monkeypatch):
     assert calls == [("m", 1)]
 
 
+def test_counters_on_nrev():
+    db, _, _ = load(NREV)
+    solver = Solver(db)
+    assert len(list(solver.solve(nrev_goal(30)))) == 1
+    assert solver.inferences == 31 * 32 // 2
+    assert solver.backtracks == 0
+    # each level's app/3 recursion reaches as deep as the innermost nrev/2
+    assert solver.deepest == 31
+
+
+def test_counters_on_backtracking_and_depth():
+    db, _, _ = load(CUT_PROGRAM + COUNT)
+    solver = Solver(db)
+    assert len(list(solver.solve(read_term("m(X)", db)))) == 3
+    assert (solver.inferences, solver.backtracks) == (1, 2)
+    solver = Solver(db, SolveLimits(max_depth=50))
+    assert len(list(solver.solve(read_term("count(49)", db)))) == 1
+    assert solver.deepest == 50
+
+
 def test_first_argument_index_keeps_source_order():
     db, _, _ = load("p(a, 1).\np(_, 2).\np(b, 3).\np(a, 4).\n"
                     "p(_, 5).\np(f(x), 6).\np(1, 7).\np(a, 8).\n")
@@ -500,6 +538,80 @@ def test_first_argument_index_keeps_source_order():
     assert [r["N"].value for r in solutions("p(f(Y), N)", db)] == [2, 5, 6]
     assert [r["N"].value for r in solutions("p(1, N)", db)] == [2, 5, 7]
     assert [r["N"].value for r in solutions("p(K, N)", db)] == list(range(1, 9))
+
+
+LATER = """\
+q(1, a, x).
+q(2, _, y).
+q(3, b, x).
+q(4, a, _).
+q(5, _, z).
+q(6, a, x).
+q(7, f(k), x).
+q(8, f(k, l), x).
+q(9, g(k), _).
+"""
+
+
+def test_later_argument_index_keeps_source_order():
+    db, _, _ = load(LATER)
+    # bound only on the second argument, then only on the third
+    assert [r["N"].value for r in solutions("q(N, a, T)", db)] == [1, 2, 4, 5, 6]
+    assert [r["N"].value for r in solutions("q(N, K, x)", db)] == [1, 3, 4, 6, 7, 8, 9]
+    assert [r["N"].value for r in solutions("q(N, K, z)", db)] == [4, 5, 9]
+    # a compound is keyed by name/arity
+    assert [r["N"].value for r in solutions("q(N, f(Y), T)", db)] == [2, 5, 7]
+    assert [r["N"].value for r in solutions("q(N, g(k), T)", db)] == [2, 5, 9]
+    assert [r["N"].value for r in solutions("q(N, c, T)", db)] == [2, 5]
+
+
+def test_argument_index_keys_are_distinct():
+    db, _, _ = load("k(p, 1, int).\nk(p, '1', atom).\nk(p, 1.0, float).\n"
+                    "k(p, f(a), f1).\nk(p, f(a, b), f2).\nk(p, g(a), g1).\n")
+    for goal, answer in [("k(P, 1, W)", "int"), ("k(P, '1', W)", "atom"),
+                         ("k(P, 1.0, W)", "float"), ("k(P, f(X), W)", "f1"),
+                         ("k(P, f(X, Y), W)", "f2")]:
+        solver = Solver(db)
+        assert [r["W"].name for r in solver.solve(read_term(goal, db))] == [answer]
+        # the index left one candidate clause: no choicepoint was made
+        assert solver.backtracks == 0, goal
+
+
+def test_assert_clause_drops_a_later_argument_index():
+    db, _, _ = load("s(a, 1).\ns(b, 2).\n")
+    assert [r["K"].name for r in solutions("s(K, 1)", db)] == ["a"]
+    db.assert_clause(read_term("s(c, 1)"), Atom("true"))
+    assert [r["K"].name for r in solutions("s(K, 1)", db)] == ["a", "c"]
+
+
+# --- conditional trailing ----------------------------------------------------
+
+
+@pytest.mark.parametrize("goal", [
+    # \= and \== undo the bindings they try, also of a variable younger
+    # than every choicepoint
+    "f(Y, a) \\= f(1, b), var(Y)",
+    "Y \\== Z, Y = 1, var(Z)",
+    "\\+ \\+ Y = 1, var(Y)",
+    # a head that binds X and then fails, with a clause left, is undone
+    "r(X, f(2)), var(X)",
+])
+def test_bindings_are_undone(goal):
+    db, _, _ = load("r(a, f(1)).\nr(Z, f(2)).\n")
+    assert len(solutions(goal, db)) == 1
+
+
+def test_query_term_is_never_bound():
+    db, _, _ = load("p(1).\np(2).\n")
+    goal = read_term("p(X), Y = f(X)", db)
+    limits = SolveLimits(max_solutions=1)
+    first = list(solve(goal, db, limits))
+    assert [r["X"].value for r in first] == [1]
+    # the abandoned run left the parsed term as it was
+    again = list(solve(goal, db))
+    assert [r["X"].value for r in again] == [1, 2]
+    assert struct_eq(again[1]["Y"], read_term("f(2)"))
+    assert struct_eq(goal, read_term("p(X), Y = f(X)"))
 
 
 def test_assert_clause_drops_the_compiled_form():
