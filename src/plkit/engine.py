@@ -23,7 +23,7 @@ from .diagnostics import Diagnostic, Severity
 from .errors import PrologError
 from .printer import pretty_print
 from .reader import Reader, Sentence
-from .spans import SourceSpan
+from .spans import SourceSpan, file_start
 from .terms import (
     Atom,
     Compound,
@@ -68,7 +68,6 @@ class Loader:
         self._cache: dict[str, tuple[Database, list[Sentence], list[Diagnostic]]] = {}
         self._loading: set[str] = set()
         self._sources: dict[str, str] = {}
-        self._tokens: dict[str, list] = {}
 
     def resolve(self, target: Term, base_dir: str) -> Optional[str]:
         names: list[str] = []
@@ -115,13 +114,12 @@ class Loader:
                 source = self.read_file(path)
                 self._sources[path] = source
                 tokens, lex_diags = tokenize(source, path)
-                self._tokens[path] = tokens
                 sentences, diagnostics = consult_tokens(tokens, lex_diags, db,
                                                         self, path)
             except OSError:
                 raise
             except Exception as err:  # the per-file backstop
-                sentences, diagnostics = [], [_internal_error(path, err)]
+                sentences, diagnostics = [], [internal_error(path, err)]
             result = (db, sentences, diagnostics)
             self._cache[path] = result
             return result
@@ -131,15 +129,12 @@ class Loader:
     def source_of(self, path: str) -> Optional[str]:
         return self._sources.get(os.path.abspath(path))
 
-    def tokens_of(self, path: str) -> list:
-        return self._tokens.get(os.path.abspath(path), [])
 
-
-def _internal_error(path: str, err: Exception) -> Diagnostic:
+def internal_error(path: str, err: Exception) -> Diagnostic:
     """Report `err` on the start of `path`, with where it was raised."""
     frame, line = list(traceback.walk_tb(err.__traceback__))[-1]
     where = f"{os.path.basename(frame.f_code.co_filename)}:{line}"
-    return _error(SourceSpan(path, 0, 0, 1, 1, 1, 1), "internal_error",
+    return _error(file_start(path), "internal_error",
                   f"internal error ({type(err).__name__} at {where}): {err}")
 
 

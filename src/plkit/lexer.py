@@ -19,7 +19,7 @@ import re
 from typing import Optional
 
 from .diagnostics import Diagnostic, Severity
-from .spans import SourceSpan
+from .spans import LineIndex, SourceSpan
 
 SYMBOL_CHARS = set("#$&*+-./:<=>?@^~\\")
 
@@ -282,9 +282,9 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[Token], list[
     INTEGER, FLOAT, QUOTED_ATOM, STRING, OPEN_PAREN = (
         TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.QUOTED_ATOM,
         TokenKind.STRING, TokenKind.OPEN_PAREN)
+    lines = LineIndex(file_id, source)
     n = len(source)
     pos = 0
-    line = col = 1  # of pos
     prev = None  # kind of the last token
     while pos < n:
         m = match(source, pos)
@@ -314,16 +314,10 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[Token], list[
                 value = text[1:-1].replace("''", "'")
             elif kind is STRING:
                 value = text[1:-1].replace('""', '"')
-        if "\n" in text:
-            end_line = line + text.count("\n")
-            end_col = end - source.rfind("\n", pos, end)
-        else:
-            end_line = line
-            end_col = col + end - pos
-        span = SourceSpan(file_id, pos, end, line, col, end_line, end_col)
+        span = SourceSpan(lines, pos, end)
         tokens.append(Token(kind, text, span, value))
         if error is not None:
             diagnostics.append(Diagnostic(Severity.ERROR, error[0], error[1], span))
         prev = kind
-        pos, line, col = end, end_line, end_col
+        pos = end
     return tokens, diagnostics

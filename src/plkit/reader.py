@@ -16,7 +16,7 @@ from typing import Optional
 from .database import Database
 from .diagnostics import Diagnostic, Severity
 from .lexer import ATOM_KINDS, Token, TokenKind, TRIVIA_KINDS
-from .spans import SourceSpan
+from .spans import SourceSpan, file_start
 from .terms import (
     Atom,
     Compound,
@@ -144,13 +144,8 @@ class Reader:
     def _eof_span(self) -> SourceSpan:
         if self.toks:
             s = self.toks[-1].span
-            return SourceSpan(s.file_id, s.end_offset, s.end_offset,
-                              s.end_line, s.end_col, s.end_line, s.end_col)
-        return SourceSpan(self.file_id, 0, 0, 1, 1, 1, 1)
-
-    def _here(self) -> SourceSpan:
-        tok = self.peek()
-        return tok.span if tok is not None else self._eof_span()
+            return SourceSpan(s.lines, s.end_offset, s.end_offset)
+        return file_start(self.file_id)
 
     def at_eof(self) -> bool:
         return self.peek() is None

@@ -1,35 +1,76 @@
-"""Source positions shared by every stage of the pipeline."""
+"""Source positions shared by every stage of the pipeline.
+
+A span is two code-point offsets into one file. Line and column are not
+stored: they come from the file's `LineIndex`, a line-start table built the
+first time a position is asked for, through `bisect`.
+"""
 
 from __future__ import annotations
 
 import bisect
+import re
+
+_NEWLINE = re.compile("\n")
+
+
+class LineIndex:
+    """One file's id and text, mapping offsets to 1-based line/column."""
+
+    __slots__ = ("file_id", "text", "_starts")
+
+    def __init__(self, file_id: str, text: str):
+        self.file_id = file_id
+        self.text = text
+        self._starts: list[int] | None = None  # offsets where lines start
+
+    def position(self, offset: int) -> tuple[int, int]:
+        starts = self._starts
+        if starts is None:
+            newlines = _NEWLINE.finditer(self.text)
+            starts = self._starts = [0, *(m.end() for m in newlines)]
+        line = bisect.bisect_right(starts, offset) - 1
+        return line + 1, offset - starts[line] + 1
 
 
 class SourceSpan:
     """Half-open [start_offset, end_offset) region of one file.
 
     Offsets count code points; line/col are 1-based. Spans compare and
-    hash by value and are never changed after construction.
+    hash by (file_id, start_offset, end_offset) and are never changed after
+    construction.
     """
 
-    __slots__ = ("file_id", "start_offset", "end_offset", "start_line",
-                 "start_col", "end_line", "end_col")
+    __slots__ = ("lines", "start_offset", "end_offset")
 
-    def __init__(self, file_id: str, start_offset: int, end_offset: int,
-                 start_line: int, start_col: int, end_line: int, end_col: int):
+    def __init__(self, lines: LineIndex, start_offset: int, end_offset: int):
         if start_offset > end_offset:
             raise ValueError("span start after end")
-        self.file_id = file_id
+        self.lines = lines
         self.start_offset = start_offset
         self.end_offset = end_offset
-        self.start_line = start_line
-        self.start_col = start_col
-        self.end_line = end_line
-        self.end_col = end_col
+
+    @property
+    def file_id(self) -> str:
+        return self.lines.file_id
+
+    @property
+    def start_line(self) -> int:
+        return self.lines.position(self.start_offset)[0]
+
+    @property
+    def start_col(self) -> int:
+        return self.lines.position(self.start_offset)[1]
+
+    @property
+    def end_line(self) -> int:
+        return self.lines.position(self.end_offset)[0]
+
+    @property
+    def end_col(self) -> int:
+        return self.lines.position(self.end_offset)[1]
 
     def _key(self) -> tuple:
-        return (self.file_id, self.start_offset, self.end_offset, self.start_line,
-                self.start_col, self.end_line, self.end_col)
+        return (self.lines.file_id, self.start_offset, self.end_offset)
 
     def __eq__(self, other):
         if other.__class__ is not SourceSpan:
@@ -40,39 +81,18 @@ class SourceSpan:
         return hash(self._key())
 
     def __repr__(self):
-        return "SourceSpan(%r, %d, %d, %d, %d, %d, %d)" % self._key()
+        return "SourceSpan(%r, %d, %d)" % self._key()
 
     def covers(self, offset: int) -> bool:
         return self.start_offset <= offset < self.end_offset
 
     def enclose(self, other: "SourceSpan") -> "SourceSpan":
         """Smallest span containing both self and other (same file)."""
-        if other.start_offset < self.start_offset:
-            lo = (other.start_offset, other.start_line, other.start_col)
-        else:
-            lo = (self.start_offset, self.start_line, self.start_col)
-        if other.end_offset > self.end_offset:
-            hi = (other.end_offset, other.end_line, other.end_col)
-        else:
-            hi = (self.end_offset, self.end_line, self.end_col)
-        return SourceSpan(self.file_id, lo[0], hi[0], lo[1], lo[2], hi[1], hi[2])
+        return SourceSpan(self.lines, min(self.start_offset, other.start_offset),
+                          max(self.end_offset, other.end_offset))
 
 
-class LineIndex:
-    """Maps code-point offsets to 1-based line/column pairs."""
-
-    def __init__(self, text: str):
-        self._starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._starts.append(i + 1)
-        self._length = len(text)
-
-    def position(self, offset: int) -> tuple[int, int]:
-        line = bisect.bisect_right(self._starts, offset) - 1
-        return line + 1, offset - self._starts[line] + 1
-
-    def span(self, file_id: str, start: int, end: int) -> SourceSpan:
-        sl, sc = self.position(start)
-        el, ec = self.position(end)
-        return SourceSpan(file_id, start, end, sl, sc, el, ec)
+def file_start(file_id: str) -> SourceSpan:
+    """The empty span at line 1, column 1 of `file_id`, for reports about
+    the file as a whole."""
+    return SourceSpan(LineIndex(file_id, ""), 0, 0)

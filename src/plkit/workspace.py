@@ -20,12 +20,12 @@ from .database import (
     PredicateIndicator,
 )
 from .diagnostics import Diagnostic, Severity, sort_key
-from .engine import BUILTIN_INDICATORS, Loader
-from .lexer import ATOM_KINDS, Token, TokenKind
+from .engine import BUILTIN_INDICATORS, Loader, internal_error
+from .lexer import ATOM_KINDS, tokenize
 from .printer import atom_text, pretty_print
 from .reader import Sentence
-from .spans import SourceSpan
-from .terms import Atom, Compound, Term, Var, indicator_of
+from .spans import LineIndex, SourceSpan, file_start
+from .terms import Atom, Compound, OpApply, Term, Var, indicator_of
 
 
 @dataclass
@@ -77,7 +77,6 @@ class FileIndex:
     imports: list[ImportRecord]
     operators_declared: list[tuple[OperatorDef, SourceSpan]]
     sentences: list[Sentence]
-    tokens: list[Token]
     db: Database
     diagnostics: list[Diagnostic]
 
@@ -167,49 +166,57 @@ class StaleFixError(Exception):
 CONTROL_CONSTRUCTS = {(",", 2), (";", 2), ("->", 2), ("\\+", 1)}
 
 
-def _walk_goals(goal: Term, sink: list[CallSite], dcg: bool = False):
-    if isinstance(goal, Var):
-        return  # meta-call through a variable: unresolvable but silent
-    ind = indicator_of(goal)
-    if ind is None:
-        return  # numbers / strings in DCG bodies (terminals)
-    name, arity = ind
-    if (name, arity) in CONTROL_CONSTRUCTS:
-        for arg in goal.args:
-            _walk_goals(arg, sink, dcg)
-        return
-    if name == "call" and arity == 1 and isinstance(goal, Compound):
-        inner = goal.args[0]
-        if not isinstance(inner, Var):
-            _walk_goals(inner, sink, dcg)
-        return
-    if dcg:
-        if name == "{}" and arity == 1 and isinstance(goal, Compound):
-            _walk_goals(goal.args[0], sink, dcg=False)
-            return
-        if name == "." and arity == 2:
-            return  # terminal list
-        if name == "[]" and arity == 0:
-            return
-        if name == "!" and arity == 0:
-            return
-        sink.append(CallSite(PredicateIndicator(name, arity + 2), goal.span))
-        return
-    sink.append(CallSite(PredicateIndicator(name, arity), goal.span))
+# Goals whose arguments are goals in turn
+_TRANSPARENT = CONTROL_CONSTRUCTS | {("call", 1)}
+# DCG body items that are not nonterminal calls: terminal lists and cut
+_DCG_NON_CALLS = {(".", 2), ("[]", 0), ("!", 0)}
 
 
-def _var_occurrences(term: Term, sink: list[Var]):
-    if isinstance(term, Var):
-        sink.append(term)
-    elif isinstance(term, Compound):
-        for arg in term.args:
-            _var_occurrences(arg, sink)
+def _walk_goals(body: Term, sink: list[CallSite], dcg: bool = False):
+    """Append the call sites of `body` to `sink` in source order, looking
+    through control constructs, call/1 and, in a DCG body, {}/1."""
+    stack = [body]
+    while stack:
+        goal = stack.pop()
+        ind = indicator_of(goal)
+        if ind is None:
+            continue  # a variable (meta-call), or a number or string terminal
+        if ind in _TRANSPARENT:
+            stack.extend(reversed(goal.args))
+        elif not dcg:
+            sink.append(CallSite(PredicateIndicator(*ind), goal.span))
+        elif ind == ("{}", 1):
+            _walk_goals(goal.args[0], sink)  # plain goals: no deeper recursion
+        elif ind not in _DCG_NON_CALLS:
+            sink.append(CallSite(PredicateIndicator(ind[0], ind[1] + 2), goal.span))
+
+
+def _var_occurrences(term: Term) -> list[Var]:
+    """Every variable occurrence in `term`, left to right."""
+    if not isinstance(term, Compound):
+        return [term] if isinstance(term, Var) else []
+    found: list[Var] = []
+    stack = [iter(term.args)]  # the arguments still to visit, per level
+    while stack:
+        for arg in stack[-1]:
+            if isinstance(arg, Compound):
+                stack.append(iter(arg.args))
+                break
+            if isinstance(arg, Var):
+                found.append(arg)
+        else:
+            stack.pop()
+    return found
 
 
 def index_file(sentences: list[Sentence], db: Database, file: str,
-               tokens: list[Token],
-               phase1_diagnostics: list[Diagnostic]) -> FileIndex:
-    """Phase II: decorate one file's sentences into a FileIndex."""
+               tokens: object = None,
+               phase1_diagnostics: list[Diagnostic] = ()) -> FileIndex:
+    """Phase II: decorate one file's sentences into a FileIndex.
+
+    `tokens` is unused, as the model keeps no tokens; it stays for callers
+    that pass the phase I diagnostics positionally.
+    """
     defined: dict[PredicateIndicator, DefInfo] = {}
     calls: list[CallSite] = []
     diagnostics = list(phase1_diagnostics)
@@ -267,10 +274,8 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
             _walk_goals(sentence.body, calls, dcg=(sentence.kind == "dcg_rule"))
 
         # singleton variables, one warning per offending variable
-        occurrences: list[Var] = []
-        _var_occurrences(sentence.term, occurrences)
         counts: dict[int, list[Var]] = {}
-        for var in occurrences:
+        for var in _var_occurrences(sentence.term):
             counts.setdefault(var.vid, []).append(var)
         for occ in counts.values():
             var = occ[0]
@@ -297,7 +302,6 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
         imports=list(db.imports),
         operators_declared=operators,
         sentences=sentences,
-        tokens=tokens,
         db=db,
         diagnostics=diagnostics,
     )
@@ -333,7 +337,7 @@ def link(indices: dict[str, FileIndex],
                 if cached is not None:
                     target_db, target_sents, _ = cached
                     target_index = index_file(target_sents, target_db,
-                                              target_path, [], [])
+                                              target_path)
             if target_index is None:
                 diagnostics.append(
                     Diagnostic(
@@ -456,15 +460,21 @@ def _build_project(root: str, config: Optional[ProjectConfig],
             # are read, tokenized, and consulted exactly once
             consulted = loader.consult_file(path)
         except OSError as err:
-            span = SourceSpan(path, 0, 0, 1, 1, 1, 1)
             extra.append(Diagnostic(Severity.ERROR, "unreadable_file",
-                                    str(err), span))
+                                    str(err), file_start(path)))
             continue
         db, sentences, phase1 = consulted
         path = os.path.abspath(path)
         sources[path] = loader.source_of(path) or ""
-        indices[path] = index_file(sentences, db, path,
-                                   loader.tokens_of(path), list(phase1))
+        try:
+            indices[path] = index_file(sentences, db, path,
+                                       phase1_diagnostics=phase1)
+        except Exception as err:  # the per-file backstop, as in consult_file
+            # An index that keeps the module and its exports but no
+            # definitions or calls, so that link does not index it again.
+            indices[path] = FileIndex(path, db.module, {}, [], [], [],
+                                      sentences, db,
+                                      [*phase1, internal_error(path, err)])
     index, link_diags = link(indices, loader)
     diagnostics = sorted(
         [d for fi in indices.values() for d in fi.diagnostics]
@@ -519,89 +529,94 @@ def outline(file: str, model: ProjectModel) -> list[OutlineItem]:
 # --- hover ----------------------------------------------------------------
 
 
-def _token_at(tokens: list[Token], offset: int) -> Optional[Token]:
-    for token in tokens:
-        if token.span.covers(offset):
-            return token
-    return None
-
-
 def _sentence_at(index: FileIndex, offset: int) -> Optional[Sentence]:
     for sentence in index.sentences:
-        if sentence.span.start_offset <= offset < sentence.span.end_offset:
+        if sentence.term.span.start_offset <= offset < sentence.end_span.end_offset:
             return sentence
     return None
 
 
-def _enclosing_chain(term: Term, offset: int, chain: list) -> bool:
-    if term.span is None or not term.span.covers(offset):
-        return False
-    chain.append(term)
-    if isinstance(term, Compound):
-        for arg in term.args:
-            if _enclosing_chain(arg, offset, chain):
-                return True
-    return True
-
-
-def _indicator_at(index: FileIndex, offset: int) -> Optional[tuple[str, int]]:
-    sentence = _sentence_at(index, offset)
-    if sentence is None:
+def _term_at(term: Term, offset: int) -> Optional[Term]:
+    """The innermost subterm of `term` whose span covers `offset`."""
+    if not term.span.covers(offset):
         return None
-    chain: list[Term] = []
-    _enclosing_chain(sentence.term, offset, chain)
-    for term in reversed(chain):
-        if isinstance(term, Compound):
-            if term.functor_span is not None and term.functor_span.covers(offset):
-                return term.name, term.arity
-        if isinstance(term, Atom):
-            if term.span is not None and term.span.covers(offset):
-                return term.name, 0
+    while isinstance(term, Compound):
+        for arg in term.args:
+            if arg.span.covers(offset):
+                term = arg
+                break
+        else:
+            break
+    return term
+
+
+def _atom_token_span(term: Term, offset: int) -> Optional[SourceSpan]:
+    """The span of the token at `offset`, where `term` is the innermost term
+    covering it, when that token is an atom; else None.
+
+    A compound's functor span is its name token's span, except that a list
+    cell's runs over its elements and ',', '|' and '{' functors are
+    punctuation. An atom's span is its token's, except for '[]' and '{}'
+    written with brackets and for an atom in parentheses: only that rare
+    leaf is lexed again.
+    """
+    if isinstance(term, Compound):
+        span = term.functor_span
+        if (not span.covers(offset)
+                or span.covers(term.args[0].span.start_offset)
+                or span.lines.text[span.start_offset] in ",|{"):
+            return None
+        return span
+    if not isinstance(term, Atom):
+        return None
+    span = term.span
+    start = span.start_offset
+    if span.lines.text[start] not in "([{]":
+        return span
+    for token in tokenize(span.lines.text[start:span.end_offset])[0]:
+        if token.span.covers(offset - start):
+            if token.kind not in ATOM_KINDS:
+                return None
+            return SourceSpan(span.lines, start + token.span.start_offset,
+                              start + token.span.end_offset)
     return None
 
 
 def hover(file: str, offset: int, mode: str,
           model: ProjectModel) -> Optional[HoverInfo]:
-    """mode: 'definition' or 'doc'."""
+    """mode: 'definition' or 'doc'. Answers only on an atom token: a
+    predicate name, an operator or a use_module target."""
     index = model.file_index(file)
     if index is None:
         return None
-    token = _token_at(index.tokens, offset)
-    if token is None or token.kind not in ATOM_KINDS | {TokenKind.VARIABLE}:
-        return None
-    span = token.span
-
     sentence = _sentence_at(index, offset)
+    if sentence is None:
+        return None
+    term = _term_at(sentence.term, offset)
+    span = _atom_token_span(term, offset) if term is not None else None
+    if span is None:
+        return None
+
     # use_module target: show the export list of the imported file
-    if sentence is not None and sentence.kind == "directive":
+    if sentence.kind == "directive":
         ind = indicator_of(sentence.goal)
         if ind is not None and ind[0] == "use_module":
             target = sentence.goal.args[0]
-            if target.span is not None and target.span.covers(offset):
+            if target.span.covers(offset):
                 return _hover_import(target, index, model, span)
 
-    name_arity = _indicator_at(index, offset)
-    if name_arity is None:
-        return None
-    name, arity = name_arity
+    name, arity = indicator_of(term)
 
     if mode == "doc":
         text = model.doc_text(name, arity)
         return HoverInfo(text, span) if text is not None else None
 
     # operator atom: render its definition(s)
-    chain: list[Term] = []
-    if sentence is not None:
-        _enclosing_chain(sentence.term, offset, chain)
-    for term in reversed(chain):
-        from .terms import OpApply
-
-        if isinstance(term, OpApply) and term.functor_span is not None \
-                and term.functor_span.covers(offset):
-            d = term.op
-            op_line = f"op({d.priority}, {d.fixity}, {atom_text(d.name)})"
-            doc = _builtin_doc(name, arity)
-            return HoverInfo(op_line if doc is None else doc + "\n" + op_line, span)
+    if isinstance(term, OpApply):
+        d = term.op
+        op_line = f"op({d.priority}, {d.fixity}, {atom_text(d.name)})"
+        doc = _builtin_doc(name, arity)
+        return HoverInfo(op_line if doc is None else doc + "\n" + op_line, span)
     defs = index.db.operators.defs(name)
     if defs and arity == 0:
         lines = [f"op({d.priority}, {d.fixity}, {atom_text(d.name)})"
@@ -688,9 +703,7 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
         sentence = _sentence_at(index, offset)
         if sentence is not None:
             seen = set()
-            occurrences: list[Var] = []
-            _var_occurrences(sentence.term, occurrences)
-            for var in occurrences:
+            for var in _var_occurrences(sentence.term):
                 if var.name not in seen and var.name != "_":
                     seen.add(var.name)
                     add(var.name, "Variable", "clause variable", var.name, 0)
@@ -777,9 +790,7 @@ def quick_fixes(diagnostic: Diagnostic, model: ProjectModel) -> list[QuickFix]:
 
 
 def _point_span(file: str, offset: int, source: str) -> SourceSpan:
-    from .spans import LineIndex
-
-    return LineIndex(source).span(file, offset, offset)
+    return SourceSpan(LineIndex(file, source), offset, offset)
 
 
 def _fixes_undefined(diagnostic: Diagnostic, model: ProjectModel) -> list[QuickFix]:

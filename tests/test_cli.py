@@ -87,6 +87,47 @@ def test_check_reports_internal_error_per_file(project, capsys, monkeypatch):
     assert "RuntimeError" in lines[1][7] and "lexer defect" in lines[1][7]
 
 
+def test_check_reports_internal_error_while_indexing(project, capsys, monkeypatch):
+    import plkit.workspace
+
+    index_file = plkit.workspace.index_file
+
+    def failing(sentences, db, file, *rest, **kwargs):
+        if file.endswith("bad.pl"):
+            raise RuntimeError("index defect")
+        return index_file(sentences, db, file, *rest, **kwargs)
+
+    monkeypatch.setattr(plkit.workspace, "index_file", failing)
+    # user.pl imports bad.pl, which link must not index a second time
+    root = project({"bad.pl": ":- module(bad, [ok/0]).\nok.\n",
+                    "user.pl": ":- use_module(bad).\nmain :- ok.\n", **BROKEN})
+    code, out, _ = run(["check", root, "--format=machine"], capsys)
+    assert code == 1
+    lines = sorted(line.split("\t") for line in out.splitlines())
+    assert [(f[0].rsplit(os.sep, 1)[-1], f[6]) for f in lines] == [
+        ("a.pl", "undefined_predicate"), ("bad.pl", "internal_error")]
+    assert "RuntimeError" in lines[1][7] and "index defect" in lines[1][7]
+
+
+def test_long_list_fact_does_not_crash(tmp_path):
+    """check, outline and hover over one fact holding a 50,000-element
+    list: no Python recursion, so no traceback."""
+    n = 50_000
+    text = "p([" + "a," * (n - 1) + "true]).\n"
+    (tmp_path / "long.pl").write_text(text, encoding="utf-8")
+    file = str(tmp_path / "long.pl")
+    col = text.index("true") + 1
+    for argv, expected in ((["check", str(tmp_path)], ""),
+                           (["outline", file], "p/1"),
+                           (["hover", file, "1", str(col)], "true/0")):
+        result = subprocess.run([sys.executable, "-m", "plkit.cli", *argv],
+                                capture_output=True, text=True,
+                                env=dict(os.environ), timeout=120)
+        assert result.returncode == 0, (argv, result.stderr[-300:])
+        assert "Traceback" not in result.stderr, argv
+        assert expected in result.stdout, argv
+
+
 def test_check_reports_non_utf8_file(project, capsys, tmp_path):
     root = project({"user.pl": ":- use_module(bad).\nok.\n", **BROKEN})
     (tmp_path / "bad.pl").write_bytes(b"p(\xff).\n")

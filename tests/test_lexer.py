@@ -11,7 +11,7 @@ from plkit.lexer import (
     TokenKind,
     tokenize,
 )
-from plkit.spans import SourceSpan
+from plkit.spans import LineIndex, SourceSpan
 
 
 def toks(source):
@@ -161,12 +161,37 @@ def test_inputs_the_old_scanner_crashed_on():
 
 
 def test_span_value_semantics():
-    a = SourceSpan("f", 1, 3, 1, 2, 1, 4)
-    assert a == SourceSpan("f", 1, 3, 1, 2, 1, 4)
-    assert hash(a) == hash(SourceSpan("f", 1, 3, 1, 2, 1, 4))
-    assert a != SourceSpan("g", 1, 3, 1, 2, 1, 4)
+    f = LineIndex("f", "ab\ncd")
+    a = SourceSpan(f, 1, 3)
+    # equal by file id and offsets, whichever line table they go through
+    assert a == SourceSpan(LineIndex("f", "ab\ncd"), 1, 3)
+    assert hash(a) == hash(SourceSpan(LineIndex("f", "ab\ncd"), 1, 3))
+    assert a != SourceSpan(LineIndex("g", "ab\ncd"), 1, 3)
+    assert a != SourceSpan(f, 1, 4)
+    assert (a.file_id, a.start_line, a.start_col, a.end_line, a.end_col) == \
+        ("f", 1, 2, 2, 1)
     with pytest.raises(ValueError):
-        SourceSpan("f", 3, 1, 1, 4, 1, 2)
+        SourceSpan(f, 3, 1)
+
+
+def test_line_index_positions():
+    """Line and column through the line table match a count of the text
+    before the offset: at line starts, mid-line and at the end of input."""
+    for text in ["", "a", "\n", "ab\ncd", "ab\n\ncd\n", "x\n  y(Z).\n% c"]:
+        lines = LineIndex("t", text)
+        for offset in range(len(text) + 1):
+            before = text[:offset]
+            expected = (before.count("\n") + 1, offset - (before.rfind("\n") + 1) + 1)
+            assert lines.position(offset) == expected, (text, offset)
+            span = SourceSpan(lines, offset, len(text))
+            assert (span.start_line, span.start_col) == expected
+            assert (span.end_line, span.end_col) == lines.position(len(text))
+    lines = LineIndex("t", "ab\ncd\n")
+    assert lines.position(0) == (1, 1)  # a line start
+    assert lines.position(3) == (2, 1)  # a line start
+    assert lines.position(4) == (2, 2)  # mid-line
+    assert lines.position(5) == (2, 3)  # the last newline
+    assert lines.position(6) == (3, 1)  # end of input
 
 
 # Every character that can start a token, the ones that continue radix,

@@ -2,8 +2,10 @@ import gc
 import os
 
 import pytest
+from test_acceptance import make_corpus
 
 from plkit.diagnostics import Severity
+from plkit.lexer import ATOM_KINDS, Token, tokenize
 from plkit.workspace import (
     ProjectConfig,
     StaleFixError,
@@ -290,6 +292,86 @@ def test_hover_nothing_on_layout(project):
     file = fpath(root, "a.pl")
     assert hover(file, model.sources[file].index("("), "definition",
                  model) is None
+
+
+HOVER_SOURCE = """\
+:- use_module(library(x)).
+:- use_module(b, [f/1]).
+p((a), 'q a', [], [ ], {x}, [H|T], X) :- a , b, f(H), q(T, X).
+q(- 1, -1) :- \\+ ( /* c */ [] ), {}, [ a | c ] = (([a|c])).
+a.
+b.
+"""
+
+
+def _hover_answers(model, file):
+    """Hover at every offset of `file` in both modes, with a lex of the
+    whole file as the oracle: an offset in a token that is not an atom, or
+    past the last token, gets no answer, and an answer's span is the
+    token's. Returns the number of answers."""
+    source = model.sources[file]
+    tokens, _ = tokenize(source, file)
+    answers = 0
+    for token in [*tokens, None]:
+        if token is None:
+            offsets = [len(source)]
+        else:
+            offsets = range(token.span.start_offset, token.span.end_offset)
+        for offset in offsets:
+            for mode in ("definition", "doc"):
+                info = hover(file, offset, mode, model)
+                if token is None or token.kind not in ATOM_KINDS:
+                    assert info is None, (offset, mode, info)
+                elif info is not None:
+                    got = (info.span.start_offset, info.span.end_offset)
+                    assert got == (token.span.start_offset,
+                                   token.span.end_offset), (offset, mode)
+                    answers += 1
+    return answers
+
+
+def test_hover_differential_against_a_full_lex(tmp_path):
+    corpus = str(tmp_path / "corpus")
+    make_corpus(corpus, 6)
+    model = build_project(corpus)
+    counts = [_hover_answers(model, os.path.join(corpus, f"mod{i}.pl"))
+              for i in range(6)]
+    hand = tmp_path / "hand"
+    hand.mkdir()
+    (hand / "h.pl").write_text(HOVER_SOURCE, encoding="utf-8")
+    (hand / "b.pl").write_text(B_SOURCE, encoding="utf-8")
+    model = build_project(str(hand))
+    counts.append(_hover_answers(model, str(hand / "h.pl")))
+    # the answer counts hover gave when it looked tokens up in a kept list
+    assert counts == [878, 889, 889, 893, 889, 889, 27]
+
+
+def test_hover_none_on_a_variable_in_a_list(project):
+    # '.'/2 is defined, and the list cell around a variable or a sign once
+    # answered for it; a list cell's functor span is no token at all
+    model, root = build(project, {"a.pl": "[a].\np([H|T], [-1]) :- q(H, T).\n"})
+    file = fpath(root, "a.pl")
+    source = model.sources[file]
+    for needle, at_char in (("H|", 0), ("|T", 1), ("-1", 0), ("|T", 0), ("T]", 1)):
+        offset = source.index(needle) + at_char
+        for mode in ("definition", "doc"):
+            assert hover(file, offset, mode, model) is None, needle
+    assert (".", 2) in model.file_index(file).defined
+
+
+def test_built_model_keeps_no_tokens(tmp_path):
+    def live_tokens():
+        return sum(1 for obj in gc.get_objects() if type(obj) is Token)
+
+    make_corpus(str(tmp_path), 50)
+    gc.collect()
+    before = live_tokens()
+    model = build_project(str(tmp_path))
+    comments = sum(len(sentence.leading_comments)
+                   for index in model.index.files.values()
+                   for sentence in index.sentences)
+    assert comments == 100
+    assert live_tokens() - before <= comments
 
 
 # --- completion -----------------------------------------------------------
