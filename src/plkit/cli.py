@@ -9,7 +9,7 @@ import sys
 from .database import Database
 from .diagnostics import Diagnostic, Severity
 from .docgen import generate_html, project_docs
-from .engine import Loader, repl as run_repl
+from .engine import Loader, internal_error, repl as run_repl
 from .workspace import (
     ProjectConfig,
     ProjectModel,
@@ -66,9 +66,24 @@ def output_format(args, root: str) -> str:
     return "human"
 
 
-def print_diagnostics(diagnostics: list[Diagnostic], fmt: str, out) -> None:
+def print_diagnostics(diagnostics: list[Diagnostic], fmt: str, out) -> bool:
+    """Write one line per diagnostic. A diagnostic that cannot be formatted
+    is reported as an `internal_error` on its file in its place; the result
+    says whether that happened."""
+    failed = False
     for diag in diagnostics:
-        out.write((diag.machine_line() if fmt == "machine" else diag.human_line()) + "\n")
+        try:
+            line = diag.machine_line() if fmt == "machine" else diag.human_line()
+        except Exception as err:  # the emit backstop
+            failed = True
+            try:
+                path = diag.span.file_id
+            except Exception:
+                path = "<unknown>"
+            diag = internal_error(path, err)
+            line = diag.machine_line() if fmt == "machine" else diag.human_line()
+        out.write(line + "\n")
+    return failed
 
 
 def _build(root: str, args) -> ProjectModel:
@@ -92,8 +107,9 @@ def cmd_check(args, out) -> int:
         sys.stderr.write(f"error: {root!r} is not a directory\n")
         return EXIT_FAILURE
     model = _build(root, args)
-    print_diagnostics(model.diagnostics, output_format(args, root), out)
-    has_errors = any(d.severity == Severity.ERROR for d in model.diagnostics)
+    failed = print_diagnostics(model.diagnostics, output_format(args, root), out)
+    has_errors = failed or any(d.severity == Severity.ERROR
+                               for d in model.diagnostics)
     return EXIT_ERRORS if has_errors else EXIT_OK
 
 

@@ -95,16 +95,17 @@ PROTECTED_OPERATOR_NAMES = {",", "|"}
 
 class OperatorTable:
     def __init__(self, seed_defaults: bool = True):
-        # name -> {"prefix"|"infix"|"postfix": OperatorDef}
-        self._by_name: dict[str, dict[str, OperatorDef]] = {}
+        # name -> {"prefix"|"infix"|"postfix": OperatorDef}; names with no
+        # definition have no entry. The reader reads it directly.
+        self.by_name: dict[str, dict[str, OperatorDef]] = {}
         if seed_defaults:
             for priority, fixity, name in DEFAULT_OPERATORS:
                 definition = OperatorDef(name, priority, fixity)
-                self._by_name.setdefault(name, {})[definition.op_class] = definition
+                self.by_name.setdefault(name, {})[definition.op_class] = definition
 
     def copy(self) -> "OperatorTable":
         t = OperatorTable(seed_defaults=False)
-        t._by_name = {name: dict(defs) for name, defs in self._by_name.items()}
+        t.by_name = {name: dict(defs) for name, defs in self.by_name.items()}
         return t
 
     def add(self, definition: OperatorDef):
@@ -118,12 +119,12 @@ class OperatorTable:
             )
         if name in PROTECTED_OPERATOR_NAMES:
             raise errors.permission_error(f"operator {name!r} may not be modified")
-        entry = self._by_name.setdefault(name, {})
+        entry = self.by_name.setdefault(name, {})
         cls = definition.op_class
         if definition.priority == 0:
             entry.pop(cls, None)
             if not entry:
-                del self._by_name[name]
+                del self.by_name[name]
             return
         if cls == "infix" and "postfix" in entry:
             raise errors.permission_error(
@@ -136,16 +137,16 @@ class OperatorTable:
         entry[cls] = definition
 
     def prefix(self, name: str) -> Optional[OperatorDef]:
-        return self._by_name.get(name, {}).get("prefix")
+        return self.by_name.get(name, {}).get("prefix")
 
     def infix(self, name: str) -> Optional[OperatorDef]:
-        return self._by_name.get(name, {}).get("infix")
+        return self.by_name.get(name, {}).get("infix")
 
     def postfix(self, name: str) -> Optional[OperatorDef]:
-        return self._by_name.get(name, {}).get("postfix")
+        return self.by_name.get(name, {}).get("postfix")
 
     def defs(self, name: str) -> list[OperatorDef]:
-        return list(self._by_name.get(name, {}).values())
+        return list(self.by_name.get(name, {}).values())
 
 
 class PredicateIndicator(NamedTuple):

@@ -224,21 +224,34 @@ def _synopsis(info) -> str:
     return pretty_print(_rename_vars(head))
 
 
-def _rename_vars(term: Term, mapping: Optional[dict] = None,
-                 counter: Optional[list] = None) -> Term:
-    if mapping is None:
-        mapping, counter = {}, [0]
-    if isinstance(term, Var):
-        if term.vid not in mapping:
-            n = counter[0]
-            counter[0] += 1
-            name = chr(ord("A") + n % 26) + (str(n // 26) if n >= 26 else "")
-            mapping[term.vid] = Var(name, term.vid)
-        return mapping[term.vid]
-    if isinstance(term, Compound):
-        return Compound(term.name,
-                        [_rename_vars(a, mapping, counter) for a in term.args])
-    return term
+def _rename_vars(term: Term) -> Term:
+    """A copy of `term` whose variables are named A, B, ... Z, A1, ... in
+    order of first occurrence. Walks the term with an explicit stack."""
+    mapping: dict[int, Var] = {}
+    copies: list[Term] = []  # finished copies whose parent is pending
+    # Terms to copy, and (compound,) marks: build it from the last copies.
+    todo: list = [term]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is tuple:
+            compound = node[0]
+            n = len(compound.args)
+            args = copies[-n:]
+            del copies[-n:]
+            copies.append(Compound(compound.name, args))
+        elif isinstance(node, Compound):
+            todo.append((node,))
+            todo.extend(reversed(node.args))
+        elif isinstance(node, Var):
+            var = mapping.get(node.vid)
+            if var is None:
+                n = len(mapping)
+                name = chr(ord("A") + n % 26) + (str(n // 26) if n >= 26 else "")
+                var = mapping[node.vid] = Var(name, node.vid)
+            copies.append(var)
+        else:
+            copies.append(node)
+    return copies[0]
 
 
 def _entries_html(block: DocBlock) -> str:

@@ -1308,7 +1308,7 @@ def repl(db: Database, inp, out, loader: Optional[Loader] = None,
             continue
         reader = Reader(tokens, db, "<repl>")
         sentence = reader.read_sentence()
-        buffer = buffer[tokens[reader.i - 1].span.end_offset:]
+        buffer = buffer[reader.consumed_end:]
         for diag in lex_diags + reader.diagnostics:
             out.write(f"syntax error: {diag.message}\n")
         if sentence is None:

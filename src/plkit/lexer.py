@@ -68,15 +68,26 @@ _CT_PRECEDERS = ATOM_KINDS | {TokenKind.VARIABLE}
 
 
 class Token:
-    __slots__ = ("kind", "text", "span", "value")
+    """One lexeme: its kind, text and decoded value, and the [start, end)
+    code-point offsets of its text in the file that `lines` indexes."""
 
-    def __init__(self, kind: TokenKind, text: str, span: SourceSpan, value=None):
+    __slots__ = ("kind", "text", "lines", "start", "end", "value")
+
+    def __init__(self, kind: TokenKind, text: str, lines: LineIndex,
+                 start: int, end: int, value=None):
         self.kind = kind
         self.text = text
-        self.span = span
+        self.lines = lines
+        self.start = start
+        self.end = end
         # Decoded payload: int/float value, or unquoted text for quoted
         # atoms and strings. None for all other kinds.
         self.value = value
+
+    @property
+    def span(self) -> SourceSpan:
+        """A new span over the token, built on each call."""
+        return SourceSpan(self.lines, self.start, self.end)
 
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r}, {self.span!r}, {self.value!r})"
@@ -314,10 +325,10 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[Token], list[
                 value = text[1:-1].replace("''", "'")
             elif kind is STRING:
                 value = text[1:-1].replace('""', '"')
-        span = SourceSpan(lines, pos, end)
-        tokens.append(Token(kind, text, span, value))
+        tokens.append(Token(kind, text, lines, pos, end, value))
         if error is not None:
-            diagnostics.append(Diagnostic(Severity.ERROR, error[0], error[1], span))
+            diagnostics.append(Diagnostic(Severity.ERROR, error[0], error[1],
+                                          SourceSpan(lines, pos, end)))
         prev = kind
         pos = end
     return tokens, diagnostics

@@ -71,20 +71,26 @@ def _is_ident_char(c: str) -> bool:
     return c.isalnum() or c == "_"
 
 
-def _concat(parts: list[str]) -> str:
-    """Join fragments, spacing only where tokens would fuse."""
-    out = ""
-    for part in parts:
-        if not part:
-            continue
-        if out:
-            a, b = out[-1], part[0]
-            if (a in SYMBOL_CHARS and b in SYMBOL_CHARS) or (
-                _is_ident_char(a) and _is_ident_char(b)
-            ) or (a == "'" and b == "'"):
-                out += " "
-        out += part
-    return out
+def _fuses(a: str, b: str) -> bool:
+    """Whether the characters a and b, written side by side, would lex as
+    part of one token."""
+    return ((a in SYMBOL_CHARS and b in SYMBOL_CHARS)
+            or (_is_ident_char(a) and _is_ident_char(b))
+            or (a == "'" and b == "'"))
+
+
+class _Gap:
+    """A place between the parts of an operator term where a space is
+    written if the characters on either side would fuse; after a prefix
+    operator, also before a '(' (which would read as the operator's
+    argument list, not a parenthesized operand)."""
+
+    def __init__(self, before_paren: bool):
+        self.before_paren = before_paren
+
+
+_GAP = _Gap(False)
+_PREFIX_GAP = _Gap(True)
 
 
 class _Printer:
@@ -92,73 +98,127 @@ class _Printer:
         self.table = table
 
     def fmt(self, term: Term, max_priority: int) -> str:
-        if isinstance(term, Var):
-            return term.name
-        if isinstance(term, Int):
-            return str(term.value)
-        if isinstance(term, Float):
-            return repr(term.value)
-        if isinstance(term, Str):
-            return _string_text(term.value)
-        if isinstance(term, Atom):
-            return atom_text(term.name)
-        if isinstance(term, Compound):
-            return self.fmt_compound(term, max_priority)
-        raise TypeError(f"not a term: {term!r}")
+        """`term` as text, in parentheses if its priority exceeds
+        `max_priority`.
 
-    def fmt_compound(self, term: Compound, max_priority: int) -> str:
+        The text is written left to right from an explicit stack of what
+        is still to be written: text pieces, gaps, and (compound, max
+        priority) pairs, each replaced by the pieces of its compound. Depth
+        is bounded by memory, not by Python's recursion limit.
+        """
+        if not isinstance(term, Compound):
+            return _fmt_atomic(term)
+        out: list[str] = []
+        last = ""  # the last character written
+        gap = None  # a gap waiting for the next piece
+        todo = self.fmt_compound(term, max_priority)
+        todo.reverse()
+        while todo:
+            item = todo.pop()
+            if item.__class__ is tuple:  # (compound, max priority)
+                todo += reversed(self.fmt_compound(*item))
+                continue
+            if item.__class__ is _Gap:
+                gap = item
+                continue
+            if gap is not None:
+                if _fuses(last, item[0]) or (gap.before_paren and item[0] == "("):
+                    out.append(" ")
+                gap = None
+            out.append(item)
+            last = item[-1]
+        return "".join(out)
+
+    def fmt_compound(self, term: Compound, max_priority: int) -> list:
+        """What `term` is written as, in order."""
         parts_tail = list_parts(term)
         if parts_tail is not None:
-            items, tail = parts_tail
-            inner = ",".join(self.fmt(x, 999) for x in items)
-            if tail is not None:
-                inner += "|" + self.fmt(tail, 999)
-            return f"[{inner}]"
-        if term.name == "{}" and term.arity == 1:
-            return "{" + self.fmt(term.args[0], 1200) + "}"
+            return _sequence("[", *parts_tail, "]")
+        if term.name == "{}" and len(term.args) == 1:
+            return ["{", _arg(term.args[0], 1200), "}"]
         rendered = self.fmt_operator(term)
         if rendered is not None:
-            text, priority = rendered
+            pieces, priority = rendered
             if priority > max_priority:
-                return f"({text})"
-            return text
+                return ["(", *pieces, ")"]
+            return pieces
         return self.fmt_canonical(term)
 
     def fmt_operator(self, term: Compound):
-        if term.arity == 2:
-            if term.name == ",":
-                left = self.fmt(term.args[0], 999)
-                right = self.fmt(term.args[1], 1000)
-                return _concat([left, ",", right]), 1000
-            op = self.table.infix(term.name)
-            if op is None or atom_needs_quote(term.name):
+        """What `term` is written as in operator notation, and its
+        priority; None when it has none."""
+        name, args = term.name, term.args
+        if len(args) == 2:
+            if name == ",":
+                return [_arg(args[0], 999), _GAP, ",", _GAP,
+                        _arg(args[1], 1000)], 1000
+            op = self.table.infix(name)
+            if op is None or atom_needs_quote(name):
                 return None
-            left = self.fmt(term.args[0], op.left_arg_max())
-            right = self.fmt(term.args[1], op.right_arg_max())
-            return _concat([left, term.name, right]), op.priority
-        if term.arity == 1:
-            op = self.table.prefix(term.name)
-            if op is not None and not atom_needs_quote(term.name):
-                arg = term.args[0]
-                arg_text = self.fmt(arg, op.right_arg_max())
+            return [_arg(args[0], op.left_arg_max()), _GAP, name, _GAP,
+                    _arg(args[1], op.right_arg_max())], op.priority
+        if len(args) != 1:
+            return None
+        op = self.table.prefix(name)
+        if op is not None and not atom_needs_quote(name):
+            arg = _arg(args[0], op.right_arg_max())
+            if name in ("-", "+") and isinstance(args[0], (Int, Float)):
                 # Keep a space so 'signed literal' folding cannot re-fuse
                 # "- 1" into the integer -1.
-                if term.name in ("-", "+") and isinstance(arg, (Int, Float)):
-                    return f"{term.name} {arg_text}", op.priority
-                if arg_text.startswith("("):
-                    # A '(' straight after the atom would read as a compound
-                    # argument list, not a parenthesized operand.
-                    return f"{term.name} {arg_text}", op.priority
-                return _concat([term.name, arg_text]), op.priority
-            op = self.table.postfix(term.name)
-            if op is not None and not atom_needs_quote(term.name):
-                arg_text = self.fmt(term.args[0], op.left_arg_max())
-                return _concat([arg_text, term.name]), op.priority
+                return [name, " ", arg], op.priority
+            return [name, _PREFIX_GAP, arg], op.priority
+        op = self.table.postfix(name)
+        if op is not None and not atom_needs_quote(name):
+            return [_arg(args[0], op.left_arg_max()), _GAP, name], op.priority
         return None
 
-    def fmt_canonical(self, term: Compound) -> str:
-        args = ",".join(self.fmt(a, 999) for a in term.args)
-        return f"{atom_text(term.name)}({args})"
+    def fmt_canonical(self, term: Compound) -> list:
+        return _sequence(atom_text(term.name) + "(", term.args, None, ")")
+
+
+def _arg(term: Term, max_priority: int):
+    """An argument as a piece: the text of an atomic term, or a (compound,
+    max priority) pair still to write."""
+    if isinstance(term, Compound):
+        return (term, max_priority)
+    return _fmt_atomic(term)
+
+
+def _sequence(opening: str, items: list, tail, closing: str) -> list:
+    """The pieces of `opening`, the items at priority 999 separated by
+    commas, then '|' and `tail` unless it is None, then `closing`. The text
+    between compound items is one piece."""
+    pieces: list = []
+    text = opening
+    for item in items:
+        if isinstance(item, Compound):
+            pieces += (text, (item, 999))
+            text = ","
+        else:
+            text += _fmt_atomic(item) + ","
+    if tail is None:
+        text = text[:-1] + closing
+    elif isinstance(tail, Compound):
+        pieces += (text[:-1] + "|", (tail, 999))
+        text = closing
+    else:
+        text = text[:-1] + "|" + _fmt_atomic(tail) + closing
+    pieces.append(text)
+    return pieces
+
+
+def _fmt_atomic(term: Term) -> str:
+    if isinstance(term, Var):
+        return term.name
+    if isinstance(term, Atom):
+        return atom_text(term.name)
+    if isinstance(term, Int):
+        return str(term.value)
+    if isinstance(term, Float):
+        return repr(term.value)
+    if isinstance(term, Str):
+        return _string_text(term.value)
+    raise TypeError(f"not a term: {term!r}")
 
 
 # The default operators, for printing without a database; only read.

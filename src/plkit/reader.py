@@ -1,10 +1,23 @@
-"""Sentence-by-sentence term reader over the token stream.
+"""Sentence-by-sentence term reader over the significant tokens.
 
-The reader consumes tokens left to right with one token of lookahead,
-resolving each atom's role against the operator table *at the moment it
-is consumed*, so directives run between sentences change the
-grammar for everything that follows. Parse errors drop tokens up to and
-including the next clause terminator and reading resumes there.
+Each atom's role is resolved against the operator table *at the moment the
+reader reaches it*, so directives run between sentences change the grammar
+for everything that follows. Parse errors drop tokens up to and including
+the next clause terminator and reading resumes there.
+
+A term is read by one operator-precedence loop with an explicit stack of
+frames, in the shape of Dijkstra's shunting-yard, under the priority and
+fixity rules of ISO/IEC 13211-1 §6.3.4. A frame holds what one call of a
+recursive-descent reader would: a prefix operator waiting for its argument,
+an infix operator waiting for its right side, an argument list, a list, or a
+parenthesised or curly term. Nesting is bounded by memory, not by Python's
+recursion limit.
+
+Two tokens have a second reading. An atom that can be a prefix operator is
+read as one first, and as a plain atom if its argument fails to read; an
+infix operator whose right side fails to read is read as a postfix operator
+when it is also one. A ParseFailure unwinds the stack to the newest frame
+with a second reading, and reading resumes there.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from typing import Optional
 from .database import Database
 from .diagnostics import Diagnostic, Severity
 from .lexer import ATOM_KINDS, Token, TokenKind, TRIVIA_KINDS
-from .spans import SourceSpan, file_start
+from .spans import LineIndex, SourceSpan
 from .terms import (
     Atom,
     Compound,
@@ -29,8 +42,9 @@ from .terms import (
 )
 
 # Token kinds as module globals: on Python 3.11 every `TokenKind.X` lookup
-# runs `EnumType.__getattr__`, and the parser tests kinds per token.
+# runs `EnumType.__getattr__`.
 BAR = TokenKind.BAR
+BLOCK_COMMENT = TokenKind.BLOCK_COMMENT
 CLOSE_BRACE = TokenKind.CLOSE_BRACE
 CLOSE_BRACKET = TokenKind.CLOSE_BRACKET
 CLOSE_PAREN = TokenKind.CLOSE_PAREN
@@ -38,7 +52,7 @@ COMMA = TokenKind.COMMA
 END = TokenKind.END
 FLOAT = TokenKind.FLOAT
 INTEGER = TokenKind.INTEGER
-LAYOUT = TokenKind.LAYOUT
+LINE_COMMENT = TokenKind.LINE_COMMENT
 OPEN_BRACE = TokenKind.OPEN_BRACE
 OPEN_BRACKET = TokenKind.OPEN_BRACKET
 OPEN_PAREN = TokenKind.OPEN_PAREN
@@ -61,17 +75,33 @@ _OPERAND_START_KINDS = {
     OPEN_BRACE,
 } | ATOM_KINDS
 
+# Atom kinds that can name an operator: a quoted atom never does.
+_OPERATOR_KINDS = ATOM_KINDS - {QUOTED_ATOM}
+
+# Frame tags. Frames are tuples (tag, max priority of the term the frame
+# is part of, opening token, ...):
+#   (_PREFIX, maxp, op_tok, op, argument position)
+#   (_INFIX, maxp, op_tok, op, op position, left, postfix reading or None)
+#   (_ARGS, maxp, name_tok, name, args)
+#   (_LIST, maxp, open_tok, items)       an item is being read
+#   (_LIST_TAIL, maxp, open_tok, items)  the tail after '|' is being read
+#   (_PAREN, maxp, open_tok)
+#   (_CURLY, maxp, open_tok)
+_PREFIX, _INFIX, _ARGS, _LIST, _LIST_TAIL, _PAREN, _CURLY = range(7)
+
 
 @dataclass
 class Sentence:
     kind: str  # clause | directive | dcg_rule | fact
     term: Term
-    end_span: SourceSpan
+    span: SourceSpan  # the term through its terminating '.'
     leading_comments: list[Token] = field(default_factory=list)
 
     @property
-    def span(self) -> SourceSpan:
-        return self.term.span.enclose(self.end_span)
+    def end_span(self) -> SourceSpan:
+        """The terminating '.' (one character)."""
+        return SourceSpan(self.span.lines, self.span.end_offset - 1,
+                          self.span.end_offset)
 
     @property
     def head(self) -> Term:
@@ -104,84 +134,87 @@ class ParseFailure(Exception):
         self.diagnostic = Diagnostic(Severity.ERROR, code, message, span)
 
 
+def _unbalanced(tok: Token, what: str) -> ParseFailure:
+    """The failure for `tok` found where the closing `what` belongs."""
+    if tok.kind is None:
+        return ParseFailure("unbalanced_delimiter",
+                            f"expected {what} before end of input", tok.span)
+    return ParseFailure("unbalanced_delimiter",
+                        f"expected {what}, found {tok.text!r}", tok.span)
+
+
 class Reader:
     def __init__(self, tokens: list[Token], db: Database, file_id: str):
-        self.toks = tokens
         self.db = db
         self.file_id = file_id
-        self.i = 0
+        # The significant tokens, then an end-of-input token of kind None
+        # whose empty span sits at the end of the source.
+        toks = [tok for tok in tokens if tok.kind not in TRIVIA_KINDS]
+        if tokens:
+            lines, end = tokens[-1].lines, tokens[-1].end
+        else:
+            lines, end = LineIndex(file_id, ""), 0
+        toks.append(Token(None, "", lines, end, end))  # type: ignore[arg-type]
+        self.toks = toks
+        self.i = 0  # index in self.toks of the next token to read
         self.diagnostics: list[Diagnostic] = []  # parse errors, in read order
         self._vid_counter = itertools.count()
-        # Comments since the last sentence, the ones at_eof() skips included.
-        self._comments: list[Token] = []
         self._sentence_vars: dict[str, Var] = {}
-
-    # --- token cursor -----------------------------------------------------
-
-    def _skip_trivia(self):
-        while self.i < len(self.toks) and self.toks[self.i].kind in TRIVIA_KINDS:
-            tok = self.toks[self.i]
-            if tok.kind != LAYOUT:
-                self._comments.append(tok)
-            self.i += 1
-
-    def peek(self) -> Optional[Token]:
-        if self.i < len(self.toks):
-            tok = self.toks[self.i]
-            if tok.kind not in TRIVIA_KINDS:
-                return tok
-        self._skip_trivia()
-        if self.i < len(self.toks):
-            return self.toks[self.i]
-        return None
-
-    def next(self) -> Optional[Token]:
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def _eof_span(self) -> SourceSpan:
-        if self.toks:
-            s = self.toks[-1].span
-            return SourceSpan(s.lines, s.end_offset, s.end_offset)
-        return file_start(self.file_id)
+        # Comments in source order; those before _next_comment are given
+        # to a sentence or were passed over by error recovery.
+        self._comments = [tok for tok in tokens
+                          if tok.kind is LINE_COMMENT or tok.kind is BLOCK_COMMENT]
+        self._next_comment = 0
 
     def at_eof(self) -> bool:
-        return self.peek() is None
+        return self.toks[self.i].kind is None
+
+    @property
+    def consumed_end(self) -> int:
+        """Source offset just past the last token read: after
+        `read_sentence`, the end of the '.' of the sentence read or skipped
+        (or of the last token, at end of input)."""
+        return self.toks[self.i - 1].end if self.i else 0
+
+    def _take_comments(self, before: int) -> list[Token]:
+        """The comments not yet taken that start before offset `before`."""
+        comments, first = self._comments, self._next_comment
+        last = first
+        while last < len(comments) and comments[last].start < before:
+            last += 1
+        self._next_comment = last
+        return comments[first:last]
 
     # --- sentences --------------------------------------------------------
 
     def read_sentence(self) -> Optional[Sentence]:
         """Read the next sentence. None at end of input, or after a parse
         error, which goes to self.diagnostics and is recovered from past the
-        next End."""
+        next End. A sentence's leading comments are those after the previous
+        End (of a sentence read or skipped), through its own."""
         self._sentence_vars = {}
-        if self.peek() is None:
+        toks = self.toks
+        if toks[self.i].kind is None:
             return None
         try:
             term = self.parse_term(MAX_PRIORITY)
-            end_tok = self.peek()
-            if end_tok is None:
-                raise ParseFailure("missing_end", "expected '.' before end of input",
-                                   self._eof_span())
-            if end_tok.kind != END:
+            end_tok = toks[self.i]
+            if end_tok.kind is not END:
+                if end_tok.kind is None:
+                    raise ParseFailure("missing_end",
+                                       "expected '.' before end of input",
+                                       end_tok.span)
                 raise ParseFailure(
                     "unexpected_token",
                     f"operator or '.' expected, found {end_tok.text!r}",
                     end_tok.span,
                 )
-            self.next()
+            self.i += 1
         except ParseFailure as failure:
             self.diagnostics.append(failure.diagnostic)
-            self.recover()
-            sentence = None
-        else:
-            sentence = self._classify_sentence(term, end_tok.span)
-        self._comments = []
-        return sentence
-
-    def _classify_sentence(self, term: Term, end_span: SourceSpan) -> Sentence:
+            self._recover()
+            self._take_comments(self.consumed_end)
+            return None
         kind = "fact"
         if isinstance(term, Compound):
             if term.name == ":-" and term.arity == 1:
@@ -190,240 +223,262 @@ class Reader:
                 kind = "clause"
             elif term.name == "-->" and term.arity == 2:
                 kind = "dcg_rule"
-        return Sentence(kind, term, end_span, self._comments)
+        span = SourceSpan(end_tok.lines, term.span.start_offset, end_tok.end)
+        return Sentence(kind, term, span, self._take_comments(end_tok.start))
 
-    def recover(self):
-        """Drop tokens up to and including the next End token (or EOF)."""
-        while self.i < len(self.toks):
-            tok = self.toks[self.i]
-            self.i += 1
-            if tok.kind == END:
-                return
+    def _recover(self):
+        """Skip tokens up to and including the next End (or to end of input)."""
+        toks, i = self.toks, self.i
+        kind = toks[i].kind
+        while kind is not END and kind is not None:
+            i += 1
+            kind = toks[i].kind
+        self.i = i + 1 if kind is END else i
 
     # --- terms ------------------------------------------------------------
 
     def parse_term(self, max_priority: int) -> Term:
-        left, left_priority = self._parse_primary(max_priority)
-        return self._parse_operators(left, left_priority, max_priority)
-
-    def _fresh_var(self, name: str, span: SourceSpan) -> Var:
-        if name == "_":
-            return Var("_", next(self._vid_counter), span)
-        var = self._sentence_vars.get(name)
-        if var is None:
-            var = Var(name, next(self._vid_counter), span)
-            self._sentence_vars[name] = var
-        else:
-            var = Var(name, var.vid, span)
-        return var
-
-    def _can_start_term(self, tok: Optional[Token]) -> bool:
-        return tok is not None and tok.kind in _OPERAND_START_KINDS
-
-    def _parse_primary(self, max_priority: int) -> tuple[Term, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseFailure("unexpected_token", "unexpected end of input",
-                               self._eof_span())
-        kind = tok.kind
-        if kind == INTEGER:
-            self.next()
-            return Int(tok.value, tok.span), 0
-        if kind == FLOAT:
-            self.next()
-            return Float(tok.value, tok.span), 0
-        if kind == STRING:
-            self.next()
-            return Str(tok.value, tok.span), 0
-        if kind == VARIABLE:
-            self.next()
-            return self._fresh_var(tok.text, tok.span), 0
-        if kind in (OPEN_PAREN, OPEN_PAREN_CT):
-            self.next()
-            inner = self.parse_term(MAX_PRIORITY)
-            close = self._expect(CLOSE_PAREN, "')'")
-            inner.span = tok.span.enclose(close.span)
-            return inner, 0
-        if kind == OPEN_BRACKET:
-            return self._parse_list(), 0
-        if kind == OPEN_BRACE:
-            return self._parse_curly(), 0
-        if kind in ATOM_KINDS:
-            return self._parse_atom_primary(tok, max_priority)
-        raise ParseFailure(
-            "unexpected_token",
-            f"unexpected {tok.text!r} where a term was expected",
-            tok.span,
-        )
-
-    def _parse_atom_primary(self, tok: Token, max_priority: int) -> tuple[Term, int]:
-        self.next()
-        name = tok.atom_name()
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == OPEN_PAREN_CT:
-            args, close = self._parse_arglist()
-            span = tok.span.enclose(close.span)
-            return Compound(name, args, span, functor_span=tok.span), 0
-        if tok.kind == QUOTED_ATOM:
-            return Atom(name, tok.span), 0
-        # Adjacent '-'/'+' before a numeric literal folds into the literal.
-        if (
-            name in ("-", "+")
-            and nxt is not None
-            and nxt.kind in (INTEGER, FLOAT)
-            and tok.span.end_offset == nxt.span.start_offset
-        ):
-            self.next()
-            sign = -1 if name == "-" else 1
-            span = tok.span.enclose(nxt.span)
-            if nxt.kind == INTEGER:
-                return Int(sign * nxt.value, span), 0
-            return Float(sign * nxt.value, span), 0
-        prefix = self.db.operators.prefix(name)
-        if (
-            prefix is not None
-            and prefix.priority <= max_priority
-            and self._can_start_term(nxt)
-        ):
-            saved = self.i
+        """Read one term of priority at most `max_priority` from the current
+        position, leaving the position at the first token after it."""
+        toks = self.toks
+        lines = toks[-1].lines
+        by_name = self.db.operators.by_name
+        sentence_vars = self._sentence_vars
+        vids = self._vid_counter
+        Span = SourceSpan
+        stack: list[tuple] = []
+        maxp = max_priority
+        i = self.i
+        # True when `left` (of priority `lp`) was just read by a second
+        # reading, and the operators after it come next.
+        resume = False
+        while True:
             try:
-                arg = self.parse_term(prefix.right_arg_max())
+                while True:
+                    # --- a primary term of priority at most maxp ----------
+                    if resume:
+                        resume = False
+                    else:
+                        tok = toks[i]
+                        kind = tok.kind
+                        i += 1
+                        lp = 0
+                        if kind in ATOM_KINDS:
+                            name = tok.value if kind is QUOTED_ATOM else tok.text
+                            nxt = toks[i]
+                            nkind = nxt.kind
+                            if nkind is OPEN_PAREN_CT:
+                                i += 1
+                                stack.append((_ARGS, maxp, tok, name, []))
+                                maxp = ARG_PRIORITY
+                                continue
+                            if kind is QUOTED_ATOM:
+                                left = Atom(name, Span(lines, tok.start, tok.end))
+                            elif ((nkind is INTEGER or nkind is FLOAT)
+                                  and (name == "-" or name == "+")
+                                  and tok.end == nxt.start):
+                                # A sign right before a number folds into it.
+                                i += 1
+                                value = (-1 if name == "-" else 1) * nxt.value
+                                span = Span(lines, tok.start, nxt.end)
+                                left = (Int(value, span) if nkind is INTEGER
+                                        else Float(value, span))
+                            else:
+                                entry = by_name.get(name)
+                                prefix = entry.get("prefix") if entry else None
+                                if (prefix is not None
+                                        and prefix.priority <= maxp
+                                        and nkind in _OPERAND_START_KINDS):
+                                    stack.append((_PREFIX, maxp, tok, prefix, i))
+                                    maxp = prefix.right_arg_max()
+                                    continue
+                                # Operator atoms standing alone are plain atoms.
+                                left = Atom(name, Span(lines, tok.start, tok.end))
+                        elif kind is VARIABLE:
+                            name = tok.text
+                            span = Span(lines, tok.start, tok.end)
+                            if name == "_":
+                                left = Var("_", next(vids), span)
+                            else:
+                                var = sentence_vars.get(name)
+                                if var is None:
+                                    left = sentence_vars[name] = Var(name, next(vids), span)
+                                else:
+                                    left = Var(name, var.vid, span)
+                        elif kind is INTEGER:
+                            left = Int(tok.value, Span(lines, tok.start, tok.end))
+                        elif kind is OPEN_BRACKET:
+                            if toks[i].kind is CLOSE_BRACKET:
+                                left = Atom("[]", Span(lines, tok.start, toks[i].end))
+                                i += 1
+                            else:
+                                stack.append((_LIST, maxp, tok, []))
+                                maxp = ARG_PRIORITY
+                                continue
+                        elif kind is OPEN_PAREN or kind is OPEN_PAREN_CT:
+                            stack.append((_PAREN, maxp, tok))
+                            maxp = MAX_PRIORITY
+                            continue
+                        elif kind is STRING:
+                            left = Str(tok.value, Span(lines, tok.start, tok.end))
+                        elif kind is FLOAT:
+                            left = Float(tok.value, Span(lines, tok.start, tok.end))
+                        elif kind is OPEN_BRACE:
+                            if toks[i].kind is CLOSE_BRACE:
+                                left = Atom("{}", Span(lines, tok.start, toks[i].end))
+                                i += 1
+                            else:
+                                stack.append((_CURLY, maxp, tok))
+                                maxp = MAX_PRIORITY
+                                continue
+                        else:
+                            i -= 1  # recovery starts at this token, maybe an End
+                            if kind is None:
+                                raise ParseFailure("unexpected_token",
+                                                   "unexpected end of input", tok.span)
+                            raise ParseFailure(
+                                "unexpected_token",
+                                f"unexpected {tok.text!r} where a term was expected",
+                                tok.span,
+                            )
+
+                    # --- operators after `left`, then the frames it ends ---
+                    while True:
+                        tok = toks[i]
+                        kind = tok.kind
+                        if kind is COMMA:
+                            entry = by_name.get(",")
+                        elif kind in _OPERATOR_KINDS:
+                            entry = by_name.get(tok.text)
+                        elif kind is BAR:
+                            entry = by_name.get("|")
+                        else:
+                            entry = None
+                        if entry is not None:
+                            infix = entry.get("infix")
+                            postfix = entry.get("postfix")
+                            # The postfix reading, where it applies.
+                            post = postfix if (postfix is not None
+                                               and postfix.priority <= maxp
+                                               and lp <= postfix.left_arg_max()) else None
+                            if (infix is not None and infix.priority <= maxp
+                                    and lp <= infix.left_arg_max()):
+                                stack.append((_INFIX, maxp, tok, infix, i, left, post))
+                                i += 1
+                                maxp = infix.right_arg_max()
+                                break
+                            if post is not None:
+                                i += 1
+                                left = OpApply(post, [left],
+                                               Span(lines, left.span.start_offset, tok.end),
+                                               Span(lines, tok.start, tok.end))
+                                lp = post.priority
+                                continue
+                            if ((infix is not None and infix.priority <= maxp)
+                                    or (postfix is not None and postfix.priority <= maxp)):
+                                # The operator fits the context but its left
+                                # argument is too strong: an x argument needs
+                                # strictly lower priority.
+                                raise ParseFailure(
+                                    "operator_clash",
+                                    f"operator {tok.atom_name()!r} cannot take a "
+                                    f"priority {lp} term as left argument",
+                                    tok.span,
+                                )
+
+                        # `left` is complete: hand it to the newest frame.
+                        if not stack:
+                            self.i = i
+                            return left
+                        frame = stack.pop()
+                        tag = frame[0]
+                        if tag == _ARGS:
+                            _, _, name_tok, name, args = frame
+                            args.append(left)
+                            close = toks[i]
+                            if close.kind is COMMA:
+                                i += 1
+                                stack.append(frame)
+                                maxp = ARG_PRIORITY
+                                break
+                            if close.kind is not CLOSE_PAREN:
+                                raise _unbalanced(close, "')'")
+                            i += 1
+                            left = Compound(name, args,
+                                            Span(lines, name_tok.start, close.end),
+                                            Span(lines, name_tok.start, name_tok.end))
+                            lp = 0
+                        elif tag == _INFIX:
+                            _, _, op_tok, op, _, left0, _ = frame
+                            left = OpApply(op, [left0, left],
+                                           Span(lines, left0.span.start_offset,
+                                                left.span.end_offset),
+                                           Span(lines, op_tok.start, op_tok.end))
+                            lp = op.priority
+                        elif tag == _LIST or tag == _LIST_TAIL:
+                            _, maxp, open_tok, items = frame
+                            close = toks[i]
+                            if tag == _LIST:
+                                items.append(left)
+                                if close.kind is COMMA or close.kind is BAR:
+                                    i += 1
+                                    if close.kind is BAR:
+                                        frame = (_LIST_TAIL, maxp, open_tok, items)
+                                    stack.append(frame)
+                                    maxp = ARG_PRIORITY
+                                    break
+                                left = Atom("[]", Span(lines, close.start, close.end))
+                            if close.kind is not CLOSE_BRACKET:
+                                raise _unbalanced(close, "']'")
+                            i += 1
+                            for item in reversed(items):  # `left` is the tail
+                                left = Compound(".", [item, left],
+                                                Span(lines, item.span.start_offset,
+                                                     left.span.end_offset))
+                            left.span = Span(lines, open_tok.start, close.end)
+                            lp = 0
+                        elif tag == _PAREN:
+                            close = toks[i]
+                            if close.kind is not CLOSE_PAREN:
+                                raise _unbalanced(close, "')'")
+                            i += 1
+                            left.span = Span(lines, frame[2].start, close.end)
+                            lp = 0
+                        elif tag == _PREFIX:
+                            _, _, op_tok, op, _ = frame
+                            left = OpApply(op, [left],
+                                           Span(lines, op_tok.start, left.span.end_offset),
+                                           Span(lines, op_tok.start, op_tok.end))
+                            lp = op.priority
+                        else:  # _CURLY
+                            open_tok = frame[2]
+                            close = toks[i]
+                            if close.kind is not CLOSE_BRACE:
+                                raise _unbalanced(close, "'}'")
+                            i += 1
+                            left = Compound("{}", [left],
+                                            Span(lines, open_tok.start, close.end),
+                                            Span(lines, open_tok.start, open_tok.end))
+                            lp = 0
+                        maxp = frame[1]
             except ParseFailure:
-                self.i = saved  # fall back to the plain-atom reading
-            else:
-                span = tok.span.enclose(arg.span)
-                return OpApply(prefix, [arg], span, functor_span=tok.span), prefix.priority
-        # Operator atoms standing alone are accepted as plain atoms.
-        return Atom(name, tok.span), 0
-
-    def _parse_operators(self, left: Term, left_priority: int,
-                         max_priority: int) -> Term:
-        table = self.db.operators
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return left
-            if tok.kind in (COMMA, BAR):
-                name = tok.atom_name()
-            elif tok.kind in ATOM_KINDS and tok.kind != QUOTED_ATOM:
-                name = tok.text
-            else:
-                return left
-            infix = table.infix(name)
-            postfix = table.postfix(name)
-            if (
-                infix is not None
-                and infix.priority <= max_priority
-                and left_priority <= infix.left_arg_max()
-            ):
-                saved = self.i
-                self.next()
-                try:
-                    right = self.parse_term(infix.right_arg_max())
-                except ParseFailure:
-                    self.i = saved
-                    if not (
-                        postfix is not None
-                        and postfix.priority <= max_priority
-                        and left_priority <= postfix.left_arg_max()
-                    ):
-                        raise
+                # Unwind to the newest frame with a second reading.
+                while stack:
+                    frame = stack.pop()
+                    if frame[0] == _PREFIX:  # the operator as a plain atom
+                        _, maxp, op_tok, _, i = frame
+                        left = Atom(op_tok.text, Span(lines, op_tok.start, op_tok.end))
+                        lp = 0
+                        break
+                    if frame[0] == _INFIX and frame[6] is not None:  # as postfix
+                        _, maxp, op_tok, _, i, left0, postfix = frame
+                        i += 1
+                        left = OpApply(postfix, [left0],
+                                       Span(lines, left0.span.start_offset, op_tok.end),
+                                       Span(lines, op_tok.start, op_tok.end))
+                        lp = postfix.priority
+                        break
                 else:
-                    span = left.span.enclose(right.span)
-                    left = OpApply(infix, [left, right], span, functor_span=tok.span)
-                    left_priority = infix.priority
-                    continue
-            if (
-                postfix is not None
-                and postfix.priority <= max_priority
-                and left_priority <= postfix.left_arg_max()
-            ):
-                self.next()
-                span = left.span.enclose(tok.span)
-                left = OpApply(postfix, [left], span, functor_span=tok.span)
-                left_priority = postfix.priority
-                continue
-            if (infix is not None or postfix is not None) and (
-                (infix is not None and infix.priority <= max_priority)
-                or (postfix is not None and postfix.priority <= max_priority)
-            ):
-                # The operator fits the context but its left argument is too
-                # strong: an x argument needs strictly lower priority.
-                raise ParseFailure(
-                    "operator_clash",
-                    f"operator {name!r} cannot take a priority "
-                    f"{left_priority} term as left argument",
-                    tok.span,
-                )
-            return left
-
-    # --- bracketed constructs --------------------------------------------
-
-    def _expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseFailure("unbalanced_delimiter",
-                               f"expected {what} before end of input",
-                               self._eof_span())
-        if tok.kind != kind:
-            code = (
-                "unbalanced_delimiter"
-                if kind in (CLOSE_PAREN, CLOSE_BRACKET,
-                            CLOSE_BRACE)
-                else "unexpected_token"
-            )
-            raise ParseFailure(code, f"expected {what}, found {tok.text!r}",
-                               tok.span)
-        self.next()
-        return tok
-
-    def _parse_arglist(self) -> tuple[list[Term], Token]:
-        self.next()  # OPEN_PAREN_CT
-        args = [self.parse_term(ARG_PRIORITY)]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == COMMA:
-                self.next()
-                args.append(self.parse_term(ARG_PRIORITY))
-            else:
-                break
-        close = self._expect(CLOSE_PAREN, "')'")
-        return args, close
-
-    def _parse_list(self) -> Term:
-        open_tok = self.next()
-        tok = self.peek()
-        if tok is not None and tok.kind == CLOSE_BRACKET:
-            self.next()
-            return Atom("[]", open_tok.span.enclose(tok.span))
-        items = [self.parse_term(ARG_PRIORITY)]
-        tail: Optional[Term] = None
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == COMMA:
-                self.next()
-                items.append(self.parse_term(ARG_PRIORITY))
-            elif tok is not None and tok.kind == BAR:
-                self.next()
-                tail = self.parse_term(ARG_PRIORITY)
-                break
-            else:
-                break
-        close = self._expect(CLOSE_BRACKET, "']'")
-        result = tail if tail is not None else Atom("[]", close.span)
-        for item in reversed(items):
-            result = Compound(".", [item, result],
-                              item.span.enclose(result.span))
-        result.span = open_tok.span.enclose(close.span)
-        return result
-
-    def _parse_curly(self) -> Term:
-        open_tok = self.next()
-        tok = self.peek()
-        if tok is not None and tok.kind == CLOSE_BRACE:
-            self.next()
-            return Atom("{}", open_tok.span.enclose(tok.span))
-        inner = self.parse_term(MAX_PRIORITY)
-        close = self._expect(CLOSE_BRACE, "'}'")
-        return Compound("{}", [inner], open_tok.span.enclose(close.span),
-                        functor_span=open_tok.span)
+                    self.i = i
+                    raise
+                resume = True

@@ -31,7 +31,10 @@ class Atom(Term):
     __slots__ = ("name",)
 
     def __init__(self, name: str, span=None, functor_span=None):
-        super().__init__(span, functor_span)
+        # Term.__init__ inlined here and below: the reader builds a leaf per
+        # token
+        self.span = span
+        self.functor_span = functor_span or span
         self.name = name
 
     def __repr__(self):
@@ -42,7 +45,7 @@ class Var(Term):
     __slots__ = ("name", "vid")
 
     def __init__(self, name: str, vid: int, span=None):
-        super().__init__(span)
+        self.span = self.functor_span = span
         self.name = name
         self.vid = vid
 
@@ -54,7 +57,7 @@ class Int(Term):
     __slots__ = ("value",)
 
     def __init__(self, value: int, span=None):
-        super().__init__(span)
+        self.span = self.functor_span = span
         self.value = value
 
     def __repr__(self):
@@ -65,7 +68,7 @@ class Float(Term):
     __slots__ = ("value",)
 
     def __init__(self, value: float, span=None):
-        super().__init__(span)
+        self.span = self.functor_span = span
         self.value = value
 
     def __repr__(self):
@@ -76,7 +79,7 @@ class Str(Term):
     __slots__ = ("value",)
 
     def __init__(self, value: str, span=None):
-        super().__init__(span)
+        self.span = self.functor_span = span
         self.value = value
 
     def __repr__(self):
@@ -109,7 +112,11 @@ class OpApply(Compound):
     __slots__ = ("op",)
 
     def __init__(self, op, args: list, span=None, functor_span=None):
-        super().__init__(op.name, args, span, functor_span)
+        # Compound.__init__ inlined; an operator has one or two arguments
+        self.span = span
+        self.functor_span = functor_span or span
+        self.name = op.name
+        self.args = args
         self.op = op
 
     def __repr__(self):
@@ -139,25 +146,31 @@ def list_parts(term: Term) -> Optional[tuple[list, Optional[Term]]]:
 
 
 def struct_eq(a: Term, b: Term) -> bool:
-    """Structural equality, spans excluded; variables compare by name."""
-    if isinstance(a, Atom):
-        return isinstance(b, Atom) and a.name == b.name
-    if isinstance(a, Var):
-        return isinstance(b, Var) and a.name == b.name
-    if isinstance(a, Int):
-        return isinstance(b, Int) and a.value == b.value
-    if isinstance(a, Float):
-        return isinstance(b, Float) and a.value == b.value
-    if isinstance(a, Str):
-        return isinstance(b, Str) and a.value == b.value
-    if isinstance(a, Compound):
-        return (
-            isinstance(b, Compound)
-            and a.name == b.name
-            and a.arity == b.arity
-            and all(struct_eq(x, y) for x, y in zip(a.args, b.args))
-        )
-    raise TypeError(f"not a term: {a!r}")
+    """Structural equality, spans excluded; variables compare by name.
+    Walks both terms with an explicit stack of pairs, left to right."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if isinstance(a, Atom):
+            same = isinstance(b, Atom) and a.name == b.name
+        elif isinstance(a, Var):
+            same = isinstance(b, Var) and a.name == b.name
+        elif isinstance(a, Int):
+            same = isinstance(b, Int) and a.value == b.value
+        elif isinstance(a, Float):
+            same = isinstance(b, Float) and a.value == b.value
+        elif isinstance(a, Str):
+            same = isinstance(b, Str) and a.value == b.value
+        elif isinstance(a, Compound):
+            same = (isinstance(b, Compound) and a.name == b.name
+                    and a.arity == b.arity)
+            if same:
+                pairs.extend(reversed(list(zip(a.args, b.args))))
+        else:
+            raise TypeError(f"not a term: {a!r}")
+        if not same:
+            return False
+    return True
 
 
 def indicator_of(term: Term) -> Optional[tuple[str, int]]:

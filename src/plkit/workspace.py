@@ -45,15 +45,11 @@ class ProjectConfig:
 @dataclass
 class DefInfo:
     indicator: PredicateIndicator
-    clause_spans: list[SourceSpan] = field(default_factory=list)
+    first_span: SourceSpan  # of the first clause
     dcg: bool = False
     source_arity: Optional[int] = None  # declared arity of a DCG nonterminal
     first_head: Optional[Term] = None
     properties: set[str] = field(default_factory=set)
-
-    @property
-    def first_span(self) -> SourceSpan:
-        return self.clause_spans[0]
 
     @property
     def display_label(self) -> str:
@@ -241,14 +237,14 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
         info = defined.get(indicator)
         is_new = info is None
         if info is None:
-            info = DefInfo(indicator, dcg=(sentence.kind == "dcg_rule"),
+            info = DefInfo(indicator, sentence.span,
+                           dcg=(sentence.kind == "dcg_rule"),
                            source_arity=arity if sentence.kind == "dcg_rule" else None,
                            first_head=head)
             defined[indicator] = info
             if alias is not None and alias not in defined:
                 defined[alias] = info
             seen_order.append(indicator)
-        info.clause_spans.append(sentence.span)
         entry = db.lookup(indicator)
         if entry is not None:
             info.properties = entry.properties
@@ -317,6 +313,90 @@ def _file_exports(index: FileIndex) -> set[tuple[str, int]]:
     return {d.indicator for d in index.unique_defs()}
 
 
+def _link_file(index: FileIndex, indices: dict[str, FileIndex],
+               exporters: dict[tuple[str, int], list[str]],
+               loader: Optional[Loader]) -> list[Diagnostic]:
+    """Resolve one file's imports and calls."""
+    diagnostics: list[Diagnostic] = []
+    visible: set[tuple[str, int]] = set()
+    for record in index.imports:
+        target_path = record.resolved_file
+        target_index = indices.get(target_path) if target_path else None
+        if target_index is None and target_path is not None and loader is not None:
+            cached = loader.consult_file(target_path)
+            if cached is not None:
+                target_db, target_sents, _ = cached
+                target_index = index_file(target_sents, target_db,
+                                          target_path)
+        if target_index is None:
+            diagnostics.append(
+                Diagnostic(
+                    Severity.WARNING,
+                    "unresolved_import",
+                    f"cannot resolve import {pretty_print(record.target)}",
+                    record.span,
+                )
+            )
+            continue
+        available = _file_exports(target_index)
+        if record.indicators is None:
+            visible |= available
+        else:
+            for indicator in record.indicators:
+                if indicator in available:
+                    visible.add(indicator)
+                else:
+                    diagnostics.append(
+                        Diagnostic(
+                            Severity.ERROR,
+                            "not_exported",
+                            f"{indicator} is not exported by "
+                            f"{os.path.basename(target_index.file)}",
+                            record.span,
+                            data={
+                                "name": indicator.name,
+                                "arity": indicator.arity,
+                                "exporter": target_index.file,
+                            },
+                        )
+                    )
+
+    local = set(index.defined)
+    # declared-but-undefined dynamic predicates are legitimate call targets
+    local |= {
+        ind
+        for ind, entry in index.db.predicates.items()
+        if "dynamic" in entry.properties
+    }
+    for call in index.calls:
+        ind = call.indicator
+        if ind in local or ind in BUILTIN_INDICATORS or ind in visible:
+            continue
+        related = []
+        neighbors = sorted(
+            arity
+            for (name, arity) in (local | visible | set(exporters))
+            if name == call.indicator.name and arity != call.indicator.arity
+        )
+        message = f"undefined predicate {call.indicator}"
+        if neighbors:
+            related = [(call.span,
+                        f"did you mean {call.indicator.name}/{neighbors[0]}?")]
+        diagnostics.append(
+            Diagnostic(
+                Severity.ERROR,
+                "undefined_predicate",
+                message,
+                call.span,
+                related=related,
+                data={"name": call.indicator.name,
+                      "arity": call.indicator.arity,
+                      "file": index.file},
+            )
+        )
+    return diagnostics
+
+
 def link(indices: dict[str, FileIndex],
          loader: Optional[Loader] = None) -> tuple[GlobalIndex, list[Diagnostic]]:
     """Phase III: resolve calls and imports across all file indices."""
@@ -327,83 +407,11 @@ def link(indices: dict[str, FileIndex],
             exporters.setdefault(key, []).append(path)
 
     for path in sorted(indices):
-        index = indices[path]
-        visible: set[tuple[str, int]] = set()
-        for record in index.imports:
-            target_path = record.resolved_file
-            target_index = indices.get(target_path) if target_path else None
-            if target_index is None and target_path is not None and loader is not None:
-                cached = loader.consult_file(target_path)
-                if cached is not None:
-                    target_db, target_sents, _ = cached
-                    target_index = index_file(target_sents, target_db,
-                                              target_path)
-            if target_index is None:
-                diagnostics.append(
-                    Diagnostic(
-                        Severity.WARNING,
-                        "unresolved_import",
-                        f"cannot resolve import {pretty_print(record.target)}",
-                        record.span,
-                    )
-                )
-                continue
-            available = _file_exports(target_index)
-            if record.indicators is None:
-                visible |= available
-            else:
-                for indicator in record.indicators:
-                    if indicator in available:
-                        visible.add(indicator)
-                    else:
-                        diagnostics.append(
-                            Diagnostic(
-                                Severity.ERROR,
-                                "not_exported",
-                                f"{indicator} is not exported by "
-                                f"{os.path.basename(target_index.file)}",
-                                record.span,
-                                data={
-                                    "name": indicator.name,
-                                    "arity": indicator.arity,
-                                    "exporter": target_index.file,
-                                },
-                            )
-                        )
-
-        local = set(index.defined)
-        # declared-but-undefined dynamic predicates are legitimate call targets
-        local |= {
-            ind
-            for ind, entry in index.db.predicates.items()
-            if "dynamic" in entry.properties
-        }
-        for call in index.calls:
-            ind = call.indicator
-            if ind in local or ind in BUILTIN_INDICATORS or ind in visible:
-                continue
-            related = []
-            neighbors = sorted(
-                arity
-                for (name, arity) in (local | visible | set(exporters))
-                if name == call.indicator.name and arity != call.indicator.arity
-            )
-            message = f"undefined predicate {call.indicator}"
-            if neighbors:
-                related = [(call.span,
-                            f"did you mean {call.indicator.name}/{neighbors[0]}?")]
-            diagnostics.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "undefined_predicate",
-                    message,
-                    call.span,
-                    related=related,
-                    data={"name": call.indicator.name,
-                          "arity": call.indicator.arity,
-                          "file": index.file},
-                )
-            )
+        try:
+            diagnostics.extend(_link_file(indices[path], indices, exporters,
+                                          loader))
+        except Exception as err:  # the per-file backstop, as in consult_file
+            diagnostics.append(internal_error(path, err))
     return GlobalIndex(files=dict(indices), exporters=exporters), diagnostics
 
 
@@ -531,7 +539,7 @@ def outline(file: str, model: ProjectModel) -> list[OutlineItem]:
 
 def _sentence_at(index: FileIndex, offset: int) -> Optional[Sentence]:
     for sentence in index.sentences:
-        if sentence.term.span.start_offset <= offset < sentence.end_span.end_offset:
+        if sentence.span.covers(offset):
             return sentence
     return None
 
@@ -574,11 +582,10 @@ def _atom_token_span(term: Term, offset: int) -> Optional[SourceSpan]:
     if span.lines.text[start] not in "([{]":
         return span
     for token in tokenize(span.lines.text[start:span.end_offset])[0]:
-        if token.span.covers(offset - start):
+        if token.start <= offset - start < token.end:
             if token.kind not in ATOM_KINDS:
                 return None
-            return SourceSpan(span.lines, start + token.span.start_offset,
-                              start + token.span.end_offset)
+            return SourceSpan(span.lines, start + token.start, start + token.end)
     return None
 
 
@@ -775,7 +782,7 @@ def _directive_insert_offset(index: FileIndex) -> int:
     offset = 0
     for sentence in index.sentences:
         if sentence.kind == "directive":
-            offset = sentence.end_span.end_offset
+            offset = sentence.span.end_offset
         else:
             break
     return offset

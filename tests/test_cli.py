@@ -109,6 +109,45 @@ def test_check_reports_internal_error_while_indexing(project, capsys, monkeypatc
     assert "RuntimeError" in lines[1][7] and "index defect" in lines[1][7]
 
 
+def test_check_reports_internal_error_while_linking(project, capsys, monkeypatch):
+    import plkit.workspace
+
+    link_file = plkit.workspace._link_file
+
+    def failing(index, *rest):
+        if index.file.endswith("bad.pl"):
+            raise RuntimeError("link defect")
+        return link_file(index, *rest)
+
+    monkeypatch.setattr(plkit.workspace, "_link_file", failing)
+    root = project({"bad.pl": "main :- missing.\n", **BROKEN})
+    code, out, _ = run(["check", root, "--format=machine"], capsys)
+    assert code == 1
+    lines = sorted(line.split("\t") for line in out.splitlines())
+    assert [(f[0].rsplit(os.sep, 1)[-1], f[6]) for f in lines] == [
+        ("a.pl", "undefined_predicate"), ("bad.pl", "internal_error")]
+    assert "RuntimeError" in lines[1][7] and "link defect" in lines[1][7]
+
+
+def test_check_reports_internal_error_while_emitting(project, capsys, monkeypatch):
+    from plkit.diagnostics import Diagnostic
+
+    human_line = Diagnostic.human_line
+
+    def failing(diag):
+        if diag.code == "singleton_variable":
+            raise RuntimeError("emit defect")
+        return human_line(diag)
+
+    monkeypatch.setattr(Diagnostic, "human_line", failing)
+    # Only a warning, so check would exit 0; the failed emit makes it 1.
+    root = project({"w.pl": "p(X).\n"})
+    code, out, err = run(["check", root], capsys)
+    assert code == 1 and err == ""
+    assert out.startswith(os.path.join(root, "w.pl") + ":1:1: error: internal error")
+    assert "RuntimeError" in out and "emit defect" in out
+
+
 def test_long_list_fact_does_not_crash(tmp_path):
     """check, outline and hover over one fact holding a 50,000-element
     list: no Python recursion, so no traceback."""

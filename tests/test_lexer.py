@@ -116,6 +116,15 @@ def test_comments_kept_in_stream():
     assert TokenKind.BLOCK_COMMENT in comment_kinds
 
 
+def test_tokens_carry_offsets_and_build_spans_on_request():
+    tokens, _ = tokenize("ab\ncd.", "f.pl")
+    cd = tokens[2]
+    assert (cd.text, cd.start, cd.end) == ("cd", 3, 5)
+    assert cd.span == SourceSpan(cd.lines, 3, 5)
+    assert cd.span is not cd.span  # built on each request, never stored
+    assert cd.lines is tokens[0].lines and cd.lines.file_id == "f.pl"
+
+
 def test_spans_are_one_based():
     tokens, _ = tokenize("ab\ncd.", "<t>")
     cd = [t for t in tokens if t.text == "cd"][0]

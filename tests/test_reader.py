@@ -1,5 +1,5 @@
 from conftest import read_one, read_term
-from plkit.database import Database
+from plkit.database import Database, OperatorDef
 from plkit.engine import Loader, consult_source
 from plkit.lexer import tokenize
 from plkit.reader import Reader
@@ -183,6 +183,78 @@ def test_leading_comments_attached():
     assert [t.text for t in sentences[0].leading_comments] == [
         "% doc line", "%% more"]
     assert sentences[1].leading_comments == []
+
+
+def test_comments_inside_and_after_errors():
+    source = ("% one\nfoo :- % two\n  bar.\n% three\nbad(. % four\n"
+              "% five\nbaz.\n% six\n")
+    sentences, diagnostics = read_source(source)
+    assert len(diagnostics) == 1
+    # A comment inside a sentence leads it too. Those before the '.' of a
+    # sentence skipped by error recovery, and those after the last
+    # sentence, lead none.
+    assert [[t.text for t in s.leading_comments] for s in sentences] == [
+        ["% one", "% two"], ["% four", "% five"]]
+
+
+def test_comment_read_once_across_a_second_reading():
+    # '?-' is first read as a prefix operator, whose argument fails at the
+    # '.'; read again as an atom it is the left side of 'mod'. The comment
+    # in the text read twice leads the sentence once.
+    source = ":- op(100, yf, @@).\n?- mod->% c\n .\n"
+    sentences, diagnostics = consult_source(source, Database(), Loader(), "<t>")
+    assert not diagnostics
+    term = sentences[1].term
+    assert to_tuple(term) == ("compound", "mod", [("atom", "?-"), ("atom", "->")])
+    assert [t.text for t in sentences[1].leading_comments] == ["% c"]
+
+
+def test_infix_operator_read_as_postfix_when_its_right_side_fails():
+    # op/3 keeps a name from being infix and postfix at once; set both
+    # straight in the table to reach the reader's second reading.
+    db = Database()
+    infix = OperatorDef("@@", 200, "xfx")
+    postfix = OperatorDef("@@", 100, "xf")
+    db.operators.by_name["@@"] = {"infix": infix, "postfix": postfix}
+    assert to_tuple(read_term("p(a @@ b)", db)) == (
+        "compound", "p", [("compound", "@@", [("atom", "a"), ("atom", "b")])])
+    term = read_term("p(a @@)", db)
+    assert to_tuple(term) == ("compound", "p", [("compound", "@@", [("atom", "a")])])
+    assert term.args[0].op == postfix
+    assert (term.args[0].span.start_offset, term.args[0].span.end_offset) == (2, 6)
+
+
+def test_deep_terms_read_without_recursion():
+    n = 20_000
+    for text in ("f(" * n + "a" + ")" * n, "- " * n + "a", "[" * n + "a" + "]" * n):
+        term = read_term(text)
+        depth = 0
+        while isinstance(term, Compound):
+            term, depth = term.args[0], depth + 1
+        assert (depth, term.name) == (n, "a")
+    _, diagnostics = read_source("p(" + "[" * n + "a.")
+    assert [d.code for d in diagnostics] == ["unbalanced_delimiter"]
+
+
+def test_sentence_span_shared_with_its_clause():
+    db = Database()
+    sentences, _ = consult_source("p(X) :- q(X).\n", db, Loader(), "<t>")
+    sentence = sentences[0]
+    assert (sentence.span.start_offset, sentence.span.end_offset) == (0, 13)
+    (clause,) = db.lookup(("p", 1)).clauses
+    assert clause.span is sentence.span
+
+
+def test_consumed_end_is_past_the_sentence_read_or_skipped():
+    tokens, _ = tokenize("a. /* c */ f(. b.", "<t>")
+    reader = Reader(tokens, Database(), "<t>")
+    assert reader.consumed_end == 0
+    reader.read_sentence()
+    assert reader.consumed_end == 2
+    assert reader.read_sentence() is None  # the error skips through 'f(.'
+    assert reader.consumed_end == 14
+    reader.read_sentence()
+    assert reader.consumed_end == 17 and reader.at_eof()
 
 
 # --- diagnostics and recovery ---------------------------------------------
