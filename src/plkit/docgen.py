@@ -20,7 +20,7 @@ from .lexer import Token, TokenKind
 from .printer import pretty_print
 from .reader import Sentence
 from .spans import SourceSpan
-from .terms import Atom, Compound, Term, Var, indicator_of
+from .terms import Atom, Compound, Var, indicator_of, rebuild
 
 RECOGNIZED_TAGS = ("Author:", "Arguments:", "Description:")
 
@@ -120,19 +120,13 @@ def _parse_entries(lines: list[str]) -> list[tuple[str, str]]:
 def extract_docs(sentences: list[Sentence], file: str) -> tuple[list[DocBlock], list[Diagnostic]]:
     blocks: list[DocBlock] = []
     diagnostics: list[Diagnostic] = []
-    first_def: dict[tuple[str, int], int] = {}
     taken_targets: set = set()
-
+    defines = [sentence.defines() for sentence in sentences]
     # first defining sentence per predicate
-    for i, sentence in enumerate(sentences):
-        if sentence.kind == "directive":
-            continue
-        ind = indicator_of(sentence.head)
-        if ind is None:
-            continue
-        name, arity = ind
-        key = (name, arity + 2) if sentence.kind == "dcg_rule" else (name, arity)
-        first_def.setdefault(key, i)
+    first_def: dict[tuple[str, int], int] = {}
+    for i, defined in enumerate(defines):
+        if defined is not None:
+            first_def.setdefault(defined[0], i)
 
     for i, sentence in enumerate(sentences):
         for group in _comment_groups(sentence.leading_comments):
@@ -149,17 +143,10 @@ def extract_docs(sentences: list[Sentence], file: str) -> tuple[list[DocBlock], 
                     continue
                 target_kind, target = "module", name_term.name
                 display = name_term.name
+            elif defines[i] is None:
+                continue
             else:
-                ind = indicator_of(sentence.head)
-                if ind is None:
-                    continue
-                name, arity = ind
-                if sentence.kind == "dcg_rule":
-                    key = (name, arity + 2)
-                    display = f"{name}//{arity}"
-                else:
-                    key = (name, arity)
-                    display = f"{name}/{arity}"
+                key, display = defines[i]
                 if first_def.get(key) != i:
                     diagnostics.append(
                         Diagnostic(
@@ -218,40 +205,22 @@ def _anchor(name: str, arity: int) -> str:
 
 
 def _synopsis(info) -> str:
+    """The first clause head with its variables named A, B, ... Z, A1, ...
+    in order of first occurrence."""
     head = info.first_head
     if head is None:
         return info.display_label
-    return pretty_print(_rename_vars(head))
+    names: dict[int, Var] = {}
 
+    def rename(var: Var) -> Var:
+        renamed = names.get(var.vid)
+        if renamed is None:
+            n = len(names)
+            name = chr(ord("A") + n % 26) + (str(n // 26) if n >= 26 else "")
+            renamed = names[var.vid] = Var(name, var.vid)
+        return renamed
 
-def _rename_vars(term: Term) -> Term:
-    """A copy of `term` whose variables are named A, B, ... Z, A1, ... in
-    order of first occurrence. Walks the term with an explicit stack."""
-    mapping: dict[int, Var] = {}
-    copies: list[Term] = []  # finished copies whose parent is pending
-    # Terms to copy, and (compound,) marks: build it from the last copies.
-    todo: list = [term]
-    while todo:
-        node = todo.pop()
-        if node.__class__ is tuple:
-            compound = node[0]
-            n = len(compound.args)
-            args = copies[-n:]
-            del copies[-n:]
-            copies.append(Compound(compound.name, args))
-        elif isinstance(node, Compound):
-            todo.append((node,))
-            todo.extend(reversed(node.args))
-        elif isinstance(node, Var):
-            var = mapping.get(node.vid)
-            if var is None:
-                n = len(mapping)
-                name = chr(ord("A") + n % 26) + (str(n // 26) if n >= 26 else "")
-                var = mapping[node.vid] = Var(name, node.vid)
-            copies.append(var)
-        else:
-            copies.append(node)
-    return copies[0]
+    return pretty_print(rebuild(head, rename, Compound))
 
 
 def _entries_html(block: DocBlock) -> str:

@@ -33,6 +33,7 @@ from .terms import (
     Term,
     Var,
     indicator_of,
+    rebuild,
 )
 
 @dataclass
@@ -107,15 +108,11 @@ class Loader:
             return None  # cycle: the partial result is not reusable
         self._loading.add(path)
         try:
-            from .lexer import tokenize
-
             db = Database()
             try:
                 source = self.read_file(path)
                 self._sources[path] = source
-                tokens, lex_diags = tokenize(source, path)
-                sentences, diagnostics = consult_tokens(tokens, lex_diags, db,
-                                                        self, path)
+                sentences, diagnostics = consult_source(source, db, self, path)
             except OSError:
                 raise
             except Exception as err:  # the per-file backstop
@@ -517,7 +514,7 @@ def _compile_clause(clause) -> tuple:
         return number
 
     def template(term: Term):
-        return _rebuild(term, slot, lambda name, args: (name, tuple(args)))
+        return rebuild(term, slot, lambda name, args: (name, tuple(args)))
 
     head = clause.head.args if isinstance(clause.head, Compound) else []
     goals = _comma_list(clause.body)
@@ -548,31 +545,6 @@ def _template_key(template):
     if kind is tuple:
         return template[0], len(template[1])
     return _index_key(template)
-
-
-def _rebuild(term: Term, variable: Callable, compound: Callable):
-    """`term` with each variable v replaced by variable(v) and each compound
-    that holds a variable by compound(name, new arguments). Ground subterms
-    stay the term's own objects, so they are never copied. Explicit stack; a
-    compound is pushed again as (compound,) below its arguments."""
-    out: list = []
-    todo: list = [term]
-    while todo:
-        t = todo.pop()
-        if type(t) is tuple:
-            t = t[0]
-            args = out[-len(t.args):]
-            del out[-len(t.args):]
-            # terms compare by identity: true when no argument was replaced
-            out.append(t if args == t.args else compound(t.name, args))
-        elif isinstance(t, Var):
-            out.append(variable(t))
-        elif isinstance(t, Compound):
-            todo.append((t,))
-            todo.extend(reversed(t.args))
-        else:
-            out.append(t)
-    return out[0]
 
 
 def _same_atomic(a: Term, b: Term) -> bool:
@@ -828,7 +800,7 @@ class Solver:
                 runtime = fresh[var.vid] = RuntimeVar(var.name, next(self._vids))
             return runtime
 
-        query = _rebuild(goal, variable, Compound)
+        query = rebuild(goal, variable, Compound)
         named = [(var.name, var) for var in fresh.values() if var.name != "_"]
         self.trail.clear()
         self.choicepoints.clear()
@@ -1287,15 +1259,22 @@ def solve(goal: Term, db: Database,
 
 def repl(db: Database, inp, out, loader: Optional[Loader] = None,
          limits: Optional[SolveLimits] = None) -> None:
-    """Interactive goal loop: '?- ' prompt, ';' asks for the next solution."""
+    """Interactive goal loop: '?- ' prompt, ';' asks for the next solution.
+
+    The buffer is lexed again only when it may hold a complete sentence:
+    after a sentence or an answer line changed it, or when the appended
+    line has a '.', as a line without one cannot end a sentence."""
     from .lexer import TokenKind, tokenize
 
     loader = loader or Loader()
     limits = limits or SolveLimits()
     buffer = ""
+    lex = False  # the buffer may now hold a complete sentence
     while True:
-        tokens, lex_diags = tokenize(buffer, "<repl>")
-        if not any(t.kind == TokenKind.END for t in tokens):
+        if lex:
+            tokens, lex_diags = tokenize(buffer, "<repl>")
+            lex = any(t.kind == TokenKind.END for t in tokens)
+        if not lex:
             out.write("?- ")
             try:
                 out.flush()
@@ -1305,6 +1284,7 @@ def repl(db: Database, inp, out, loader: Optional[Loader] = None,
             if line == "":
                 return
             buffer += line
+            lex = "." in line
             continue
         reader = Reader(tokens, db, "<repl>")
         sentence = reader.read_sentence()

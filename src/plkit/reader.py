@@ -39,6 +39,7 @@ from .terms import (
     Str,
     Term,
     Var,
+    indicator_of,
 )
 
 # Token kinds as module globals: on Python 3.11 every `TokenKind.X` lookup
@@ -126,6 +127,21 @@ class Sentence:
         if self.kind != "directive":
             raise ValueError("not a directive")
         return self.term.args[0]
+
+    def defines(self) -> Optional[tuple[tuple[str, int], str]]:
+        """The predicate a clause, fact or DCG rule defines, as (name,
+        arity), and its label: name/N, or name//N for a DCG rule, whose
+        predicate has arity N+2. None for a directive or a head that is not
+        callable."""
+        if self.kind == "directive":
+            return None
+        ind = indicator_of(self.head)
+        if ind is None:
+            return None
+        name, arity = ind
+        if self.kind == "dcg_rule":
+            return (name, arity + 2), f"{name}//{arity}"
+        return ind, f"{name}/{arity}"
 
 
 class ParseFailure(Exception):

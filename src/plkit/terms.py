@@ -9,7 +9,7 @@ operator definition that produced them.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .spans import SourceSpan
 
@@ -171,6 +171,31 @@ def struct_eq(a: Term, b: Term) -> bool:
         if not same:
             return False
     return True
+
+
+def rebuild(term: Term, variable: Callable, compound: Callable):
+    """`term` with each variable v replaced by variable(v) and each compound
+    that holds a variable by compound(name, new arguments). Ground subterms
+    stay the term's own objects, so they are never copied. Explicit stack; a
+    compound is pushed again as (compound,) below its arguments."""
+    out: list = []
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            t = t[0]
+            args = out[-len(t.args):]
+            del out[-len(t.args):]
+            # terms compare by identity: true when no argument was replaced
+            out.append(t if args == t.args else compound(t.name, args))
+        elif isinstance(t, Var):
+            out.append(variable(t))
+        elif isinstance(t, Compound):
+            todo.append((t,))
+            todo.extend(reversed(t.args))
+        else:
+            out.append(t)
+    return out[0]
 
 
 def indicator_of(term: Term) -> Optional[tuple[str, int]]:

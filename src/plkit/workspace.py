@@ -16,7 +16,6 @@ from .database import (
     Database,
     ImportRecord,
     ModuleInfo,
-    OperatorDef,
     PredicateIndicator,
 )
 from .diagnostics import Diagnostic, Severity, sort_key
@@ -46,16 +45,10 @@ class ProjectConfig:
 class DefInfo:
     indicator: PredicateIndicator
     first_span: SourceSpan  # of the first clause
+    display_label: str  # name/N, or name//N for a DCG nonterminal
     dcg: bool = False
-    source_arity: Optional[int] = None  # declared arity of a DCG nonterminal
     first_head: Optional[Term] = None
     properties: set[str] = field(default_factory=set)
-
-    @property
-    def display_label(self) -> str:
-        if self.dcg:
-            return f"{self.indicator.name}//{self.source_arity}"
-        return f"{self.indicator.name}/{self.indicator.arity}"
 
 
 @dataclass
@@ -71,7 +64,6 @@ class FileIndex:
     defined: dict[PredicateIndicator, DefInfo]
     calls: list[CallSite]
     imports: list[ImportRecord]
-    operators_declared: list[tuple[OperatorDef, SourceSpan]]
     sentences: list[Sentence]
     db: Database
     diagnostics: list[Diagnostic]
@@ -89,6 +81,9 @@ class GlobalIndex:
     files: dict[str, FileIndex]
     # (name, arity) -> exporting file paths, sorted
     exporters: dict[tuple[str, int], list[str]]
+    # file -> the predicates its imports make visible, (name, arity) ->
+    # exporting file; the first import wins
+    visible: dict[str, dict[tuple[str, int], str]]
 
 
 @dataclass
@@ -218,33 +213,24 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
     diagnostics = list(phase1_diagnostics)
 
     prev_indicator: Optional[PredicateIndicator] = None
-    seen_order: list[PredicateIndicator] = []
     for sentence in sentences:
         if sentence.kind == "directive":
             prev_indicator = None
             continue
-        head = sentence.head
-        ind = indicator_of(head)
-        if ind is None:
+        defines = sentence.defines()
+        if defines is None:
             continue
-        name, arity = ind
-        if sentence.kind == "dcg_rule":
-            indicator = PredicateIndicator(name, arity + 2)
-            alias = PredicateIndicator(name, arity)
-        else:
-            indicator = PredicateIndicator(name, arity)
-            alias = None
+        (name, arity), label = defines
+        indicator = PredicateIndicator(name, arity)
         info = defined.get(indicator)
         is_new = info is None
         if info is None:
-            info = DefInfo(indicator, sentence.span,
-                           dcg=(sentence.kind == "dcg_rule"),
-                           source_arity=arity if sentence.kind == "dcg_rule" else None,
-                           first_head=head)
+            dcg = sentence.kind == "dcg_rule"
+            info = DefInfo(indicator, sentence.span, label, dcg, sentence.head)
             defined[indicator] = info
-            if alias is not None and alias not in defined:
-                defined[alias] = info
-            seen_order.append(indicator)
+            # a DCG nonterminal is also found by its declared arity
+            if dcg and (name, arity - 2) not in defined:
+                defined[PredicateIndicator(name, arity - 2)] = info
         entry = db.lookup(indicator)
         if entry is not None:
             info.properties = entry.properties
@@ -285,18 +271,12 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
                     )
                 )
 
-    operators = [
-        (definition, span)
-        for definition, span in db.declared_operators
-        if span is not None and span.file_id == file
-    ]
     return FileIndex(
         file=file,
         module=db.module,
         defined=defined,
         calls=calls,
         imports=list(db.imports),
-        operators_declared=operators,
         sentences=sentences,
         db=db,
         diagnostics=diagnostics,
@@ -315,19 +295,24 @@ def _file_exports(index: FileIndex) -> set[tuple[str, int]]:
 
 def _link_file(index: FileIndex, indices: dict[str, FileIndex],
                exporters: dict[tuple[str, int], list[str]],
-               loader: Optional[Loader]) -> list[Diagnostic]:
-    """Resolve one file's imports and calls."""
+               outside: dict[str, Optional[FileIndex]],
+               loader: Optional[Loader],
+               ) -> tuple[dict[tuple[str, int], str], list[Diagnostic]]:
+    """Resolve one file's imports and calls: the predicates its imports
+    make visible, each with its exporting file (the first import wins), and
+    the file's link diagnostics."""
     diagnostics: list[Diagnostic] = []
-    visible: set[tuple[str, int]] = set()
+    visible: dict[tuple[str, int], str] = {}
     for record in index.imports:
-        target_path = record.resolved_file
-        target_index = indices.get(target_path) if target_path else None
-        if target_index is None and target_path is not None and loader is not None:
-            cached = loader.consult_file(target_path)
-            if cached is not None:
-                target_db, target_sents, _ = cached
-                target_index = index_file(target_sents, target_db,
-                                          target_path)
+        path = record.resolved_file
+        target_index = indices.get(path) if path else None
+        if target_index is None and path and loader is not None:
+            # a file outside `indices`, indexed once per link call
+            if path not in outside:
+                cached = loader.consult_file(path)
+                outside[path] = (None if cached is None
+                                 else index_file(cached[1], cached[0], path))
+            target_index = outside[path]
         if target_index is None:
             diagnostics.append(
                 Diagnostic(
@@ -339,27 +324,25 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
             )
             continue
         available = _file_exports(target_index)
-        if record.indicators is None:
-            visible |= available
-        else:
-            for indicator in record.indicators:
-                if indicator in available:
-                    visible.add(indicator)
-                else:
-                    diagnostics.append(
-                        Diagnostic(
-                            Severity.ERROR,
-                            "not_exported",
-                            f"{indicator} is not exported by "
-                            f"{os.path.basename(target_index.file)}",
-                            record.span,
-                            data={
-                                "name": indicator.name,
-                                "arity": indicator.arity,
-                                "exporter": target_index.file,
-                            },
-                        )
-                    )
+        wanted = available if record.indicators is None else record.indicators
+        for indicator in wanted:
+            if indicator in available:
+                visible.setdefault(indicator, target_index.file)
+                continue
+            diagnostics.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    "not_exported",
+                    f"{indicator} is not exported by "
+                    f"{os.path.basename(target_index.file)}",
+                    record.span,
+                    data={
+                        "name": indicator.name,
+                        "arity": indicator.arity,
+                        "exporter": target_index.file,
+                    },
+                )
+            )
 
     local = set(index.defined)
     # declared-but-undefined dynamic predicates are legitimate call targets
@@ -375,7 +358,7 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
         related = []
         neighbors = sorted(
             arity
-            for (name, arity) in (local | visible | set(exporters))
+            for (name, arity) in local.union(visible, exporters)
             if name == call.indicator.name and arity != call.indicator.arity
         )
         message = f"undefined predicate {call.indicator}"
@@ -394,25 +377,31 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
                       "file": index.file},
             )
         )
-    return diagnostics
+    return visible, diagnostics
 
 
 def link(indices: dict[str, FileIndex],
          loader: Optional[Loader] = None) -> tuple[GlobalIndex, list[Diagnostic]]:
-    """Phase III: resolve calls and imports across all file indices."""
+    """Phase III: resolve calls and imports across all file indices. This
+    is the one place imports are resolved: check reports what it finds, and
+    completion offers the predicates it makes visible. An import target
+    outside `indices` is indexed once per call; no FileIndex is changed."""
     diagnostics: list[Diagnostic] = []
     exporters: dict[tuple[str, int], list[str]] = {}
     for path in sorted(indices):
         for key in sorted(_file_exports(indices[path])):
             exporters.setdefault(key, []).append(path)
 
+    visible: dict[str, dict[tuple[str, int], str]] = {}
+    outside: dict[str, Optional[FileIndex]] = {}
     for path in sorted(indices):
         try:
-            diagnostics.extend(_link_file(indices[path], indices, exporters,
-                                          loader))
+            visible[path], file_diags = _link_file(indices[path], indices,
+                                                   exporters, outside, loader)
+            diagnostics.extend(file_diags)
         except Exception as err:  # the per-file backstop, as in consult_file
             diagnostics.append(internal_error(path, err))
-    return GlobalIndex(files=dict(indices), exporters=exporters), diagnostics
+    return GlobalIndex(dict(indices), exporters, visible), diagnostics
 
 
 def discover_files(root: str, config: ProjectConfig) -> list[str]:
@@ -480,7 +469,7 @@ def _build_project(root: str, config: Optional[ProjectConfig],
         except Exception as err:  # the per-file backstop, as in consult_file
             # An index that keeps the module and its exports but no
             # definitions or calls, so that link does not index it again.
-            indices[path] = FileIndex(path, db.module, {}, [], [], [],
+            indices[path] = FileIndex(path, db.module, {}, [], [],
                                       sentences, db,
                                       [*phase1, internal_error(path, err)])
     index, link_diags = link(indices, loader)
@@ -734,7 +723,7 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
             )
             kind = "Dcg" if info.dcg else "Predicate"
             add(info.display_label, kind, synopsis, info.indicator.name, 0)
-        visible = _visible_imports(index, model)
+        visible = model.index.visible.get(index.file, {})
         for (name, arity), origin in sorted(visible.items()):
             other = model.index.files.get(origin)
             synopsis = f"{name}/{arity} from {os.path.basename(origin)}"
@@ -749,26 +738,6 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
 
     items.sort(key=lambda pair: pair[0])
     return [item for _, item in items[: model.config.completion_cap]]
-
-
-def _visible_imports(index: FileIndex,
-                     model: ProjectModel) -> dict[tuple[str, int], str]:
-    visible: dict[tuple[str, int], str] = {}
-    for record in index.imports:
-        if not record.resolved_file:
-            continue
-        target = model.index.files.get(record.resolved_file)
-        if target is None:
-            continue
-        available = _file_exports(target)
-        wanted = (
-            available
-            if record.indicators is None
-            else set(record.indicators) & available
-        )
-        for key in wanted:
-            visible.setdefault(key, target.file)
-    return visible
 
 
 # --- quick fixes ----------------------------------------------------------

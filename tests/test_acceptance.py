@@ -275,8 +275,10 @@ def test_criterion_08_prologdoc(project, tmp_path):
     model = build_project(root)
     out_dir = os.path.join(root, "prologdoc")
     written = generate_html(model, project_docs(model), out_dir)
-    pages = {os.path.basename(p): open(p, encoding="utf-8").read()
-             for p in written}
+    pages = {}
+    for path in written:
+        with open(path, encoding="utf-8") as fh:
+            pages[os.path.basename(path)] = fh.read()
 
     geometry = pages["geometry.html"]
     for tag in ("Author:", "Arguments:", "Description:"):

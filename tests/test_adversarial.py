@@ -16,7 +16,7 @@ import pytest
 
 from plkit.cli import main
 from plkit.database import Database
-from plkit.engine import Loader, consult_source, repl
+from plkit.engine import Loader, consult_source, repl, solve
 from plkit.lexer import tokenize
 from plkit.printer import pretty_print
 from plkit.terms import struct_eq
@@ -129,6 +129,26 @@ def test_repl_prints_a_deep_solver_answer():
     out = io.StringIO()
     repl(db, io.StringIO("mk(3000, L).\n"), out, Loader())
     assert "L = " + "f(" * 3000 + "a" + ")" * 3000 + "\ntrue" in out.getvalue()
+
+
+# name -> (goal, its answers as printed bindings): goals that chain or nest
+# far beyond the recursion limit, run through the solver
+GOALS = {
+    "sum": ("X is " + " + ".join(["1"] * N), [{"X": str(N)}]),
+    "conjunction": (", ".join(["true"] * N), [{}]),
+    "call": ("call(" * N + "true" + ")" * N, [{}]),
+    "negation": ("\\+ " * N + "true", [{}]),  # an even count: succeeds
+    # two separately read terms, so not one object
+    "equality": (TERMS["nested"] + " == " + TERMS["nested"], [{}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOALS))
+def test_solve_a_deep_goal(name):
+    goal, answers = GOALS[name]
+    db = Database()
+    assert [{var: pretty_print(value, db) for var, value in binding.items()}
+            for binding in solve(read_term(goal, db), db)] == answers
 
 
 @pytest.mark.parametrize("name", sorted(TERMS))

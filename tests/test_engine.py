@@ -3,7 +3,7 @@ import io
 import pytest
 
 from conftest import read_term
-from plkit import engine
+from plkit import engine, lexer
 from plkit.catalog import load_default_catalog
 from plkit.database import Database, PredicateIndicator
 from plkit.diagnostics import Severity
@@ -715,6 +715,21 @@ def test_repl_goal_after_syntax_error_continues_on_next_line():
     output = run_repl("f(. X =\n 1.\n")
     assert "syntax error" in output
     assert "X = 1" in output
+
+
+def test_repl_lexes_a_goal_typed_over_many_lines_once(monkeypatch):
+    calls = []
+    original = lexer.tokenize
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lexer, "tokenize", counted)
+    # a line without '.' cannot end the goal, so it is not lexed
+    output = run_repl("X = [a,\n" + "a,\n" * 1998 + "b].\n")
+    assert "X = [" + "a," * 1999 + "b]\ntrue\n" in output
+    assert len(calls) <= 3
 
 
 def test_repl_reports_engine_errors():

@@ -4,6 +4,7 @@ import os
 import pytest
 from test_acceptance import make_corpus
 
+from plkit import workspace
 from plkit.diagnostics import Severity
 from plkit.lexer import ATOM_KINDS, Token, tokenize
 from plkit.workspace import (
@@ -393,6 +394,37 @@ def test_complete_local_before_imported_before_builtin(project):
     assert "f/1" in labels
     assert labels.index("fix_it/0") < labels.index("fail/0")
     assert labels.index("f/1") < labels.index("fail/0")
+
+
+# Three project files that each import one module from a library directory
+# outside the project's globs.
+LIBRARY_PROJECT = {
+    **{f"src/{name}.pl": f":- use_module(library(util)).\n{name} :- helper({name}).\n"
+       for name in ("a", "b", "c")},
+    "lib/util.pl": ":- module(util, [helper/1]).\nhelper(_).\n",
+}
+LIBRARY_CONFIG = {"globs": ("src/*.pl",), "library_paths": ("lib",)}
+
+
+def test_complete_offers_library_imports(project):
+    model, root = build(project, LIBRARY_PROJECT, **LIBRARY_CONFIG)
+    assert not errors(model)  # check sees helper/1 as imported
+    items = complete_at(model, root, "src/a.pl", "a :- he")
+    assert [(i.label, i.kind, i.synopsis) for i in items] == [
+        ("helper/1", "Predicate", "helper/1 from util.pl")]
+
+
+def test_library_import_target_is_indexed_once(project, monkeypatch):
+    files = []
+    original = workspace.index_file
+
+    def counted(sentences, db, file, *args, **kwargs):
+        files.append(os.path.basename(file))
+        return original(sentences, db, file, *args, **kwargs)
+
+    monkeypatch.setattr(workspace, "index_file", counted)
+    build(project, LIBRARY_PROJECT, **LIBRARY_CONFIG)
+    assert sorted(files) == ["a.pl", "b.pl", "c.pl", "util.pl"]
 
 
 def test_complete_builtin_member(project):
