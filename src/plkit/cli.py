@@ -16,6 +16,7 @@ from .workspace import (
     StaleFixError,
     apply_fix,
     build_project,
+    collector_paused,
     complete,
     hover,
     outline,
@@ -341,7 +342,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        if args.command == "repl":  # runs goals: the collector stays on
+            return cmd_repl(args, sys.stdout)
+        # A one-shot command builds a model, uses it and drops it while the
+        # collector is paused, so the collector never walks it.
+        with collector_paused():
+            return args.func(args, sys.stdout)
     except FileNotFoundError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_FAILURE

@@ -449,7 +449,7 @@ class RuntimeVar(Var):
     terms keep the plain Var; solve() builds its query into these."""
 
     __slots__ = ("ref",)
-    span = functor_span = None
+    span = None
 
     def __init__(self, name: str, vid: int):
         self.name = name

@@ -83,7 +83,8 @@ class _Gap:
     """A place between the parts of an operator term where a space is
     written if the characters on either side would fuse; after a prefix
     operator, also before a '(' (which would read as the operator's
-    argument list, not a parenthesized operand)."""
+    argument list, not a parenthesized operand), and an infix or postfix
+    operator atom there is put in parentheses."""
 
     def __init__(self, before_paren: bool):
         self.before_paren = before_paren
@@ -122,6 +123,13 @@ class _Printer:
                 gap = item
                 continue
             if gap is not None:
+                if gap is _PREFIX_GAP:
+                    entry = self.table.by_name.get(item)
+                    if entry and "prefix" not in entry:
+                        # An infix or postfix operator atom right after a
+                        # prefix operator would read as an operator with
+                        # the prefix one as its left argument.
+                        item = f"({item})"
                 if _fuses(last, item[0]) or (gap.before_paren and item[0] == "("):
                     out.append(" ")
                 gap = None

@@ -159,6 +159,23 @@ def _unbalanced(tok: Token, what: str) -> ParseFailure:
                         f"expected {what}, found {tok.text!r}", tok.span)
 
 
+def _operator_follows(toks: list[Token], i: int, by_name: dict) -> bool:
+    """Whether toks[i], right after a prefix operator, stands as an infix or
+    postfix operator that is not also a prefix one. The prefix operator is
+    then a plain atom, the left argument (ISO/IEC 13211-1 §6.3.4.2): `- = a`
+    reads as `=(-, a)`. An atom right before '(' is a functor, and an infix
+    operator needs a term after it."""
+    if toks[i].kind not in _OPERATOR_KINDS:
+        return False
+    entry = by_name.get(toks[i].text)
+    if not entry or "prefix" in entry:
+        return False
+    after = toks[i + 1].kind
+    if after is OPEN_PAREN_CT:
+        return False
+    return "postfix" in entry or after in _OPERAND_START_KINDS
+
+
 class Reader:
     def __init__(self, tokens: list[Token], db: Database, file_id: str):
         self.db = db
@@ -239,7 +256,7 @@ class Reader:
                 kind = "clause"
             elif term.name == "-->" and term.arity == 2:
                 kind = "dcg_rule"
-        span = SourceSpan(end_tok.lines, term.span.start_offset, end_tok.end)
+        span = SourceSpan(end_tok.lines, term.start, end_tok.end)
         return Sentence(kind, term, span, self._take_comments(end_tok.start))
 
     def _recover(self):
@@ -261,7 +278,6 @@ class Reader:
         by_name = self.db.operators.by_name
         sentence_vars = self._sentence_vars
         vids = self._vid_counter
-        Span = SourceSpan
         stack: list[tuple] = []
         maxp = max_priority
         i = self.i
@@ -289,43 +305,43 @@ class Reader:
                                 maxp = ARG_PRIORITY
                                 continue
                             if kind is QUOTED_ATOM:
-                                left = Atom(name, Span(lines, tok.start, tok.end))
+                                left = Atom(name, lines, tok.start, tok.end)
                             elif ((nkind is INTEGER or nkind is FLOAT)
                                   and (name == "-" or name == "+")
                                   and tok.end == nxt.start):
                                 # A sign right before a number folds into it.
                                 i += 1
                                 value = (-1 if name == "-" else 1) * nxt.value
-                                span = Span(lines, tok.start, nxt.end)
-                                left = (Int(value, span) if nkind is INTEGER
-                                        else Float(value, span))
+                                left = (Int if nkind is INTEGER else Float)(
+                                    value, lines, tok.start, nxt.end)
                             else:
                                 entry = by_name.get(name)
                                 prefix = entry.get("prefix") if entry else None
                                 if (prefix is not None
                                         and prefix.priority <= maxp
-                                        and nkind in _OPERAND_START_KINDS):
+                                        and nkind in _OPERAND_START_KINDS
+                                        and not _operator_follows(toks, i, by_name)):
                                     stack.append((_PREFIX, maxp, tok, prefix, i))
                                     maxp = prefix.right_arg_max()
                                     continue
                                 # Operator atoms standing alone are plain atoms.
-                                left = Atom(name, Span(lines, tok.start, tok.end))
+                                left = Atom(name, lines, tok.start, tok.end)
                         elif kind is VARIABLE:
                             name = tok.text
-                            span = Span(lines, tok.start, tok.end)
                             if name == "_":
-                                left = Var("_", next(vids), span)
+                                left = Var("_", next(vids), lines, tok.start, tok.end)
                             else:
                                 var = sentence_vars.get(name)
                                 if var is None:
-                                    left = sentence_vars[name] = Var(name, next(vids), span)
+                                    left = sentence_vars[name] = Var(
+                                        name, next(vids), lines, tok.start, tok.end)
                                 else:
-                                    left = Var(name, var.vid, span)
+                                    left = Var(name, var.vid, lines, tok.start, tok.end)
                         elif kind is INTEGER:
-                            left = Int(tok.value, Span(lines, tok.start, tok.end))
+                            left = Int(tok.value, lines, tok.start, tok.end)
                         elif kind is OPEN_BRACKET:
                             if toks[i].kind is CLOSE_BRACKET:
-                                left = Atom("[]", Span(lines, tok.start, toks[i].end))
+                                left = Atom("[]", lines, tok.start, toks[i].end)
                                 i += 1
                             else:
                                 stack.append((_LIST, maxp, tok, []))
@@ -336,12 +352,12 @@ class Reader:
                             maxp = MAX_PRIORITY
                             continue
                         elif kind is STRING:
-                            left = Str(tok.value, Span(lines, tok.start, tok.end))
+                            left = Str(tok.value, lines, tok.start, tok.end)
                         elif kind is FLOAT:
-                            left = Float(tok.value, Span(lines, tok.start, tok.end))
+                            left = Float(tok.value, lines, tok.start, tok.end)
                         elif kind is OPEN_BRACE:
                             if toks[i].kind is CLOSE_BRACE:
-                                left = Atom("{}", Span(lines, tok.start, toks[i].end))
+                                left = Atom("{}", lines, tok.start, toks[i].end)
                                 i += 1
                             else:
                                 stack.append((_CURLY, maxp, tok))
@@ -385,9 +401,8 @@ class Reader:
                                 break
                             if post is not None:
                                 i += 1
-                                left = OpApply(post, [left],
-                                               Span(lines, left.span.start_offset, tok.end),
-                                               Span(lines, tok.start, tok.end))
+                                left = OpApply(post, [left], lines, left.start,
+                                               tok.end, tok.start, tok.end)
                                 lp = post.priority
                                 continue
                             if ((infix is not None and infix.priority <= maxp)
@@ -420,16 +435,13 @@ class Reader:
                             if close.kind is not CLOSE_PAREN:
                                 raise _unbalanced(close, "')'")
                             i += 1
-                            left = Compound(name, args,
-                                            Span(lines, name_tok.start, close.end),
-                                            Span(lines, name_tok.start, name_tok.end))
+                            left = Compound(name, args, lines, name_tok.start,
+                                            close.end, name_tok.start, name_tok.end)
                             lp = 0
                         elif tag == _INFIX:
                             _, _, op_tok, op, _, left0, _ = frame
-                            left = OpApply(op, [left0, left],
-                                           Span(lines, left0.span.start_offset,
-                                                left.span.end_offset),
-                                           Span(lines, op_tok.start, op_tok.end))
+                            left = OpApply(op, [left0, left], lines, left0.start,
+                                           left.end, op_tok.start, op_tok.end)
                             lp = op.priority
                         elif tag == _LIST or tag == _LIST_TAIL:
                             _, maxp, open_tok, items = frame
@@ -443,28 +455,32 @@ class Reader:
                                     stack.append(frame)
                                     maxp = ARG_PRIORITY
                                     break
-                                left = Atom("[]", Span(lines, close.start, close.end))
+                                left = Atom("[]", lines, close.start, close.end)
                             if close.kind is not CLOSE_BRACKET:
                                 raise _unbalanced(close, "']'")
                             i += 1
-                            for item in reversed(items):  # `left` is the tail
-                                left = Compound(".", [item, left],
-                                                Span(lines, item.span.start_offset,
-                                                     left.span.end_offset))
-                            left.span = Span(lines, open_tok.start, close.end)
+                            # `left` is the tail. A cell's functor offsets
+                            # are its own, and only the outermost cell then
+                            # moves to the brackets.
+                            end = left.end
+                            for item in reversed(items):
+                                left = Compound(".", [item, left], lines, item.start,
+                                                end, item.start, end)
+                            left.start = open_tok.start
+                            left.end = close.end
                             lp = 0
                         elif tag == _PAREN:
                             close = toks[i]
                             if close.kind is not CLOSE_PAREN:
                                 raise _unbalanced(close, "')'")
                             i += 1
-                            left.span = Span(lines, frame[2].start, close.end)
+                            left.start = frame[2].start
+                            left.end = close.end
                             lp = 0
                         elif tag == _PREFIX:
                             _, _, op_tok, op, _ = frame
-                            left = OpApply(op, [left],
-                                           Span(lines, op_tok.start, left.span.end_offset),
-                                           Span(lines, op_tok.start, op_tok.end))
+                            left = OpApply(op, [left], lines, op_tok.start,
+                                           left.end, op_tok.start, op_tok.end)
                             lp = op.priority
                         else:  # _CURLY
                             open_tok = frame[2]
@@ -472,9 +488,8 @@ class Reader:
                             if close.kind is not CLOSE_BRACE:
                                 raise _unbalanced(close, "'}'")
                             i += 1
-                            left = Compound("{}", [left],
-                                            Span(lines, open_tok.start, close.end),
-                                            Span(lines, open_tok.start, open_tok.end))
+                            left = Compound("{}", [left], lines, open_tok.start,
+                                            close.end, open_tok.start, open_tok.end)
                             lp = 0
                         maxp = frame[1]
             except ParseFailure:
@@ -483,15 +498,14 @@ class Reader:
                     frame = stack.pop()
                     if frame[0] == _PREFIX:  # the operator as a plain atom
                         _, maxp, op_tok, _, i = frame
-                        left = Atom(op_tok.text, Span(lines, op_tok.start, op_tok.end))
+                        left = Atom(op_tok.text, lines, op_tok.start, op_tok.end)
                         lp = 0
                         break
                     if frame[0] == _INFIX and frame[6] is not None:  # as postfix
                         _, maxp, op_tok, _, i, left0, postfix = frame
                         i += 1
-                        left = OpApply(postfix, [left0],
-                                       Span(lines, left0.span.start_offset, op_tok.end),
-                                       Span(lines, op_tok.start, op_tok.end))
+                        left = OpApply(postfix, [left0], lines, left0.start,
+                                       op_tok.end, op_tok.start, op_tok.end)
                         lp = postfix.priority
                         break
                 else:

@@ -19,22 +19,28 @@ CURLY_FUNCTOR = "{}"
 
 
 class Term:
-    __slots__ = ("span", "functor_span")
+    """A term read from source holds its file's `LineIndex` in `lines` and
+    the [start, end) code-point offsets of its text; any other term holds
+    `lines` None. Every subclass sets the three in its own `__init__`: the
+    reader builds a leaf per token and the solver a compound per list cell."""
 
-    def __init__(self, span: Optional[SourceSpan] = None,
-                 functor_span: Optional[SourceSpan] = None):
-        self.span = span
-        self.functor_span = functor_span or span
+    __slots__ = ("lines", "start", "end")
+
+    @property
+    def span(self) -> Optional[SourceSpan]:
+        """A new span over the term's text, built on each call; None for a
+        term not read from source."""
+        lines = self.lines
+        return None if lines is None else SourceSpan(lines, self.start, self.end)
 
 
 class Atom(Term):
     __slots__ = ("name",)
 
-    def __init__(self, name: str, span=None, functor_span=None):
-        # Term.__init__ inlined here and below: the reader builds a leaf per
-        # token
-        self.span = span
-        self.functor_span = functor_span or span
+    def __init__(self, name: str, lines=None, start=0, end=0):
+        self.lines = lines
+        self.start = start
+        self.end = end
         self.name = name
 
     def __repr__(self):
@@ -44,8 +50,10 @@ class Atom(Term):
 class Var(Term):
     __slots__ = ("name", "vid")
 
-    def __init__(self, name: str, vid: int, span=None):
-        self.span = self.functor_span = span
+    def __init__(self, name: str, vid: int, lines=None, start=0, end=0):
+        self.lines = lines
+        self.start = start
+        self.end = end
         self.name = name
         self.vid = vid
 
@@ -56,8 +64,10 @@ class Var(Term):
 class Int(Term):
     __slots__ = ("value",)
 
-    def __init__(self, value: int, span=None):
-        self.span = self.functor_span = span
+    def __init__(self, value: int, lines=None, start=0, end=0):
+        self.lines = lines
+        self.start = start
+        self.end = end
         self.value = value
 
     def __repr__(self):
@@ -67,8 +77,10 @@ class Int(Term):
 class Float(Term):
     __slots__ = ("value",)
 
-    def __init__(self, value: float, span=None):
-        self.span = self.functor_span = span
+    def __init__(self, value: float, lines=None, start=0, end=0):
+        self.lines = lines
+        self.start = start
+        self.end = end
         self.value = value
 
     def __repr__(self):
@@ -78,8 +90,10 @@ class Float(Term):
 class Str(Term):
     __slots__ = ("value",)
 
-    def __init__(self, value: str, span=None):
-        self.span = self.functor_span = span
+    def __init__(self, value: str, lines=None, start=0, end=0):
+        self.lines = lines
+        self.start = start
+        self.end = end
         self.value = value
 
     def __repr__(self):
@@ -87,20 +101,35 @@ class Str(Term):
 
 
 class Compound(Term):
-    __slots__ = ("name", "args")
+    """A compound term. One read from source also holds the offsets of its
+    functor's text: the name token, the operator, the '{' of a curly term,
+    or for a list cell the cell's own offsets as first read."""
 
-    def __init__(self, name: str, args: list, span=None, functor_span=None):
+    __slots__ = ("name", "args", "functor_start", "functor_end")
+
+    def __init__(self, name: str, args: list, lines=None, start=0, end=0,
+                 functor_start=0, functor_end=0):
         if not args:
             raise ValueError("compound term needs at least one argument")
-        # Term.__init__ inlined: the solver builds a compound per list cell
-        self.span = span
-        self.functor_span = functor_span or span
+        self.lines = lines
+        self.start = start
+        self.end = end
+        self.functor_start = functor_start
+        self.functor_end = functor_end
         self.name = name
         self.args = args
 
     @property
     def arity(self) -> int:
         return len(self.args)
+
+    @property
+    def functor_span(self) -> Optional[SourceSpan]:
+        """A new span over the functor's text, built on each call; None for
+        a term not read from source."""
+        lines = self.lines
+        return (None if lines is None
+                else SourceSpan(lines, self.functor_start, self.functor_end))
 
     def __repr__(self):
         return f"Compound({self.name!r}, {self.args!r})"
@@ -111,10 +140,14 @@ class OpApply(Compound):
 
     __slots__ = ("op",)
 
-    def __init__(self, op, args: list, span=None, functor_span=None):
+    def __init__(self, op, args: list, lines=None, start=0, end=0,
+                 functor_start=0, functor_end=0):
         # Compound.__init__ inlined; an operator has one or two arguments
-        self.span = span
-        self.functor_span = functor_span or span
+        self.lines = lines
+        self.start = start
+        self.end = end
+        self.functor_start = functor_start
+        self.functor_end = functor_end
         self.name = op.name
         self.args = args
         self.op = op
@@ -123,11 +156,10 @@ class OpApply(Compound):
         return f"OpApply({self.op.name!r}/{self.op.fixity}, {self.args!r})"
 
 
-def make_list(items: Iterable[Term], tail: Optional[Term] = None,
-              span=None) -> Term:
-    result = tail if tail is not None else Atom(NIL, span)
+def make_list(items: Iterable[Term], tail: Optional[Term] = None) -> Term:
+    result = tail if tail is not None else Atom(NIL)
     for item in reversed(list(items)):
-        result = Compound(LIST_FUNCTOR, [item, result], span)
+        result = Compound(LIST_FUNCTOR, [item, result])
     return result
 
 

@@ -4,6 +4,7 @@ resulting immutable model."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import glob as globmod
 import hashlib
@@ -54,7 +55,11 @@ class DefInfo:
 @dataclass
 class CallSite:
     indicator: PredicateIndicator
-    span: SourceSpan
+    goal: Term  # the calling goal, which holds the offsets
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.goal.span
 
 
 @dataclass
@@ -84,6 +89,14 @@ class GlobalIndex:
     # file -> the predicates its imports make visible, (name, arity) ->
     # exporting file; the first import wins
     visible: dict[str, dict[tuple[str, int], str]]
+    # import targets outside `files`, such as library files, by path; check
+    # reports nothing about them
+    libraries: dict[str, FileIndex]
+
+    def lookup(self, path: str) -> Optional[FileIndex]:
+        """The index of project file or import target `path`."""
+        found = self.files.get(path)
+        return found if found is not None else self.libraries.get(path)
 
 
 @dataclass
@@ -175,11 +188,11 @@ def _walk_goals(body: Term, sink: list[CallSite], dcg: bool = False):
         if ind in _TRANSPARENT:
             stack.extend(reversed(goal.args))
         elif not dcg:
-            sink.append(CallSite(PredicateIndicator(*ind), goal.span))
+            sink.append(CallSite(PredicateIndicator(*ind), goal))
         elif ind == ("{}", 1):
             _walk_goals(goal.args[0], sink)  # plain goals: no deeper recursion
         elif ind not in _DCG_NON_CALLS:
-            sink.append(CallSite(PredicateIndicator(ind[0], ind[1] + 2), goal.span))
+            sink.append(CallSite(PredicateIndicator(ind[0], ind[1] + 2), goal))
 
 
 def _var_occurrences(term: Term) -> list[Var]:
@@ -362,15 +375,16 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
             if name == call.indicator.name and arity != call.indicator.arity
         )
         message = f"undefined predicate {call.indicator}"
+        span = call.span
         if neighbors:
-            related = [(call.span,
+            related = [(span,
                         f"did you mean {call.indicator.name}/{neighbors[0]}?")]
         diagnostics.append(
             Diagnostic(
                 Severity.ERROR,
                 "undefined_predicate",
                 message,
-                call.span,
+                span,
                 related=related,
                 data={"name": call.indicator.name,
                       "arity": call.indicator.arity,
@@ -385,7 +399,8 @@ def link(indices: dict[str, FileIndex],
     """Phase III: resolve calls and imports across all file indices. This
     is the one place imports are resolved: check reports what it finds, and
     completion offers the predicates it makes visible. An import target
-    outside `indices` is indexed once per call; no FileIndex is changed."""
+    outside `indices` is indexed once per call and kept in the result's
+    `libraries`; no FileIndex is changed."""
     diagnostics: list[Diagnostic] = []
     exporters: dict[tuple[str, int], list[str]] = {}
     for path in sorted(indices):
@@ -401,7 +416,8 @@ def link(indices: dict[str, FileIndex],
             diagnostics.extend(file_diags)
         except Exception as err:  # the per-file backstop, as in consult_file
             diagnostics.append(internal_error(path, err))
-    return GlobalIndex(dict(indices), exporters, visible), diagnostics
+    libraries = {path: found for path, found in outside.items() if found is not None}
+    return GlobalIndex(dict(indices), exporters, visible, libraries), diagnostics
 
 
 def discover_files(root: str, config: ProjectConfig) -> list[str]:
@@ -413,6 +429,26 @@ def discover_files(root: str, config: ProjectConfig) -> list[str]:
     return sorted(found)
 
 
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block, and restore the
+    caller's setting after it. The block receives that setting: True when
+    the collector was on.
+
+    A built model holds no reference cycles, so reference counting frees
+    it: a model built, used and dropped inside the block is never walked by
+    the collector. Unlike `gc.freeze()`, the pause is undone when the block
+    ends, so a model a library caller drops later is still freed.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield enabled
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def build_project(root: str, config: Optional[ProjectConfig] = None,
                   file_order: Optional[list[str]] = None) -> ProjectModel:
     """Run phases I-IV over every file under `root` matching the config.
@@ -420,22 +456,19 @@ def build_project(root: str, config: Optional[ProjectConfig] = None,
     `file_order` overrides discovery order (used to verify that the result
     does not depend on it); the output is sorted either way.
 
-    The cyclic garbage collector is paused during the build and the caller's
-    setting restored afterwards: the build allocates several tokens, spans
-    and terms per token of source, all living as long as the model, and the
-    collector would walk them again and again as the model grows. When the
-    collector was on, one young collection before returning moves the new
-    objects out of generation 0, so the collection the build deferred runs
-    here and not at the caller's next allocation.
+    The build runs with the collector paused: it allocates several terms per
+    token of source, all living as long as the model, and the collector
+    would walk them again and again as the model grows. When the collector
+    was on, one young collection before returning moves the new objects out
+    of generation 0, so the collection the build deferred runs here and not
+    at the caller's next allocation. A caller that pauses the collector
+    itself, as the one-shot CLI commands do, skips that collection.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build_project(root, config, file_order)
-    finally:
-        if enabled:
-            gc.enable()
-            gc.collect(0)
+    with collector_paused() as enabled:
+        model = _build_project(root, config, file_order)
+    if enabled:
+        gc.collect(0)
+    return model
 
 
 def _build_project(root: str, config: Optional[ProjectConfig],
@@ -534,12 +567,12 @@ def _sentence_at(index: FileIndex, offset: int) -> Optional[Sentence]:
 
 
 def _term_at(term: Term, offset: int) -> Optional[Term]:
-    """The innermost subterm of `term` whose span covers `offset`."""
-    if not term.span.covers(offset):
+    """The innermost subterm of `term` whose text covers `offset`."""
+    if not term.start <= offset < term.end:
         return None
     while isinstance(term, Compound):
         for arg in term.args:
-            if arg.span.covers(offset):
+            if arg.start <= offset < arg.end:
                 term = arg
                 break
         else:
@@ -551,30 +584,29 @@ def _atom_token_span(term: Term, offset: int) -> Optional[SourceSpan]:
     """The span of the token at `offset`, where `term` is the innermost term
     covering it, when that token is an atom; else None.
 
-    A compound's functor span is its name token's span, except that a list
-    cell's runs over its elements and ',', '|' and '{' functors are
-    punctuation. An atom's span is its token's, except for '[]' and '{}'
+    A compound's functor offsets are its name token's, except that a list
+    cell's run over its elements and ',', '|' and '{' functors are
+    punctuation. An atom's offsets are its token's, except for '[]' and '{}'
     written with brackets and for an atom in parentheses: only that rare
     leaf is lexed again.
     """
     if isinstance(term, Compound):
-        span = term.functor_span
-        if (not span.covers(offset)
-                or span.covers(term.args[0].span.start_offset)
-                or span.lines.text[span.start_offset] in ",|{"):
+        start, end = term.functor_start, term.functor_end
+        if (not start <= offset < end
+                or start <= term.args[0].start < end
+                or term.lines.text[start] in ",|{"):
             return None
-        return span
+        return term.functor_span
     if not isinstance(term, Atom):
         return None
-    span = term.span
-    start = span.start_offset
-    if span.lines.text[start] not in "([{]":
-        return span
-    for token in tokenize(span.lines.text[start:span.end_offset])[0]:
+    start, text = term.start, term.lines.text
+    if text[start] not in "([{]":
+        return term.span
+    for token in tokenize(text[start:term.end])[0]:
         if token.start <= offset - start < token.end:
             if token.kind not in ATOM_KINDS:
                 return None
-            return SourceSpan(span.lines, start + token.start, start + token.end)
+            return SourceSpan(term.lines, start + token.start, start + token.end)
     return None
 
 
@@ -598,7 +630,7 @@ def hover(file: str, offset: int, mode: str,
         ind = indicator_of(sentence.goal)
         if ind is not None and ind[0] == "use_module":
             target = sentence.goal.args[0]
-            if target.span.covers(offset):
+            if target.start <= offset < target.end:
                 return _hover_import(target, index, model, span)
 
     name, arity = indicator_of(term)
@@ -645,7 +677,7 @@ def _hover_import(target: Term, index: FileIndex, model: ProjectModel,
         if record.target is not target:
             continue
         if record.resolved_file:
-            target_index = model.index.files.get(record.resolved_file)
+            target_index = model.index.lookup(record.resolved_file)
             if target_index is not None:
                 exports = sorted(f"{n}/{a}" for n, a in _file_exports(target_index))
                 label = pretty_print(record.target)
@@ -662,8 +694,12 @@ def _find_def(name: str, arity: int, index: FileIndex,
     info = index.defined.get(indicator)
     if info is not None:
         return info, index.file
-    for path in model.index.exporters.get(indicator, []):
-        other = model.index.files.get(path)
+    paths = model.index.exporters.get(indicator, [])
+    origin = model.index.visible.get(index.file, {}).get(indicator)
+    if origin is not None:  # also an import target outside the project
+        paths = [*paths, origin]
+    for path in paths:
+        other = model.index.lookup(path)
         if other is not None and indicator in other.defined:
             return other.defined[indicator], path
     return None
@@ -725,7 +761,7 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
             add(info.display_label, kind, synopsis, info.indicator.name, 0)
         visible = model.index.visible.get(index.file, {})
         for (name, arity), origin in sorted(visible.items()):
-            other = model.index.files.get(origin)
+            other = model.index.lookup(origin)
             synopsis = f"{name}/{arity} from {os.path.basename(origin)}"
             if other is not None:
                 found = other.defined.get((name, arity))

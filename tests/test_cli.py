@@ -1,8 +1,12 @@
+import gc
 import io
 import os
 import subprocess
 import sys
 
+import pytest
+
+from plkit import cli
 from plkit.cli import main
 
 CLEAN = {
@@ -25,6 +29,26 @@ def test_check_clean_exit_zero(project, capsys):
     code, out, _ = run(["check", root], capsys)
     assert code == 0
     assert out == ""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_check_restores_gc_setting(project, capsys, monkeypatch, enabled):
+    root = project(BROKEN)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(["check", root], capsys)[0] == 1
+        assert gc.isenabled() is enabled
+
+        def broken_build(*args):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(cli, "build_project", broken_build)
+        with pytest.raises(RuntimeError):
+            main(["check", root])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_check_errors_exit_one(project, capsys):

@@ -97,6 +97,17 @@ def test_prefix_op_before_open_paren_keeps_arity():
     assert struct_eq(back, term)
 
 
+def test_operator_atom_after_prefix_operator_in_parentheses():
+    # unparenthesised, the infix operator would read as the operator and the
+    # prefix one as its left argument
+    for term in (Compound("-", [Atom("=")]),
+                 Compound("-", [Compound("-", [Atom("*")]), Atom("a")]),
+                 Compound("\\", [Compound("**", [Atom("is"), Atom("x")])])):
+        assert "(" in pp(term)
+        assert struct_eq(roundtrip(term), term), pp(term)
+    assert pp(Compound("-", [Atom("-")])) == "- -"
+
+
 def test_token_fusion_avoided():
     # adjacent symbol atoms must not merge into one symbol run
     term = Compound("=", [Atom("a"), Compound("-", [Atom("b")])])

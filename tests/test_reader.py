@@ -118,6 +118,28 @@ def test_operator_atom_as_operand():
          ("compound", ".", [("atom", "mod"), ("atom", "[]")])])
 
 
+def test_prefix_operator_before_an_infix_operator_is_an_atom():
+    # ISO/IEC 13211-1 §6.3.4.2: `- = a` is =(-, a)
+    for text, op in (("- = a", "="), ("\\+ = a", "="), ("- * a", "*")):
+        left = text.split()[0]
+        assert tup(f"p({text})") == (
+            "compound", "p", [("compound", op, [("atom", left), ("atom", "a")])])
+    minus_a = ("compound", "-", [("atom", "a")])
+    assert tup("- - a") == ("compound", "-", [minus_a])
+    assert tup("- + a") == ("compound", "-", [("compound", "+", [("atom", "a")])])
+    assert tup("- 1") == ("compound", "-", [("int", 1)])
+    assert tup("-(1)") == ("compound", "-", [("int", 1)])
+    assert tup("\\+ \\+ a") == (
+        "compound", "\\+", [("compound", "\\+", [("atom", "a")])])
+    assert tup("- = - a") == ("compound", "=", [("atom", "-"), minus_a])
+    # an infix operator before '(' is a functor, and one with no term after
+    # it an atom: the prefix reading stays
+    assert tup("- =(a, b)") == (
+        "compound", "-", [("compound", "=", [("atom", "a"), ("atom", "b")])])
+    assert tup("f((- =))") == (
+        "compound", "f", [("compound", "-", [("atom", "=")])])
+
+
 def test_lists():
     assert tup("[]") == ("atom", "[]")
     assert tup("[a]") == ("compound", ".", [("atom", "a"), ("atom", "[]")])
@@ -169,6 +191,47 @@ def test_spans_cover_source():
     assert term.functor_span.start_offset == 0
     assert term.functor_span.end_offset == 3
     assert term.args[0].span.start_offset == 4
+
+
+def _texts(term):
+    """The source text of a term's span, and of its functor span for a
+    compound."""
+    text = term.lines.text
+    span = text[term.span.start_offset:term.span.end_offset]
+    if not isinstance(term, Compound):
+        assert not hasattr(term, "functor_span")
+        return span
+    functor = term.functor_span
+    return span, text[functor.start_offset:functor.end_offset]
+
+
+def test_span_and_functor_span_of_each_construct():
+    source = "f((a), (g(x)), [a, b | T], [ ], {}, {a, b}, -1, - 1)"
+    term = read_term(source)
+    paren_atom, paren_compound, lst, nil, curly_atom, curly, signed, minus = term.args
+    assert _texts(term) == (source, "f")
+    assert _texts(paren_atom) == "(a)"
+    assert _texts(paren_compound) == ("(g(x))", "g")
+    # A list cell's functor span is its own span as first read; only the
+    # outermost cell's span then moves to the brackets.
+    assert _texts(lst) == ("[a, b | T]", "a, b | T")
+    assert _texts(lst.args[0]) == "a"
+    assert _texts(lst.args[1]) == ("b | T", "b | T")
+    assert _texts(lst.args[1].args[1]) == "T"
+    assert _texts(nil) == "[ ]"
+    assert _texts(curly_atom) == "{}"
+    assert _texts(curly) == ("{a, b}", "{")
+    assert _texts(curly.args[0]) == ("a, b", ",")
+    assert _texts(signed) == "-1"
+    assert _texts(minus) == ("- 1", "-")
+    # the '[]' that ends a proper list spans its ']'
+    assert _texts(read_term("[a]").args[1]) == "]"
+    db = Database()
+    db.operators.add(OperatorDef("@@", 100, "xf"))
+    postfix_in_infix = read_term("a @@ + b", db)
+    assert _texts(postfix_in_infix) == ("a @@ + b", "+")
+    assert _texts(postfix_in_infix.args[0]) == ("a @@", "@@")
+    assert _texts(read_term("(-(a))")) == ("(-(a))", "-")
 
 
 def test_end_span_recorded():

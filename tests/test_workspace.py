@@ -7,6 +7,7 @@ from test_acceptance import make_corpus
 from plkit import workspace
 from plkit.diagnostics import Severity
 from plkit.lexer import ATOM_KINDS, Token, tokenize
+from plkit.spans import SourceSpan
 from plkit.workspace import (
     ProjectConfig,
     StaleFixError,
@@ -375,6 +376,38 @@ def test_built_model_keeps_no_tokens(tmp_path):
     assert live_tokens() - before <= comments
 
 
+def test_built_model_is_acyclic(tmp_path):
+    # Reference counting frees a dropped model whole, so the collector never
+    # needs to walk one.
+    make_corpus(str(tmp_path), 50)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        model = build_project(str(tmp_path))
+        assert len(model.index.files) == 50
+        del model
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_built_model_builds_spans_only_for_sentences_and_calls(tmp_path):
+    def live_spans():
+        return sum(1 for obj in gc.get_objects() if type(obj) is SourceSpan)
+
+    make_corpus(str(tmp_path), 50)
+    gc.collect()
+    before = live_spans()
+    model = build_project(str(tmp_path))
+    files = model.index.files.values()
+    sentences = sum(len(index.sentences) for index in files)
+    calls = sum(len(index.calls) for index in files)
+    assert sentences > 0 and calls > 0
+    assert live_spans() - before <= sentences + calls
+
+
 # --- completion -----------------------------------------------------------
 
 
@@ -411,7 +444,20 @@ def test_complete_offers_library_imports(project):
     assert not errors(model)  # check sees helper/1 as imported
     items = complete_at(model, root, "src/a.pl", "a :- he")
     assert [(i.label, i.kind, i.synopsis) for i in items] == [
-        ("helper/1", "Predicate", "helper/1 from util.pl")]
+        ("helper/1", "Predicate", "helper(_)")]
+
+
+def test_hover_on_library_import(project):
+    model, root = build(project, LIBRARY_PROJECT, **LIBRARY_CONFIG)
+    util = fpath(root, "lib/util.pl")
+    # the library file is indexed for the queries, not checked
+    assert util in model.index.libraries and util not in model.index.files
+    assert not model.diagnostics
+    for needle, text in (("helper", "helper(_) defined at util.pl:2"),
+                         ("util", "library(util) exports: helper/1")):
+        file, offset = at(model, root, "src/a.pl", needle)
+        info = hover(file, offset, "definition", model)
+        assert info is not None and info.text == text, needle
 
 
 def test_library_import_target_is_indexed_once(project, monkeypatch):
