@@ -94,19 +94,13 @@ PROTECTED_OPERATOR_NAMES = {",", "|"}
 
 
 class OperatorTable:
-    def __init__(self, seed_defaults: bool = True):
+    def __init__(self):
         # name -> {"prefix"|"infix"|"postfix": OperatorDef}; names with no
         # definition have no entry. The reader reads it directly.
         self.by_name: dict[str, dict[str, OperatorDef]] = {}
-        if seed_defaults:
-            for priority, fixity, name in DEFAULT_OPERATORS:
-                definition = OperatorDef(name, priority, fixity)
-                self.by_name.setdefault(name, {})[definition.op_class] = definition
-
-    def copy(self) -> "OperatorTable":
-        t = OperatorTable(seed_defaults=False)
-        t.by_name = {name: dict(defs) for name, defs in self.by_name.items()}
-        return t
+        for priority, fixity, name in DEFAULT_OPERATORS:
+            definition = OperatorDef(name, priority, fixity)
+            self.by_name.setdefault(name, {})[definition.op_class] = definition
 
     def add(self, definition: OperatorDef):
         """Install, replace, or (priority 0) remove a definition."""
@@ -159,6 +153,13 @@ class PredicateIndicator(NamedTuple):
         return f"{self.name}/{self.arity}"
 
 
+def predicate_label(indicator: tuple[str, int], dcg: bool) -> str:
+    """name/N, or name//N-2 for a DCG nonterminal, whose rules with N-2
+    written arguments define the predicate name/N."""
+    name, arity = indicator
+    return f"{name}//{arity - 2}" if dcg else f"{name}/{arity}"
+
+
 @dataclass
 class Clause:
     head: Term
@@ -174,6 +175,15 @@ class PredicateEntry:
     # The solver's compiled form of `clauses`, built on the first call and
     # dropped whenever a clause is added.
     compiled: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def dcg(self) -> bool:
+        """Whether a DCG rule defines the predicate."""
+        return "dcg" in self.properties
+
+    @property
+    def display_label(self) -> str:
+        return predicate_label(self.indicator, self.dcg)
 
 
 @dataclass
@@ -204,15 +214,18 @@ class Database:
         # with the spans of the declaring directives.
         self.declared_operators: list[tuple[OperatorDef, Optional[SourceSpan]]] = []
 
-    def add_operator(self, definition: OperatorDef):
-        self.operators.add(definition)
-
     def assert_clause(self, head: Term, body: Term,
-                      span: Optional[SourceSpan] = None) -> PredicateEntry:
-        ind = indicator_of(head)
-        if ind is None:
-            raise errors.type_error("clause head must be an atom or compound term")
-        indicator = PredicateIndicator(*ind)
+                      span: Optional[SourceSpan] = None,
+                      indicator: Optional[PredicateIndicator] = None,
+                      ) -> PredicateEntry:
+        """Add a clause to the predicate `indicator`, by default the one its
+        head names."""
+        if indicator is None:
+            ind = indicator_of(head)
+            if ind is None:
+                raise errors.type_error(
+                    "clause head must be an atom or compound term")
+            indicator = PredicateIndicator(*ind)
         entry = self.predicates.setdefault(indicator, PredicateEntry(indicator))
         entry.clauses.append(Clause(head, body, span))
         entry.compiled = None

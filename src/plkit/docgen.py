@@ -15,6 +15,7 @@ import urllib.parse
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .database import PredicateEntry, predicate_label
 from .diagnostics import Diagnostic, Severity
 from .lexer import Token, TokenKind
 from .printer import pretty_print
@@ -126,7 +127,7 @@ def extract_docs(sentences: list[Sentence], file: str) -> tuple[list[DocBlock], 
     first_def: dict[tuple[str, int], int] = {}
     for i, defined in enumerate(defines):
         if defined is not None:
-            first_def.setdefault(defined[0], i)
+            first_def.setdefault(defined, i)
 
     for i, sentence in enumerate(sentences):
         for group in _comment_groups(sentence.leading_comments):
@@ -146,7 +147,8 @@ def extract_docs(sentences: list[Sentence], file: str) -> tuple[list[DocBlock], 
             elif defines[i] is None:
                 continue
             else:
-                key, display = defines[i]
+                key = defines[i]
+                display = predicate_label(key, sentence.kind == "dcg_rule")
                 if first_def.get(key) != i:
                     diagnostics.append(
                         Diagnostic(
@@ -204,12 +206,9 @@ def _anchor(name: str, arity: int) -> str:
     return f"pred-{urllib.parse.quote(name, safe='')}-{arity}"
 
 
-def _synopsis(info) -> str:
+def _synopsis(entry: PredicateEntry) -> str:
     """The first clause head with its variables named A, B, ... Z, A1, ...
     in order of first occurrence."""
-    head = info.first_head
-    if head is None:
-        return info.display_label
     names: dict[int, Var] = {}
 
     def rename(var: Var) -> Var:
@@ -220,7 +219,7 @@ def _synopsis(info) -> str:
             renamed = names[var.vid] = Var(name, var.vid)
         return renamed
 
-    return pretty_print(rebuild(head, rename, Compound))
+    return pretty_print(rebuild(entry.clauses[0].head, rename, Compound))
 
 
 def _entries_html(block: DocBlock) -> str:
@@ -279,18 +278,23 @@ def _file_page(model, docs: ProjectDocs, path: str) -> str:
         if block.target_kind == "module":
             module_block = block
             break
-    if index.module is not None:
-        parts.append(f"<p>Module: <code>{html.escape(index.module.name)}</code></p>")
+    module = index.db.module
+    if module is not None:
+        parts.append(f"<p>Module: <code>{html.escape(module.name)}</code></p>")
     if module_block is not None:
         parts.append(_entries_html(module_block))
 
-    if index.imports:
+    if index.db.imports:
         rows = []
-        for record in index.imports:
+        for record in index.db.imports:
             label = html.escape(pretty_print(record.target))
-            if record.resolved_file and record.resolved_file in model.index.files:
-                page = _page_name(model, record.resolved_file)
+            path = record.resolved_file
+            if path in model.index.files:
+                page = _page_name(model, path)
                 rows.append(f'<li><a href="{html.escape(page)}">{label}</a></li>')
+            elif path and model.index.lookup(path) is not None:
+                # a library file: resolved, but it has no page to link to
+                rows.append(f"<li>{label}</li>")
             else:
                 rows.append(f'<li>{label} <span class="note">(unresolved)</span></li>')
         parts.append("<h2>Imports</h2>\n<ul>\n" + "\n".join(rows) + "\n</ul>")
@@ -299,11 +303,11 @@ def _file_page(model, docs: ProjectDocs, path: str) -> str:
     parts.append("<h2>Predicates</h2>")
     if defs:
         rows = ["<tr><th>Predicate</th><th>Synopsis</th></tr>"]
-        for info in defs:
-            anchor = _anchor(info.indicator.name, info.indicator.arity)
+        for entry in defs:
+            anchor = _anchor(*entry.indicator)
             rows.append(
-                f'<tr><td><a href="#{anchor}">{html.escape(info.display_label)}'
-                f"</a></td><td><code>{html.escape(_synopsis(info))}</code></td></tr>"
+                f'<tr><td><a href="#{anchor}">{html.escape(entry.display_label)}'
+                f"</a></td><td><code>{html.escape(_synopsis(entry))}</code></td></tr>"
             )
         parts.append("<table>\n" + "\n".join(rows) + "\n</table>")
     else:
@@ -314,13 +318,13 @@ def _file_page(model, docs: ProjectDocs, path: str) -> str:
         for block in file_docs.blocks
         if block.target_kind == "predicate"
     }
-    for info in defs:
-        anchor = _anchor(info.indicator.name, info.indicator.arity)
+    for entry in defs:
+        anchor = _anchor(*entry.indicator)
         parts.append(
-            f'<h3 id="{anchor}">{html.escape(info.display_label)}</h3>'
+            f'<h3 id="{anchor}">{html.escape(entry.display_label)}</h3>'
         )
-        parts.append(f"<p><code>{html.escape(_synopsis(info))}</code></p>")
-        block = doc_by_target.get(info.indicator)
+        parts.append(f"<p><code>{html.escape(_synopsis(entry))}</code></p>")
+        block = doc_by_target.get(entry.indicator)
         if block is not None:
             parts.append(_entries_html(block))
     return _wrap(rel, "\n".join(parts))

@@ -62,10 +62,8 @@ class Loader:
     set guards against import cycles.
     """
 
-    def __init__(self, library_paths: tuple[str, ...] = (),
-                 read_file: Optional[Callable[[str], str]] = None):
+    def __init__(self, library_paths: tuple[str, ...] = ()):
         self.library_paths = tuple(library_paths)
-        self.read_file = read_file or _read_text
         self._cache: dict[str, tuple[Database, list[Sentence], list[Diagnostic]]] = {}
         self._loading: set[str] = set()
         self._sources: dict[str, str] = {}
@@ -110,7 +108,7 @@ class Loader:
         try:
             db = Database()
             try:
-                source = self.read_file(path)
+                source = _read_text(path)
                 self._sources[path] = source
                 sentences, diagnostics = consult_source(source, db, self, path)
             except OSError:
@@ -151,7 +149,10 @@ def consult_sentence(sentence: Sentence, db: Database,
         if sentence.kind == "directive":
             return exec_directive(sentence.goal, db, loader)
         body = Atom("true") if sentence.kind == "fact" else sentence.body
-        entry = db.assert_clause(sentence.head, body, sentence.span)
+        # defines() is None for a head that is not callable, which
+        # assert_clause rejects
+        entry = db.assert_clause(sentence.head, body, sentence.span,
+                                 sentence.defines())
         if sentence.kind == "dcg_rule":
             entry.properties.add("dcg")
     except PrologError as err:
@@ -280,7 +281,7 @@ def _dir_op(goal: Compound, db: Database, loader: Loader) -> list[Diagnostic]:
             continue
         try:
             definition = OperatorDef(opname, prio_t.value, fixity)
-            db.add_operator(definition)
+            db.operators.add(definition)
             db.declared_operators.append((definition, goal.span))
         except PrologError as err:
             diagnostics.append(_error(goal.span, err.kind, err.message))
@@ -343,7 +344,7 @@ def _dir_use_module(goal: Compound, db: Database, loader: Loader) -> list[Diagno
     # Operator declarations of the imported file become visible here.
     for definition, span in target_db.declared_operators:
         try:
-            db.add_operator(definition)
+            db.operators.add(definition)
             db.declared_operators.append((definition, span))
         except PrologError:
             pass
@@ -388,7 +389,7 @@ def _load_into(goal: Compound, db: Database, loader: Loader,
         return []
     db.loaded_files.add(path)
     try:
-        source = loader.read_file(path)
+        source = _read_text(path)
     except OSError as err:
         return [_warn(target.span, "file_not_found", str(err))]
     _, diagnostics = consult_source(source, db, loader, path)
@@ -886,6 +887,10 @@ class Solver:
                 f"unknown predicate {PredicateIndicator(*key)}")
         compiled = entry.compiled
         if compiled is None:
+            if entry.dcg:
+                # a DCG rule is stored untranslated: its body is no goal
+                raise errors.existence_error(
+                    f"unknown predicate {entry.indicator}")
             compiled = entry.compiled = _Compiled(entry)
         if key[1]:
             for position, arg in enumerate(goal.args):

@@ -81,10 +81,12 @@ def _fuses(a: str, b: str) -> bool:
 
 class _Gap:
     """A place between the parts of an operator term where a space is
-    written if the characters on either side would fuse; after a prefix
-    operator, also before a '(' (which would read as the operator's
-    argument list, not a parenthesized operand), and an infix or postfix
-    operator atom there is put in parentheses."""
+    written if the characters on either side would fuse. After a prefix
+    operator, a space is also written before a '(' (which would read as
+    the operator's argument list, not a parenthesized operand) and, after
+    a prefix '-' or '+', before a digit (which would read as a signed
+    number); an infix or postfix operator atom there is put in
+    parentheses."""
 
     def __init__(self, before_paren: bool):
         self.before_paren = before_paren
@@ -130,7 +132,9 @@ class _Printer:
                         # prefix operator would read as an operator with
                         # the prefix one as its left argument.
                         item = f"({item})"
-                if _fuses(last, item[0]) or (gap.before_paren and item[0] == "("):
+                if _fuses(last, item[0]) or (gap.before_paren and (
+                        item[0] == "("
+                        or (item[0].isdigit() and out[-1] in ("-", "+")))):
                     out.append(" ")
                 gap = None
             out.append(item)
@@ -169,12 +173,8 @@ class _Printer:
             return None
         op = self.table.prefix(name)
         if op is not None and not atom_needs_quote(name):
-            arg = _arg(args[0], op.right_arg_max())
-            if name in ("-", "+") and isinstance(args[0], (Int, Float)):
-                # Keep a space so 'signed literal' folding cannot re-fuse
-                # "- 1" into the integer -1.
-                return [name, " ", arg], op.priority
-            return [name, _PREFIX_GAP, arg], op.priority
+            return [name, _PREFIX_GAP, _arg(args[0], op.right_arg_max())], \
+                op.priority
         op = self.table.postfix(name)
         if op is not None and not atom_needs_quote(name):
             return [_arg(args[0], op.left_arg_max()), _GAP, name], op.priority

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .database import Database
+from .database import Database, PredicateIndicator
 from .diagnostics import Diagnostic, Severity
 from .lexer import ATOM_KINDS, Token, TokenKind, TRIVIA_KINDS
 from .spans import LineIndex, SourceSpan
@@ -128,20 +128,18 @@ class Sentence:
             raise ValueError("not a directive")
         return self.term.args[0]
 
-    def defines(self) -> Optional[tuple[tuple[str, int], str]]:
-        """The predicate a clause, fact or DCG rule defines, as (name,
-        arity), and its label: name/N, or name//N for a DCG rule, whose
-        predicate has arity N+2. None for a directive or a head that is not
-        callable."""
+    def defines(self) -> Optional[PredicateIndicator]:
+        """The predicate a clause, fact or DCG rule defines: name/N, or
+        name/N+2 for the rule of a nonterminal name//N. None for a directive
+        or a head that is not callable."""
         if self.kind == "directive":
             return None
         ind = indicator_of(self.head)
         if ind is None:
             return None
-        name, arity = ind
         if self.kind == "dcg_rule":
-            return (name, arity + 2), f"{name}//{arity}"
-        return ind, f"{name}/{arity}"
+            return PredicateIndicator(ind[0], ind[1] + 2)
+        return PredicateIndicator(*ind)
 
 
 class ParseFailure(Exception):

@@ -14,9 +14,9 @@ from typing import Optional
 
 from .catalog import load_default_catalog
 from .database import (
+    Clause,
     Database,
-    ImportRecord,
-    ModuleInfo,
+    PredicateEntry,
     PredicateIndicator,
 )
 from .diagnostics import Diagnostic, Severity, sort_key
@@ -43,16 +43,6 @@ class ProjectConfig:
 
 
 @dataclass
-class DefInfo:
-    indicator: PredicateIndicator
-    first_span: SourceSpan  # of the first clause
-    display_label: str  # name/N, or name//N for a DCG nonterminal
-    dcg: bool = False
-    first_head: Optional[Term] = None
-    properties: set[str] = field(default_factory=set)
-
-
-@dataclass
 class CallSite:
     indicator: PredicateIndicator
     goal: Term  # the calling goal, which holds the offsets
@@ -64,21 +54,39 @@ class CallSite:
 
 @dataclass
 class FileIndex:
+    """One file's model. Its consult's database holds the module, the
+    imports and the predicates, with the clauses of the files it includes;
+    phase II adds the call sites and the diagnostics."""
+
     file: str
-    module: Optional[ModuleInfo]
-    defined: dict[PredicateIndicator, DefInfo]
     calls: list[CallSite]
-    imports: list[ImportRecord]
     sentences: list[Sentence]
     db: Database
     diagnostics: list[Diagnostic]
 
-    def unique_defs(self) -> list[DefInfo]:
-        seen: list[DefInfo] = []
-        for info in self.defined.values():
-            if not any(info is s for s in seen):
-                seen.append(info)
-        return sorted(seen, key=lambda d: d.first_span.start_offset)
+    def definition(self, name: str, arity: int) -> Optional[PredicateEntry]:
+        """The predicate name/arity when a clause defines it; else the DCG
+        nonterminal name//arity, which is found by its written arity."""
+        entry = self.db.predicates.get((name, arity))
+        if entry is not None and entry.clauses:
+            return entry
+        entry = self.db.predicates.get((name, arity + 2))
+        return entry if entry is not None and entry.dcg else None
+
+    def first_clause(self, entry: PredicateEntry) -> Optional[Clause]:
+        """The first clause of `entry` in this file's own text, not in a
+        file it includes."""
+        for clause in entry.clauses:
+            if clause.span.file_id == self.file:
+                return clause
+        return None
+
+    def unique_defs(self) -> list[PredicateEntry]:
+        """The predicates with a clause in this file's own text, in the
+        order of their first such clause."""
+        own = [entry for entry in self.db.predicates.values()
+               if self.first_clause(entry) is not None]
+        return sorted(own, key=lambda e: self.first_clause(e).span.start_offset)
 
 
 @dataclass
@@ -216,53 +224,38 @@ def _var_occurrences(term: Term) -> list[Var]:
 def index_file(sentences: list[Sentence], db: Database, file: str,
                tokens: object = None,
                phase1_diagnostics: list[Diagnostic] = ()) -> FileIndex:
-    """Phase II: decorate one file's sentences into a FileIndex.
+    """Phase II: decorate one file's sentences, consulted into `db`, into a
+    FileIndex.
 
     `tokens` is unused, as the model keeps no tokens; it stays for callers
     that pass the phase I diagnostics positionally.
     """
-    defined: dict[PredicateIndicator, DefInfo] = {}
     calls: list[CallSite] = []
     diagnostics = list(phase1_diagnostics)
 
+    seen: set[PredicateIndicator] = set()
     prev_indicator: Optional[PredicateIndicator] = None
     for sentence in sentences:
         if sentence.kind == "directive":
             prev_indicator = None
             continue
-        defines = sentence.defines()
-        if defines is None:
+        indicator = sentence.defines()
+        if indicator is None:
             continue
-        (name, arity), label = defines
-        indicator = PredicateIndicator(name, arity)
-        info = defined.get(indicator)
-        is_new = info is None
-        if info is None:
-            dcg = sentence.kind == "dcg_rule"
-            info = DefInfo(indicator, sentence.span, label, dcg, sentence.head)
-            defined[indicator] = info
-            # a DCG nonterminal is also found by its declared arity
-            if dcg and (name, arity - 2) not in defined:
-                defined[PredicateIndicator(name, arity - 2)] = info
-        entry = db.lookup(indicator)
-        if entry is not None:
-            info.properties = entry.properties
         # clause order interruption without a discontiguous declaration
-        if (
-            not is_new
-            and prev_indicator is not None
-            and prev_indicator != indicator
-            and "discontiguous" not in info.properties
-        ):
-            diagnostics.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "discontiguous_clauses",
-                    f"clauses of {info.display_label} are not together "
-                    "(missing discontiguous declaration?)",
-                    sentence.span,
+        if indicator in seen and prev_indicator not in (None, indicator):
+            entry = db.predicates[indicator]
+            if "discontiguous" not in entry.properties:
+                diagnostics.append(
+                    Diagnostic(
+                        Severity.WARNING,
+                        "discontiguous_clauses",
+                        f"clauses of {entry.display_label} are not together "
+                        "(missing discontiguous declaration?)",
+                        sentence.span,
+                    )
                 )
-            )
+        seen.add(indicator)
         prev_indicator = indicator
 
         if sentence.body is not None:
@@ -284,26 +277,17 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
                     )
                 )
 
-    return FileIndex(
-        file=file,
-        module=db.module,
-        defined=defined,
-        calls=calls,
-        imports=list(db.imports),
-        sentences=sentences,
-        db=db,
-        diagnostics=diagnostics,
-    )
+    return FileIndex(file, calls, sentences, db, diagnostics)
 
 
 # --- phase III + IV -------------------------------------------------------
 
 
 def _file_exports(index: FileIndex) -> set[tuple[str, int]]:
-    if index.module is not None:
-        return index.module.exports
-    # A non-module "database" file exports every top-level definition.
-    return {d.indicator for d in index.unique_defs()}
+    if index.db.module is not None:
+        return index.db.module.exports
+    # A non-module "database" file exports every predicate it defines.
+    return {ind for ind, entry in index.db.predicates.items() if entry.clauses}
 
 
 def _link_file(index: FileIndex, indices: dict[str, FileIndex],
@@ -316,7 +300,7 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
     the file's link diagnostics."""
     diagnostics: list[Diagnostic] = []
     visible: dict[tuple[str, int], str] = {}
-    for record in index.imports:
+    for record in index.db.imports:
         path = record.resolved_file
         target_index = indices.get(path) if path else None
         if target_index is None and path and loader is not None:
@@ -357,13 +341,9 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
                 )
             )
 
-    local = set(index.defined)
     # declared-but-undefined dynamic predicates are legitimate call targets
-    local |= {
-        ind
-        for ind, entry in index.db.predicates.items()
-        if "dynamic" in entry.properties
-    }
+    local = {ind for ind, entry in index.db.predicates.items()
+             if entry.clauses or "dynamic" in entry.properties}
     for call in index.calls:
         ind = call.indicator
         if ind in local or ind in BUILTIN_INDICATORS or ind in visible:
@@ -500,10 +480,9 @@ def _build_project(root: str, config: Optional[ProjectConfig],
             indices[path] = index_file(sentences, db, path,
                                        phase1_diagnostics=phase1)
         except Exception as err:  # the per-file backstop, as in consult_file
-            # An index that keeps the module and its exports but no
-            # definitions or calls, so that link does not index it again.
-            indices[path] = FileIndex(path, db.module, {}, [], [],
-                                      sentences, db,
+            # An index with the file's database but no calls, so that
+            # link does not index it again.
+            indices[path] = FileIndex(path, [], sentences, db,
                                       [*phase1, internal_error(path, err)])
     index, link_diags = link(indices, loader)
     diagnostics = sorted(
@@ -529,29 +508,33 @@ def outline(file: str, model: ProjectModel) -> list[OutlineItem]:
     if index is None:
         return []
     items: list[OutlineItem] = []
-    exports = index.module.exports if index.module is not None else set()
-    if index.module is not None:
+    module = index.db.module
+    exports = module.exports if module is not None else set()
+    if module is not None:
         for sentence in index.sentences:
             if sentence.kind == "directive":
                 ind = indicator_of(sentence.goal)
                 if ind == ("module", 2):
-                    items.append(OutlineItem("Module", index.module.name,
+                    items.append(OutlineItem("Module", module.name,
                                              sentence.span))
                     break
-    for record in index.imports:
+    for record in index.db.imports:
         if record.span is not None:
             items.append(
                 OutlineItem("ImportDirective", pretty_print(record.target),
                             record.span)
             )
-    for info in index.unique_defs():
-        if info.dcg:
+    for entry in index.db.predicates.values():
+        first = index.first_clause(entry)
+        if first is None:
+            continue  # defined only in an included file, or declared
+        if entry.dcg:
             kind = "DcgNonterminal"
-        elif info.indicator in exports:
+        elif entry.indicator in exports:
             kind = "ExportedPredicate"
         else:
             kind = "PrivatePredicate"
-        items.append(OutlineItem(kind, info.display_label, info.first_span))
+        items.append(OutlineItem(kind, entry.display_label, first.span))
     items.sort(key=lambda it: it.target_span.start_offset)
     return items
 
@@ -651,14 +634,12 @@ def hover(file: str, offset: int, mode: str,
                  for d in sorted(defs, key=lambda d: d.fixity)]
         return HoverInfo("\n".join(lines), span)
 
-    info = _find_def(name, arity, index, model)
-    if info is not None:
-        def_info, def_file = info
-        head = def_info.first_head
-        synopsis = pretty_print(head) if head is not None else def_info.display_label
-        line = def_info.first_span.start_line
-        where = os.path.basename(def_file)
-        return HoverInfo(f"{synopsis} defined at {where}:{line}", span)
+    entry = _find_def(name, arity, index, model)
+    if entry is not None:
+        first = entry.clauses[0]
+        where = os.path.basename(first.span.file_id)
+        return HoverInfo(f"{pretty_print(first.head)} defined at "
+                         f"{where}:{first.span.start_line}", span)
 
     doc = _builtin_doc(name, arity)
     return HoverInfo(doc, span) if doc is not None else None
@@ -673,7 +654,7 @@ def _builtin_doc(name: str, arity: int) -> Optional[str]:
 
 def _hover_import(target: Term, index: FileIndex, model: ProjectModel,
                   span: SourceSpan) -> Optional[HoverInfo]:
-    for record in index.imports:
+    for record in index.db.imports:
         if record.target is not target:
             continue
         if record.resolved_file:
@@ -689,19 +670,17 @@ def _hover_import(target: Term, index: FileIndex, model: ProjectModel,
 
 
 def _find_def(name: str, arity: int, index: FileIndex,
-              model: ProjectModel) -> Optional[tuple[DefInfo, str]]:
+              model: ProjectModel) -> Optional[PredicateEntry]:
     indicator = PredicateIndicator(name, arity)
-    info = index.defined.get(indicator)
-    if info is not None:
-        return info, index.file
-    paths = model.index.exporters.get(indicator, [])
+    paths = [index.file, *model.index.exporters.get(indicator, [])]
     origin = model.index.visible.get(index.file, {}).get(indicator)
     if origin is not None:  # also an import target outside the project
-        paths = [*paths, origin]
+        paths.append(origin)
     for path in paths:
         other = model.index.lookup(path)
-        if other is not None and indicator in other.defined:
-            return other.defined[indicator], path
+        entry = other.definition(name, arity) if other is not None else None
+        if entry is not None:
+            return entry
     return None
 
 
@@ -748,25 +727,20 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
         )
         if in_import:
             for path in sorted(model.index.files):
-                other = model.index.files[path]
-                if other.module is not None:
-                    add(other.module.name, "Module", f"module in {os.path.basename(path)}",
-                        other.module.name, 1)
-        for info in index.unique_defs():
-            synopsis = (
-                pretty_print(info.first_head) if info.first_head is not None
-                else info.display_label
-            )
-            kind = "Dcg" if info.dcg else "Predicate"
-            add(info.display_label, kind, synopsis, info.indicator.name, 0)
+                module = model.index.files[path].db.module
+                if module is not None:
+                    add(module.name, "Module", f"module in {os.path.basename(path)}",
+                        module.name, 1)
+        for entry in index.db.predicates.values():
+            if entry.clauses:
+                add(entry.display_label, "Dcg" if entry.dcg else "Predicate",
+                    pretty_print(entry.clauses[0].head), entry.indicator.name, 0)
         visible = model.index.visible.get(index.file, {})
         for (name, arity), origin in sorted(visible.items()):
             other = model.index.lookup(origin)
-            synopsis = f"{name}/{arity} from {os.path.basename(origin)}"
-            if other is not None:
-                found = other.defined.get((name, arity))
-                if found is not None and found.first_head is not None:
-                    synopsis = pretty_print(found.first_head)
+            found = other.definition(name, arity) if other is not None else None
+            synopsis = (pretty_print(found.clauses[0].head) if found is not None
+                        else f"{name}/{arity} from {os.path.basename(origin)}")
             add(f"{name}/{arity}", "Predicate", synopsis, name, 1)
         catalog = load_default_catalog()
         for name, arity in BUILTIN_INDICATORS:
@@ -843,7 +817,7 @@ def _fixes_not_exported(diagnostic: Diagnostic, model: ProjectModel) -> list[Qui
     arity = diagnostic.data["arity"]
     exporter = diagnostic.data["exporter"]
     target = model.index.files.get(os.path.abspath(exporter))
-    if target is None or target.module is None:
+    if target is None or target.db.module is None:
         return []
     source = model.sources.get(target.file, "")
     for sentence in target.sentences:

@@ -68,14 +68,6 @@ def test_same_name_prefix_and_infix_coexist():
     assert len(table.defs("-")) == 2
 
 
-def test_table_copy_is_independent():
-    table = default_table()
-    clone = table.copy()
-    clone.add(OperatorDef("===", 700, "xfx"))
-    assert table.infix("===") is None
-    assert clone.infix("===") is not None
-
-
 def test_assert_clause_and_lookup():
     db = Database()
     head = Compound("fact", [Int(1)])

@@ -9,7 +9,7 @@ from plkit.docgen import (
     project_docs,
 )
 from plkit.engine import Loader, consult_source
-from plkit.workspace import build_project
+from plkit.workspace import ProjectConfig, build_project
 
 DOCUMENTED = """\
 :- module(shapes, [area/2]).
@@ -117,9 +117,9 @@ def test_dcg_doc_display():
 # --- HTML generation ------------------------------------------------------
 
 
-def build_docs(project, files, out="docs"):
+def build_docs(project, files, out="docs", config=None):
     root = project(files)
-    model = build_project(root)
+    model = build_project(root, config)
     docs = project_docs(model)
     out_dir = os.path.join(root, out)
     written = generate_html(model, docs, out_dir)
@@ -179,6 +179,19 @@ def test_unresolved_import_noted_not_linked(project):
         "a.pl": ":- module(a, []).\n:- use_module(elsewhere).\n"})
     page = read(os.path.join(out_dir, "a.html"))
     assert "(unresolved)" in page
+
+
+def test_library_import_resolved_not_linked(project):
+    _, _, out_dir, written = build_docs(project, {
+        "src/a.pl": ":- use_module(library(util)).\na :- helper(a).\n",
+        "lib/util.pl": ":- module(util, [helper/1]).\nhelper(_).\n"},
+        config=ProjectConfig(globs=("src/*.pl",), library_paths=("lib",)))
+    # lib/util.pl is no project file, so it has no page to link to
+    assert sorted(map(os.path.basename, written)) == [
+        "index.html", "src__a.html", "style.css"]
+    page = read(os.path.join(out_dir, "src__a.html"))
+    assert "<li>library(util)</li>" in page
+    assert "(unresolved)" not in page
 
 
 def test_synopsis_uses_canonical_variable_names(project):

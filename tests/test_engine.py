@@ -54,7 +54,7 @@ def test_consult_sentence_runs_directives_and_stores_clauses():
     assert [c.head.args[0].value for c in p.clauses] == [1]
     (q_clause,) = db.lookup(PredicateIndicator("q", 1)).clauses
     assert q_clause.body.name == "p"
-    assert "dcg" in db.lookup(PredicateIndicator("s", 0)).properties
+    assert "dcg" in db.lookup(PredicateIndicator("s", 2)).properties
 
 
 def test_consult_failure_is_contained(monkeypatch):
@@ -337,6 +337,19 @@ def test_unknown_predicate_raises_existence_error():
     with pytest.raises(PrologError) as err:
         solutions("no_such_thing(1)", db)
     assert err.value.kind == "existence_error"
+
+
+def test_calling_a_dcg_rule_raises_existence_error():
+    # a DCG rule is stored at name/N+2, untranslated: the solver runs
+    # neither its body nor a nonterminal's written arity
+    db, _, diagnostics = load("s --> [t].\n")
+    assert not diagnostics
+    for goal, indicator in (("s", "s/0"), ("s(A, B)", "s/2")):
+        for _ in range(2):  # also once the predicate has been called
+            with pytest.raises(PrologError) as err:
+                solutions(goal, db)
+            assert err.value.kind == "existence_error"
+            assert err.value.message == f"unknown predicate {indicator}"
 
 
 def test_prelude_library_predicates():

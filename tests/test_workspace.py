@@ -191,6 +191,41 @@ def test_dcg_rules_link_at_expanded_arity(project):
     assert by_code(model, "undefined_predicate") == []
 
 
+def test_included_predicates_are_defined_in_the_including_file(project):
+    # parts/ is outside the glob, so only main.pl's database holds inc_p/1
+    model, root = build(project, {
+        "main.pl": ":- include('parts/inc').\nmain :- inc_p(1).\n",
+        "parts/inc.pl": "inc_p(X) :- X > 0.\n"}, globs=("*.pl",))
+    assert model.diagnostics == []
+    file, offset = at(model, root, "main.pl", "inc_p(1)")
+    assert "inc_p/1" in [c.label for c in complete(file, offset + 3, model)]
+    info = hover(file, offset, "definition", model)
+    assert info is not None and info.text == "inc_p(X) defined at inc.pl:1"
+    # the outline lists only what the file's own text defines
+    assert [i.label for i in outline(file, model)] == ["main/0"]
+
+
+def test_no_import_fix_for_an_included_predicate(project):
+    model, _ = build(project, {
+        "main.pl": ":- include(inc).\nmain :- inc_p(1), o(2).\n",
+        "inc.pl": "inc_p(X) :- X > 0.\n",
+        "other.pl": ":- module(other, [o/1]).\no(_).\n"})
+    assert [d.message for d in model.diagnostics] == ["undefined predicate o/1"]
+    assert [fix.title for d in model.diagnostics
+            for fix in quick_fixes(d, model)] == ["Import o/1 from other.pl"]
+
+
+def test_a_nonterminal_is_no_plain_predicate(project):
+    model, root = build(project, {"a.pl": "g --> [a].\nx :- g.\n"})
+    assert [d.message for d in by_code(model, "undefined_predicate")] == [
+        "undefined predicate g/0"]
+    # hover finds the nonterminal by its written arity, at its head too
+    for needle in ("g -->", "g.\n"):
+        file, offset = at(model, root, "a.pl", needle)
+        info = hover(file, offset, "definition", model)
+        assert info is not None and info.text == "g defined at a.pl:1"
+
+
 def test_diagnostics_deterministic_under_file_order(project):
     files = {"a.pl": A_SOURCE, "b.pl": B_SOURCE,
              "c.pl": "x :- ghost(1).\n"}
@@ -358,7 +393,7 @@ def test_hover_none_on_a_variable_in_a_list(project):
         offset = source.index(needle) + at_char
         for mode in ("definition", "doc"):
             assert hover(file, offset, mode, model) is None, needle
-    assert (".", 2) in model.file_index(file).defined
+    assert model.file_index(file).db.lookup((".", 2)).clauses
 
 
 def test_built_model_keeps_no_tokens(tmp_path):
