@@ -17,7 +17,7 @@ from .database import (
 from .diagnostics import Diagnostic, Severity
 from .engine import Loader, SolveLimits, consult_source, repl, solve
 from .errors import PrologError
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Token, TokenKind, lossless, tokenize
 from .printer import pretty_print, sentence_text
 from .reader import Reader, Sentence
 from .spans import SourceSpan

@@ -10,7 +10,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from . import errors
+from . import errors, lexer
 from .database import (
     Database,
     ImportRecord,
@@ -21,6 +21,7 @@ from .database import (
 )
 from .diagnostics import Diagnostic, Severity
 from .errors import PrologError
+from .lexer import TokenKind
 from .printer import pretty_print
 from .reader import Reader, Sentence
 from .spans import SourceSpan, file_start
@@ -59,7 +60,8 @@ class Loader:
     """Resolves and consults files referenced by directives.
 
     Consulted files are cached so diamond imports parse once; a loading
-    set guards against import cycles.
+    set guards against import cycles, and the include chain against
+    include cycles.
     """
 
     def __init__(self, library_paths: tuple[str, ...] = ()):
@@ -67,6 +69,9 @@ class Loader:
         self._cache: dict[str, tuple[Database, list[Sentence], list[Diagnostic]]] = {}
         self._loading: set[str] = set()
         self._sources: dict[str, str] = {}
+        # The file consult_file is consulting, then the files that
+        # `:- include` has consulted into its database, innermost last.
+        self.include_chain: list[str] = []
 
     def resolve(self, target: Term, base_dir: str) -> Optional[str]:
         names: list[str] = []
@@ -105,6 +110,7 @@ class Loader:
         if path in self._loading:
             return None  # cycle: the partial result is not reusable
         self._loading.add(path)
+        outer_chain, self.include_chain = self.include_chain, [path]
         try:
             db = Database()
             try:
@@ -120,6 +126,7 @@ class Loader:
             return result
         finally:
             self._loading.discard(path)
+            self.include_chain = outer_chain
 
     def source_of(self, path: str) -> Optional[str]:
         return self._sources.get(os.path.abspath(path))
@@ -163,19 +170,17 @@ def consult_sentence(sentence: Sentence, db: Database,
 def consult_source(source: str, db: Database, loader: Loader,
                    file_id: str) -> tuple[list[Sentence], list[Diagnostic]]:
     """Phase I for one file: tokenize, then consult_tokens."""
-    from .lexer import tokenize
-
-    tokens, lex_diags = tokenize(source, file_id)
-    return consult_tokens(tokens, lex_diags, db, loader, file_id)
+    tokens, lex_diags = lexer.tokenize(source, file_id)
+    return consult_tokens(source, tokens, lex_diags, db, loader, file_id)
 
 
-def consult_tokens(tokens: list, lex_diags: list[Diagnostic], db: Database,
-                   loader: Loader, file_id: str,
+def consult_tokens(source: str, tokens: list[tuple], lex_diags: list[Diagnostic],
+                   db: Database, loader: Loader, file_id: str,
                    ) -> tuple[list[Sentence], list[Diagnostic]]:
-    """Phase I over an already-tokenized file: read sentences, consulting
+    """Phase I over the tokens of `source`: read sentences, consulting
     each before the next is parsed so directives reshape the grammar
     mid-file."""
-    reader = Reader(tokens, db, file_id)
+    reader = Reader(source, tokens, db, file_id)
     # The reader appends its parse errors here too, so they interleave with
     # the consult diagnostics in source order.
     diagnostics = reader.diagnostics = list(lex_diags)
@@ -387,12 +392,21 @@ def _load_into(goal: Compound, db: Database, loader: Loader,
                       f"cannot resolve {pretty_print(target)}")]
     if once_only and path in db.loaded_files:
         return []
+    if path in loader.include_chain:  # already being consulted into db
+        if once_only:
+            return []
+        return [_error(target.span, "include_cycle",
+                       f"{pretty_print(target)} is already being included")]
     db.loaded_files.add(path)
     try:
         source = _read_text(path)
     except OSError as err:
         return [_warn(target.span, "file_not_found", str(err))]
-    _, diagnostics = consult_source(source, db, loader, path)
+    loader.include_chain.append(path)
+    try:
+        _, diagnostics = consult_source(source, db, loader, path)
+    finally:
+        loader.include_chain.pop()
     return diagnostics
 
 
@@ -1269,16 +1283,14 @@ def repl(db: Database, inp, out, loader: Optional[Loader] = None,
     The buffer is lexed again only when it may hold a complete sentence:
     after a sentence or an answer line changed it, or when the appended
     line has a '.', as a line without one cannot end a sentence."""
-    from .lexer import TokenKind, tokenize
-
     loader = loader or Loader()
     limits = limits or SolveLimits()
     buffer = ""
     lex = False  # the buffer may now hold a complete sentence
     while True:
         if lex:
-            tokens, lex_diags = tokenize(buffer, "<repl>")
-            lex = any(t.kind == TokenKind.END for t in tokens)
+            tokens, lex_diags = lexer.tokenize(buffer, "<repl>")
+            lex = any(tok[0] is TokenKind.END for tok in tokens)
         if not lex:
             out.write("?- ")
             try:
@@ -1291,7 +1303,7 @@ def repl(db: Database, inp, out, loader: Optional[Loader] = None,
             buffer += line
             lex = "." in line
             continue
-        reader = Reader(tokens, db, "<repl>")
+        reader = Reader(buffer, tokens, db, "<repl>")
         sentence = reader.read_sentence()
         buffer = buffer[reader.consumed_end:]
         for diag in lex_diags + reader.diagnostics:

@@ -1,20 +1,29 @@
-"""Lossless tokenizer for Prolog source text.
+"""Tokenizer for Prolog source text.
+
+`tokenize` gives the tokens the reader reads, in source order, and then
+the comments, in source order, as plain tuples `(kind, text, start, end,
+value)`: `start` and `end` are the code-point offsets of `text` in the
+source, and `value` is the decoded number or quoted text, or None. Layout
+is skipped, never built. `lossless` is the view that covers every
+character: `Token` objects in source order, with one LAYOUT token in each
+gap between two tokens, so that joining their texts gives the source back.
 
 Tokenization itself is context-free; whether an atom token is an operator
 is decided by the reader, against the operator table in force at the
 moment it consumes the token.
 
 One master regular expression of named alternatives (the "Writing a
-Tokenizer" recipe of the `re` documentation) scans layout, comments, names,
-variables, decimal numbers, symbol atoms, punctuation and quoted text
-without backslashes. Hand-written code handles escapes, `0'` character
-codes, radix numbers, unterminated tokens, invalid characters and tokens
-that start with a non-ASCII character.
+Tokenizer" recipe of the `re` documentation) skips layout and scans
+comments, names, variables, decimal numbers, symbol atoms, punctuation and
+quoted text without backslashes. Hand-written code handles escapes, `0'`
+character codes, radix numbers, unterminated tokens, invalid characters and
+tokens that start with a non-ASCII character.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from typing import Optional
 
@@ -60,16 +69,17 @@ ATOM_KINDS = {
     TokenKind.SOLO_CHAR,
 }
 
-# Kinds that never participate in parsing decisions.
-TRIVIA_KINDS = {TokenKind.LAYOUT, TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT}
+COMMENT_KINDS = {TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT}
 
-# '(' directly after one of these becomes OPEN_PAREN_CT (f(x) vs f (x)).
+# '(' right after one of these, with no layout or comment between, becomes
+# OPEN_PAREN_CT (f(x) vs f (x)).
 _CT_PRECEDERS = ATOM_KINDS | {TokenKind.VARIABLE}
 
 
 class Token:
-    """One lexeme: its kind, text and decoded value, and the [start, end)
-    code-point offsets of its text in the file that `lines` indexes."""
+    """One lexeme of the lossless view, or a comment a sentence keeps: its
+    kind, text and decoded value, and the [start, end) code-point offsets of
+    its text in the file that `lines` indexes."""
 
     __slots__ = ("kind", "text", "lines", "start", "end", "value")
 
@@ -103,14 +113,14 @@ class Token:
         return self.text
 
 
-# Alternatives are tried in order: `end` before `symbol`, radix and
-# character-code prefixes before decimal numbers, `float` before `integer`.
-# A quoted item matches only when it is closed and holds no backslash; the
-# final `hand` alternative takes any other character to the hand-written
-# scanners below.
-_MASTER = re.compile(rf"""
-    (?P<layout>\s+)
-  | (?P<name>[a-z]\w*)
+# Each match skips a run of layout, then takes one token. Alternatives are
+# tried in order: `end` before `symbol`, radix and character-code prefixes
+# before decimal numbers, `float` before `integer`. A quoted item matches
+# only when it is closed and holds no backslash; the final `hand`
+# alternative takes any other character to the hand-written scanners below.
+# After trailing layout nothing matches, as `hand` takes no layout.
+_MASTER = re.compile(rf"""\s*(?:
+    (?P<name>[a-z]\w*)
   | (?P<variable>[A-Z_]\w*)
   | (?P<punct>[(),|\[\]{{}}])
   | (?P<solo>[!;])
@@ -124,23 +134,24 @@ _MASTER = re.compile(rf"""
   | (?P<symbol>[{re.escape(''.join(sorted(SYMBOL_CHARS)))}]+)
   | (?P<quoted>'[^'\\]*(?:''[^'\\]*)*'(?!'))
   | (?P<string>"[^"\\]*(?:""[^"\\]*)*"(?!"))
-  | (?P<hand>.)
-""", re.VERBOSE | re.DOTALL)
+  | (?P<hand>\S)
+)""", re.VERBOSE | re.DOTALL)
 
-_GROUP_KINDS = {
-    "layout": TokenKind.LAYOUT,
+# By the number of the group that matched: the kind of a token that needs
+# no more than its text, or None where the scanner has more to do.
+_PLAIN_KINDS = [None] * (_MASTER.groups + 1)
+for _group, _kind in {
     "name": TokenKind.NAME_ATOM,
     "variable": TokenKind.VARIABLE,
     "solo": TokenKind.SOLO_CHAR,
     "end": TokenKind.END,
-    "float": TokenKind.FLOAT,
-    "integer": TokenKind.INTEGER,
-    "line_comment": TokenKind.LINE_COMMENT,
-    "block_comment": TokenKind.BLOCK_COMMENT,
     "symbol": TokenKind.SYMBOL_ATOM,
-    "quoted": TokenKind.QUOTED_ATOM,
-    "string": TokenKind.STRING,
-}
+}.items():
+    _PLAIN_KINDS[_MASTER.groupindex[_group]] = _kind
+_COMMENT_GROUPS = {_MASTER.groupindex["line_comment"]: TokenKind.LINE_COMMENT,
+                   _MASTER.groupindex["block_comment"]: TokenKind.BLOCK_COMMENT}
+_PUNCT, _INTEGER, _FLOAT, _QUOTED, _STRING = (
+    _MASTER.groupindex[group] for group in ("punct", "integer", "float", "quoted", "string"))
 
 _PUNCT_KINDS = {
     "(": TokenKind.OPEN_PAREN,
@@ -279,56 +290,92 @@ def _quoted(src: str, start: int, kind: TokenKind) -> _Scanned:
     return TokenKind.INVALID, n, None, ("unterminated_string", "unterminated string")
 
 
-def tokenize(source: str, file_id: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
-    """Lex `source` into a lossless token stream.
+# Kinds as module globals: on Python 3.11 each TokenKind.X lookup runs
+# EnumType.__getattr__.
+_INTEGER_KIND, _FLOAT_KIND, _QUOTED_KIND, _STRING_KIND = (
+    TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.QUOTED_ATOM, TokenKind.STRING)
+_OPEN_PAREN, _OPEN_PAREN_CT = TokenKind.OPEN_PAREN, TokenKind.OPEN_PAREN_CT
 
-    Joining all token texts reproduces the source exactly; lexical errors
+
+def tokenize(source: str, file_id: str = "<string>") -> tuple[list[tuple], list[Diagnostic]]:
+    """Lex `source` into tuples `(kind, text, start, end, value)`: its
+    tokens in source order, then its comments in source order, so that a
+    reader can slice the comments off. Layout is skipped. Lexical errors
     become INVALID tokens plus diagnostics, never exceptions.
     """
-    tokens: list[Token] = []
+    tokens: list[tuple] = []
+    comments: list[tuple] = []
     diagnostics: list[Diagnostic] = []
+    append = tokens.append
     match = _MASTER.match
-    group_kinds = _GROUP_KINDS
-    # Locals: on Python 3.11 each TokenKind.X lookup runs EnumType.__getattr__.
-    INTEGER, FLOAT, QUOTED_ATOM, STRING, OPEN_PAREN = (
-        TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.QUOTED_ATOM,
-        TokenKind.STRING, TokenKind.OPEN_PAREN)
-    lines = LineIndex(file_id, source)
-    n = len(source)
-    pos = 0
-    prev = None  # kind of the last token
-    while pos < n:
+    plain_kinds = _PLAIN_KINDS
+    lines = None  # built for the first diagnostic
+    pos = 0  # the end of the last token or comment
+    while True:
         m = match(source, pos)
-        group = m.lastgroup
-        kind = group_kinds.get(group)
-        end = m.end()
+        if m is None:  # at the end, or only layout is left
+            tokens += comments
+            return tokens, diagnostics
+        group = m.lastindex
+        start, end = m.span(group)
+        kind = plain_kinds[group]
+        if kind is not None:
+            append((kind, source[start:end], start, end, None))
+            pos = end
+            continue
         value = error = None
-        if kind is None:
-            if group == "punct":
-                kind = _PUNCT_KINDS[source[pos]]
-                if kind is OPEN_PAREN and prev in _CT_PRECEDERS:
-                    kind = TokenKind.OPEN_PAREN_CT
-            else:
-                kind, end, value, error = _scan_by_hand(source, pos)
-            text = source[pos:end]
+        if group == _PUNCT:
+            kind = _PUNCT_KINDS[source[start]]
+            # no layout or comment between it and the token before it
+            if (kind is _OPEN_PAREN and tokens and tokens[-1][3] == start
+                    and tokens[-1][0] in _CT_PRECEDERS):
+                kind = _OPEN_PAREN_CT
+        elif group == _INTEGER:
+            kind = _INTEGER_KIND
+            try:
+                value = int(source[start:end])
+            except ValueError:  # more digits than the interpreter converts
+                kind = TokenKind.INVALID
+                error = ("bad_number", "integer literal has too many digits")
+        elif group == _QUOTED:
+            kind = _QUOTED_KIND
+            value = source[start + 1:end - 1].replace("''", "'")
+        elif group == _STRING:
+            kind = _STRING_KIND
+            value = source[start + 1:end - 1].replace('""', '"')
+        elif group == _FLOAT:
+            kind = _FLOAT_KIND
+            value = float(source[start:end])
+        elif group in _COMMENT_GROUPS:
+            comments.append((_COMMENT_GROUPS[group], source[start:end], start, end, None))
+            pos = end
+            continue
         else:
-            text = source[pos:end]
-            if kind is INTEGER:
-                try:
-                    value = int(text)
-                except ValueError:  # more digits than the interpreter converts
-                    kind = TokenKind.INVALID
-                    error = ("bad_number", "integer literal has too many digits")
-            elif kind is FLOAT:
-                value = float(text)
-            elif kind is QUOTED_ATOM:
-                value = text[1:-1].replace("''", "'")
-            elif kind is STRING:
-                value = text[1:-1].replace('""', '"')
-        tokens.append(Token(kind, text, lines, pos, end, value))
+            kind, end, value, error = _scan_by_hand(source, start)
+        append((kind, source[start:end], start, end, value))
         if error is not None:
+            if lines is None:
+                lines = LineIndex(file_id, source)
             diagnostics.append(Diagnostic(Severity.ERROR, error[0], error[1],
-                                          SourceSpan(lines, pos, end)))
-        prev = kind
+                                          SourceSpan(lines, start, end)))
         pos = end
-    return tokens, diagnostics
+
+
+def lossless(source: str, file_id: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
+    """The lossless view of `source`: each token and comment of `tokenize`
+    as a `Token`, in source order, with one LAYOUT token for each run of
+    layout between them, so that joining all token texts reproduces the
+    source exactly."""
+    tokens, diagnostics = tokenize(source, file_id)
+    tokens.sort(key=operator.itemgetter(2))
+    lines = LineIndex(file_id, source)
+    view: list[Token] = []
+    pos, n = 0, len(source)
+    # A last, empty item at the end of the source closes the final gap.
+    for kind, text, start, end, value in [*tokens, (None, "", n, n, None)]:
+        if pos < start:
+            view.append(Token(TokenKind.LAYOUT, source[pos:start], lines, pos, start))
+        if kind is not None:
+            view.append(Token(kind, text, lines, start, end, value))
+        pos = end
+    return view, diagnostics

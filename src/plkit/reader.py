@@ -1,4 +1,4 @@
-"""Sentence-by-sentence term reader over the significant tokens.
+"""Sentence-by-sentence term reader over the tokens of `lexer.tokenize`.
 
 Each atom's role is resolved against the operator table *at the moment the
 reader reaches it*, so directives run between sentences change the grammar
@@ -28,7 +28,7 @@ from typing import Optional
 
 from .database import Database, PredicateIndicator
 from .diagnostics import Diagnostic, Severity
-from .lexer import ATOM_KINDS, Token, TokenKind, TRIVIA_KINDS
+from .lexer import ATOM_KINDS, COMMENT_KINDS, Token, TokenKind
 from .spans import LineIndex, SourceSpan
 from .terms import (
     Atom,
@@ -45,7 +45,6 @@ from .terms import (
 # Token kinds as module globals: on Python 3.11 every `TokenKind.X` lookup
 # runs `EnumType.__getattr__`.
 BAR = TokenKind.BAR
-BLOCK_COMMENT = TokenKind.BLOCK_COMMENT
 CLOSE_BRACE = TokenKind.CLOSE_BRACE
 CLOSE_BRACKET = TokenKind.CLOSE_BRACKET
 CLOSE_PAREN = TokenKind.CLOSE_PAREN
@@ -53,7 +52,6 @@ COMMA = TokenKind.COMMA
 END = TokenKind.END
 FLOAT = TokenKind.FLOAT
 INTEGER = TokenKind.INTEGER
-LINE_COMMENT = TokenKind.LINE_COMMENT
 OPEN_BRACE = TokenKind.OPEN_BRACE
 OPEN_BRACKET = TokenKind.OPEN_BRACKET
 OPEN_PAREN = TokenKind.OPEN_PAREN
@@ -78,6 +76,10 @@ _OPERAND_START_KINDS = {
 
 # Atom kinds that can name an operator: a quoted atom never does.
 _OPERATOR_KINDS = ATOM_KINDS - {QUOTED_ATOM}
+
+# A token is the tuple (kind, text, start, end, value) that the lexer gives;
+# the reader reads its fields by position.
+_KIND, _TEXT, _START, _END = range(4)
 
 # Frame tags. Frames are tuples (tag, max priority of the term the frame
 # is part of, opening token, ...):
@@ -148,70 +150,78 @@ class ParseFailure(Exception):
         self.diagnostic = Diagnostic(Severity.ERROR, code, message, span)
 
 
-def _unbalanced(tok: Token, what: str) -> ParseFailure:
+def _failure(code: str, message: str, lines: LineIndex, tok: tuple) -> ParseFailure:
+    """A ParseFailure on the span of `tok`."""
+    return ParseFailure(code, message, SourceSpan(lines, tok[_START], tok[_END]))
+
+
+def _unbalanced(tok: tuple, what: str, lines: LineIndex) -> ParseFailure:
     """The failure for `tok` found where the closing `what` belongs."""
-    if tok.kind is None:
-        return ParseFailure("unbalanced_delimiter",
-                            f"expected {what} before end of input", tok.span)
-    return ParseFailure("unbalanced_delimiter",
-                        f"expected {what}, found {tok.text!r}", tok.span)
+    if tok[_KIND] is None:
+        return _failure("unbalanced_delimiter",
+                        f"expected {what} before end of input", lines, tok)
+    return _failure("unbalanced_delimiter",
+                    f"expected {what}, found {tok[_TEXT]!r}", lines, tok)
 
 
-def _operator_follows(toks: list[Token], i: int, by_name: dict) -> bool:
+def _operator_follows(toks: list[tuple], i: int, by_name: dict) -> bool:
     """Whether toks[i], right after a prefix operator, stands as an infix or
     postfix operator that is not also a prefix one. The prefix operator is
     then a plain atom, the left argument (ISO/IEC 13211-1 §6.3.4.2): `- = a`
     reads as `=(-, a)`. An atom right before '(' is a functor, and an infix
     operator needs a term after it."""
-    if toks[i].kind not in _OPERATOR_KINDS:
+    kind, text = toks[i][:2]
+    if kind not in _OPERATOR_KINDS:
         return False
-    entry = by_name.get(toks[i].text)
+    entry = by_name.get(text)
     if not entry or "prefix" in entry:
         return False
-    after = toks[i + 1].kind
+    after = toks[i + 1][_KIND]
     if after is OPEN_PAREN_CT:
         return False
     return "postfix" in entry or after in _OPERAND_START_KINDS
 
 
 class Reader:
-    def __init__(self, tokens: list[Token], db: Database, file_id: str):
+    """Reads the sentences of `source` from `tokens`, what `lexer.tokenize`
+    gives for it."""
+
+    def __init__(self, source: str, tokens: list[tuple], db: Database, file_id: str):
         self.db = db
         self.file_id = file_id
-        # The significant tokens, then an end-of-input token of kind None
-        # whose empty span sits at the end of the source.
-        toks = [tok for tok in tokens if tok.kind not in TRIVIA_KINDS]
-        if tokens:
-            lines, end = tokens[-1].lines, tokens[-1].end
-        else:
-            lines, end = LineIndex(file_id, ""), 0
-        toks.append(Token(None, "", lines, end, end))  # type: ignore[arg-type]
-        self.toks = toks
+        self.lines = LineIndex(file_id, source)
+        # `tokens` ends with the comments. The tokens before them, then an
+        # end-of-input token of kind None whose empty span sits at the end
+        # of the source, are what the grammar reads.
+        n = len(tokens)
+        while n and tokens[n - 1][_KIND] in COMMENT_KINDS:
+            n -= 1
+        self.toks = toks = tokens[:n]
+        toks.append((None, "", len(source), len(source), None))
         self.i = 0  # index in self.toks of the next token to read
         self.diagnostics: list[Diagnostic] = []  # parse errors, in read order
         self._vid_counter = itertools.count()
         self._sentence_vars: dict[str, Var] = {}
         # Comments in source order; those before _next_comment are given
         # to a sentence or were passed over by error recovery.
-        self._comments = [tok for tok in tokens
-                          if tok.kind is LINE_COMMENT or tok.kind is BLOCK_COMMENT]
+        self._comments = tokens[n:]
         self._next_comment = 0
 
     def at_eof(self) -> bool:
-        return self.toks[self.i].kind is None
+        return self.toks[self.i][_KIND] is None
 
     @property
     def consumed_end(self) -> int:
         """Source offset just past the last token read: after
         `read_sentence`, the end of the '.' of the sentence read or skipped
         (or of the last token, at end of input)."""
-        return self.toks[self.i - 1].end if self.i else 0
+        return self.toks[self.i - 1][_END] if self.i else 0
 
-    def _take_comments(self, before: int) -> list[Token]:
+    def _take_comments(self, before: int) -> list[tuple]:
         """The comments not yet taken that start before offset `before`."""
         comments, first = self._comments, self._next_comment
         last = first
-        while last < len(comments) and comments[last].start < before:
+        while last < len(comments) and comments[last][_START] < before:
             last += 1
         self._next_comment = last
         return comments[first:last]
@@ -224,22 +234,19 @@ class Reader:
         next End. A sentence's leading comments are those after the previous
         End (of a sentence read or skipped), through its own."""
         self._sentence_vars = {}
-        toks = self.toks
-        if toks[self.i].kind is None:
+        toks, lines = self.toks, self.lines
+        if toks[self.i][_KIND] is None:
             return None
         try:
             term = self.parse_term(MAX_PRIORITY)
             end_tok = toks[self.i]
-            if end_tok.kind is not END:
-                if end_tok.kind is None:
-                    raise ParseFailure("missing_end",
-                                       "expected '.' before end of input",
-                                       end_tok.span)
-                raise ParseFailure(
-                    "unexpected_token",
-                    f"operator or '.' expected, found {end_tok.text!r}",
-                    end_tok.span,
-                )
+            if end_tok[_KIND] is not END:
+                if end_tok[_KIND] is None:
+                    raise _failure("missing_end", "expected '.' before end of input",
+                                   lines, end_tok)
+                raise _failure("unexpected_token",
+                               f"operator or '.' expected, found {end_tok[_TEXT]!r}",
+                               lines, end_tok)
             self.i += 1
         except ParseFailure as failure:
             self.diagnostics.append(failure.diagnostic)
@@ -254,16 +261,17 @@ class Reader:
                 kind = "clause"
             elif term.name == "-->" and term.arity == 2:
                 kind = "dcg_rule"
-        span = SourceSpan(end_tok.lines, term.start, end_tok.end)
-        return Sentence(kind, term, span, self._take_comments(end_tok.start))
+        comments = [Token(ckind, text, lines, start, end)
+                    for ckind, text, start, end, _ in self._take_comments(end_tok[_START])]
+        return Sentence(kind, term, SourceSpan(lines, term.start, end_tok[_END]), comments)
 
     def _recover(self):
         """Skip tokens up to and including the next End (or to end of input)."""
         toks, i = self.toks, self.i
-        kind = toks[i].kind
+        kind = toks[i][_KIND]
         while kind is not END and kind is not None:
             i += 1
-            kind = toks[i].kind
+            kind = toks[i][_KIND]
         self.i = i + 1 if kind is END else i
 
     # --- terms ------------------------------------------------------------
@@ -272,7 +280,7 @@ class Reader:
         """Read one term of priority at most `max_priority` from the current
         position, leaving the position at the first token after it."""
         toks = self.toks
-        lines = toks[-1].lines
+        lines = self.lines
         by_name = self.db.operators.by_name
         sentence_vars = self._sentence_vars
         vids = self._vid_counter
@@ -290,28 +298,27 @@ class Reader:
                         resume = False
                     else:
                         tok = toks[i]
-                        kind = tok.kind
+                        kind, text, start, end, value = tok
                         i += 1
                         lp = 0
                         if kind in ATOM_KINDS:
-                            name = tok.value if kind is QUOTED_ATOM else tok.text
-                            nxt = toks[i]
-                            nkind = nxt.kind
+                            name = value if kind is QUOTED_ATOM else text
+                            nkind, _, nstart, nend, nvalue = toks[i]
                             if nkind is OPEN_PAREN_CT:
                                 i += 1
                                 stack.append((_ARGS, maxp, tok, name, []))
                                 maxp = ARG_PRIORITY
                                 continue
                             if kind is QUOTED_ATOM:
-                                left = Atom(name, lines, tok.start, tok.end)
+                                left = Atom(name, lines, start, end)
                             elif ((nkind is INTEGER or nkind is FLOAT)
                                   and (name == "-" or name == "+")
-                                  and tok.end == nxt.start):
+                                  and end == nstart):
                                 # A sign right before a number folds into it.
                                 i += 1
-                                value = (-1 if name == "-" else 1) * nxt.value
+                                value = (-1 if name == "-" else 1) * nvalue
                                 left = (Int if nkind is INTEGER else Float)(
-                                    value, lines, tok.start, nxt.end)
+                                    value, lines, start, nend)
                             else:
                                 entry = by_name.get(name)
                                 prefix = entry.get("prefix") if entry else None
@@ -323,23 +330,22 @@ class Reader:
                                     maxp = prefix.right_arg_max()
                                     continue
                                 # Operator atoms standing alone are plain atoms.
-                                left = Atom(name, lines, tok.start, tok.end)
+                                left = Atom(name, lines, start, end)
                         elif kind is VARIABLE:
-                            name = tok.text
-                            if name == "_":
-                                left = Var("_", next(vids), lines, tok.start, tok.end)
+                            if text == "_":
+                                left = Var("_", next(vids), lines, start, end)
                             else:
-                                var = sentence_vars.get(name)
+                                var = sentence_vars.get(text)
                                 if var is None:
-                                    left = sentence_vars[name] = Var(
-                                        name, next(vids), lines, tok.start, tok.end)
+                                    left = sentence_vars[text] = Var(
+                                        text, next(vids), lines, start, end)
                                 else:
-                                    left = Var(name, var.vid, lines, tok.start, tok.end)
+                                    left = Var(text, var.vid, lines, start, end)
                         elif kind is INTEGER:
-                            left = Int(tok.value, lines, tok.start, tok.end)
+                            left = Int(value, lines, start, end)
                         elif kind is OPEN_BRACKET:
-                            if toks[i].kind is CLOSE_BRACKET:
-                                left = Atom("[]", lines, tok.start, toks[i].end)
+                            if toks[i][_KIND] is CLOSE_BRACKET:
+                                left = Atom("[]", lines, start, toks[i][_END])
                                 i += 1
                             else:
                                 stack.append((_LIST, maxp, tok, []))
@@ -350,12 +356,12 @@ class Reader:
                             maxp = MAX_PRIORITY
                             continue
                         elif kind is STRING:
-                            left = Str(tok.value, lines, tok.start, tok.end)
+                            left = Str(value, lines, start, end)
                         elif kind is FLOAT:
-                            left = Float(tok.value, lines, tok.start, tok.end)
+                            left = Float(value, lines, start, end)
                         elif kind is OPEN_BRACE:
-                            if toks[i].kind is CLOSE_BRACE:
-                                left = Atom("{}", lines, tok.start, toks[i].end)
+                            if toks[i][_KIND] is CLOSE_BRACE:
+                                left = Atom("{}", lines, start, toks[i][_END])
                                 i += 1
                             else:
                                 stack.append((_CURLY, maxp, tok))
@@ -364,22 +370,20 @@ class Reader:
                         else:
                             i -= 1  # recovery starts at this token, maybe an End
                             if kind is None:
-                                raise ParseFailure("unexpected_token",
-                                                   "unexpected end of input", tok.span)
-                            raise ParseFailure(
-                                "unexpected_token",
-                                f"unexpected {tok.text!r} where a term was expected",
-                                tok.span,
-                            )
+                                raise _failure("unexpected_token",
+                                               "unexpected end of input", lines, tok)
+                            raise _failure("unexpected_token",
+                                           f"unexpected {text!r} where a term was expected",
+                                           lines, tok)
 
                     # --- operators after `left`, then the frames it ends ---
                     while True:
                         tok = toks[i]
-                        kind = tok.kind
+                        kind = tok[_KIND]
                         if kind is COMMA:
                             entry = by_name.get(",")
                         elif kind in _OPERATOR_KINDS:
-                            entry = by_name.get(tok.text)
+                            entry = by_name.get(tok[_TEXT])
                         elif kind is BAR:
                             entry = by_name.get("|")
                         else:
@@ -400,7 +404,7 @@ class Reader:
                             if post is not None:
                                 i += 1
                                 left = OpApply(post, [left], lines, left.start,
-                                               tok.end, tok.start, tok.end)
+                                               tok[_END], tok[_START], tok[_END])
                                 lp = post.priority
                                 continue
                             if ((infix is not None and infix.priority <= maxp)
@@ -408,11 +412,11 @@ class Reader:
                                 # The operator fits the context but its left
                                 # argument is too strong: an x argument needs
                                 # strictly lower priority.
-                                raise ParseFailure(
+                                raise _failure(
                                     "operator_clash",
-                                    f"operator {tok.atom_name()!r} cannot take a "
+                                    f"operator {tok[_TEXT]!r} cannot take a "
                                     f"priority {lp} term as left argument",
-                                    tok.span,
+                                    lines, tok,
                                 )
 
                         # `left` is complete: hand it to the newest frame.
@@ -425,37 +429,38 @@ class Reader:
                             _, _, name_tok, name, args = frame
                             args.append(left)
                             close = toks[i]
-                            if close.kind is COMMA:
+                            if close[_KIND] is COMMA:
                                 i += 1
                                 stack.append(frame)
                                 maxp = ARG_PRIORITY
                                 break
-                            if close.kind is not CLOSE_PAREN:
-                                raise _unbalanced(close, "')'")
+                            if close[_KIND] is not CLOSE_PAREN:
+                                raise _unbalanced(close, "')'", lines)
                             i += 1
-                            left = Compound(name, args, lines, name_tok.start,
-                                            close.end, name_tok.start, name_tok.end)
+                            start, end = name_tok[_START], name_tok[_END]
+                            left = Compound(name, args, lines, start, close[_END], start, end)
                             lp = 0
                         elif tag == _INFIX:
                             _, _, op_tok, op, _, left0, _ = frame
                             left = OpApply(op, [left0, left], lines, left0.start,
-                                           left.end, op_tok.start, op_tok.end)
+                                           left.end, op_tok[_START], op_tok[_END])
                             lp = op.priority
                         elif tag == _LIST or tag == _LIST_TAIL:
                             _, maxp, open_tok, items = frame
                             close = toks[i]
+                            kind = close[_KIND]
                             if tag == _LIST:
                                 items.append(left)
-                                if close.kind is COMMA or close.kind is BAR:
+                                if kind is COMMA or kind is BAR:
                                     i += 1
-                                    if close.kind is BAR:
+                                    if kind is BAR:
                                         frame = (_LIST_TAIL, maxp, open_tok, items)
                                     stack.append(frame)
                                     maxp = ARG_PRIORITY
                                     break
-                                left = Atom("[]", lines, close.start, close.end)
-                            if close.kind is not CLOSE_BRACKET:
-                                raise _unbalanced(close, "']'")
+                                left = Atom("[]", lines, close[_START], close[_END])
+                            if kind is not CLOSE_BRACKET:
+                                raise _unbalanced(close, "']'", lines)
                             i += 1
                             # `left` is the tail. A cell's functor offsets
                             # are its own, and only the outermost cell then
@@ -464,30 +469,30 @@ class Reader:
                             for item in reversed(items):
                                 left = Compound(".", [item, left], lines, item.start,
                                                 end, item.start, end)
-                            left.start = open_tok.start
-                            left.end = close.end
+                            left.start = open_tok[_START]
+                            left.end = close[_END]
                             lp = 0
                         elif tag == _PAREN:
                             close = toks[i]
-                            if close.kind is not CLOSE_PAREN:
-                                raise _unbalanced(close, "')'")
+                            if close[_KIND] is not CLOSE_PAREN:
+                                raise _unbalanced(close, "')'", lines)
                             i += 1
-                            left.start = frame[2].start
-                            left.end = close.end
+                            left.start = frame[2][_START]
+                            left.end = close[_END]
                             lp = 0
                         elif tag == _PREFIX:
                             _, _, op_tok, op, _ = frame
-                            left = OpApply(op, [left], lines, op_tok.start,
-                                           left.end, op_tok.start, op_tok.end)
+                            left = OpApply(op, [left], lines, op_tok[_START],
+                                           left.end, op_tok[_START], op_tok[_END])
                             lp = op.priority
                         else:  # _CURLY
                             open_tok = frame[2]
                             close = toks[i]
-                            if close.kind is not CLOSE_BRACE:
-                                raise _unbalanced(close, "'}'")
+                            if close[_KIND] is not CLOSE_BRACE:
+                                raise _unbalanced(close, "'}'", lines)
                             i += 1
-                            left = Compound("{}", [left], lines, open_tok.start,
-                                            close.end, open_tok.start, open_tok.end)
+                            start, end = open_tok[_START], open_tok[_END]
+                            left = Compound("{}", [left], lines, start, close[_END], start, end)
                             lp = 0
                         maxp = frame[1]
             except ParseFailure:
@@ -496,14 +501,14 @@ class Reader:
                     frame = stack.pop()
                     if frame[0] == _PREFIX:  # the operator as a plain atom
                         _, maxp, op_tok, _, i = frame
-                        left = Atom(op_tok.text, lines, op_tok.start, op_tok.end)
+                        left = Atom(op_tok[_TEXT], lines, op_tok[_START], op_tok[_END])
                         lp = 0
                         break
                     if frame[0] == _INFIX and frame[6] is not None:  # as postfix
                         _, maxp, op_tok, _, i, left0, postfix = frame
                         i += 1
                         left = OpApply(postfix, [left0], lines, left0.start,
-                                       op_tok.end, op_tok.start, op_tok.end)
+                                       op_tok[_END], op_tok[_START], op_tok[_END])
                         lp = postfix.priority
                         break
                 else:

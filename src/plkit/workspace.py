@@ -485,11 +485,11 @@ def _build_project(root: str, config: Optional[ProjectConfig],
             indices[path] = FileIndex(path, [], sentences, db,
                                       [*phase1, internal_error(path, err)])
     index, link_diags = link(indices, loader)
-    diagnostics = sorted(
-        [d for fi in indices.values() for d in fi.diagnostics]
-        + link_diags + extra,
-        key=sort_key,
-    )
+    # A file that others include is consulted once more for each includer,
+    # which gives its phase I diagnostics again: each is reported once.
+    unique = {(*sort_key(d), d.severity): d
+              for fi in indices.values() for d in fi.diagnostics}
+    diagnostics = sorted([*unique.values(), *link_diags, *extra], key=sort_key)
     return ProjectModel(
         root=os.path.abspath(root),
         config=config,
@@ -585,11 +585,11 @@ def _atom_token_span(term: Term, offset: int) -> Optional[SourceSpan]:
     start, text = term.start, term.lines.text
     if text[start] not in "([{]":
         return term.span
-    for token in tokenize(text[start:term.end])[0]:
-        if token.start <= offset - start < token.end:
-            if token.kind not in ATOM_KINDS:
+    for kind, _, tstart, tend, _ in tokenize(text[start:term.end])[0]:
+        if tstart <= offset - start < tend:
+            if kind not in ATOM_KINDS:
                 return None
-            return SourceSpan(term.lines, start + token.start, start + token.end)
+            return SourceSpan(term.lines, start + tstart, start + tend)
     return None
 
 

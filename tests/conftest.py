@@ -15,7 +15,7 @@ def read_one(text: str, db: Database | None = None):
     db = db or Database()
     tokens, lex_diags = tokenize(text, "<test>")
     assert not lex_diags, [d.message for d in lex_diags]
-    reader = Reader(tokens, db, "<test>")
+    reader = Reader(text, tokens, db, "<test>")
     sentence = reader.read_sentence()
     assert not reader.diagnostics, [d.message for d in reader.diagnostics]
     assert sentence is not None, "no sentence"

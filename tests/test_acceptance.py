@@ -29,7 +29,7 @@ def parse_one(text, db=None):
     db = db or Database()
     tokens, lex_diags = tokenize(text + " .", "<t>")
     assert not lex_diags, text
-    reader = Reader(tokens, db, "<t>")
+    reader = Reader(text + " .", tokens, db, "<t>")
     sentence = reader.read_sentence()
     assert sentence is not None and not reader.diagnostics, text
     return sentence.term

@@ -17,7 +17,7 @@ import pytest
 from plkit.cli import main
 from plkit.database import Database
 from plkit.engine import Loader, consult_source, repl, solve
-from plkit.lexer import tokenize
+from plkit.lexer import lossless
 from plkit.printer import pretty_print
 from plkit.terms import struct_eq
 
@@ -72,7 +72,7 @@ def run(argv, capsys):
 
 def test_tokens_rejoin_to_the_source(case):
     _, _, source = case
-    tokens, _ = tokenize(source, "x.pl")
+    tokens, _ = lossless(source, "x.pl")
     assert "".join(token.text for token in tokens) == source
     end = 0
     for token in tokens:

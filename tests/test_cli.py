@@ -91,6 +91,14 @@ def test_check_non_ascii_digits_exit_one(project, capsys):
     assert reported == set(files)
 
 
+def test_check_prints_an_included_files_parse_error_once(project, capsys):
+    root = project({"main.pl": ":- include(inc).\n", "inc.pl": "p(X) :- X > .\n"})
+    code, out, _ = run(["check", root], capsys)
+    assert code == 1
+    assert out == (f"{os.path.join(root, 'inc.pl')}:1:13: error: unexpected '.' "
+                   "where a term was expected [unexpected_token]\n")
+
+
 def test_check_reports_internal_error_per_file(project, capsys, monkeypatch):
     import plkit.lexer
 

@@ -42,7 +42,7 @@ def test_consult_sentence_runs_directives_and_stores_clauses():
     db = Database()
     source = ":- dynamic(p/1).\np(1).\nq(X) :- p(X).\ns --> [t].\n"
     tokens, _ = tokenize(source, "<t>")
-    reader = Reader(tokens, db, "<t>")
+    reader = Reader(source, tokens, db, "<t>")
     kinds = []
     while not reader.at_eof():
         sentence = reader.read_sentence()

@@ -6,16 +6,19 @@ from test_acceptance import make_corpus
 
 from plkit.lexer import (
     ATOM_KINDS,
-    TRIVIA_KINDS,
     Token,
     TokenKind,
+    lossless,
     tokenize,
 )
 from plkit.spans import LineIndex, SourceSpan
 
+# Kinds of the lossless view that never participate in parsing decisions.
+TRIVIA_KINDS = {TokenKind.LAYOUT, TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT}
+
 
 def toks(source):
-    tokens, diagnostics = tokenize(source, "<t>")
+    tokens, diagnostics = lossless(source, "<t>")
     assert not diagnostics, [d.message for d in diagnostics]
     return [t for t in tokens if t.kind not in TRIVIA_KINDS]
 
@@ -26,7 +29,7 @@ def kinds(source):
 
 def test_lossless_stream():
     source = "foo(X) :- % hi\n  bar(X), /* c */ X > 0.\n"
-    tokens, diagnostics = tokenize(source, "<t>")
+    tokens, diagnostics = lossless(source, "<t>")
     assert not diagnostics
     assert "".join(t.text for t in tokens) == source
 
@@ -109,15 +112,58 @@ def test_open_paren_context():
                      TokenKind.OPEN_PAREN_CT]
 
 
+@pytest.mark.parametrize("source, kind", [
+    ("f/**/(a)", TokenKind.OPEN_PAREN),
+    ("f%c\n(a)", TokenKind.OPEN_PAREN),
+    ("f (a)", TokenKind.OPEN_PAREN),
+    ("f(a)", TokenKind.OPEN_PAREN_CT),
+])
+def test_a_comment_before_a_paren_is_a_gap(source, kind):
+    tokens, _ = tokenize(source, "<t>")
+    assert [tok[0] for tok in tokens if tok[1] == "("] == [kind]
+
+
+def test_tokenize_gives_tuples_and_no_layout():
+    assert tokenize("f( X ) .\n", "<t>") == ([
+        (TokenKind.NAME_ATOM, "f", 0, 1, None),
+        (TokenKind.OPEN_PAREN_CT, "(", 1, 2, None),
+        (TokenKind.VARIABLE, "X", 3, 4, None),
+        (TokenKind.CLOSE_PAREN, ")", 5, 6, None),
+        (TokenKind.END, ".", 7, 8, None),
+    ], [])
+    # the comments come after the tokens
+    assert tokenize("a % c\n/* d */ b.", "<t>") == ([
+        (TokenKind.NAME_ATOM, "a", 0, 1, None),
+        (TokenKind.NAME_ATOM, "b", 14, 15, None),
+        (TokenKind.END, ".", 15, 16, None),
+        (TokenKind.LINE_COMMENT, "% c", 2, 5, None),
+        (TokenKind.BLOCK_COMMENT, "/* d */", 6, 13, None),
+    ], [])
+    assert tokenize(" \n\t \u3000", "<t>") == ([], [])
+    assert tokenize("% only\n", "<t>") == ([(TokenKind.LINE_COMMENT, "% only", 0, 6, None)], [])
+    assert tokenize("/* only */", "<t>") == (
+        [(TokenKind.BLOCK_COMMENT, "/* only */", 0, 10, None)], [])
+
+
+def test_tokenize_of_a_corpus_holds_no_layout(tmp_path):
+    make_corpus(str(tmp_path), 40)
+    for path in sorted(tmp_path.iterdir()):
+        source = path.read_text(encoding="utf-8")
+        tokens, _ = tokenize(source, str(path))
+        assert TokenKind.LAYOUT not in {tok[0] for tok in tokens}
+        view, _ = lossless(source, str(path))
+        assert len(tokens) == sum(1 for t in view if t.kind is not TokenKind.LAYOUT)
+
+
 def test_comments_kept_in_stream():
-    tokens, _ = tokenize("% line\n/* block */ a.", "<t>")
+    tokens, _ = lossless("% line\n/* block */ a.", "<t>")
     comment_kinds = [t.kind for t in tokens if t.kind in TRIVIA_KINDS]
     assert TokenKind.LINE_COMMENT in comment_kinds
     assert TokenKind.BLOCK_COMMENT in comment_kinds
 
 
 def test_tokens_carry_offsets_and_build_spans_on_request():
-    tokens, _ = tokenize("ab\ncd.", "f.pl")
+    tokens, _ = lossless("ab\ncd.", "f.pl")
     cd = tokens[2]
     assert (cd.text, cd.start, cd.end) == ("cd", 3, 5)
     assert cd.span == SourceSpan(cd.lines, 3, 5)
@@ -126,14 +172,14 @@ def test_tokens_carry_offsets_and_build_spans_on_request():
 
 
 def test_spans_are_one_based():
-    tokens, _ = tokenize("ab\ncd.", "<t>")
+    tokens, _ = lossless("ab\ncd.", "<t>")
     cd = [t for t in tokens if t.text == "cd"][0]
     assert (cd.span.start_line, cd.span.start_col) == (2, 1)
     assert (cd.span.end_line, cd.span.end_col) == (2, 3)
 
 
 def test_invalid_character_diagnostic():
-    tokens, diagnostics = tokenize("a \x01 b.", "<t>")
+    tokens, diagnostics = lossless("a \x01 b.", "<t>")
     assert any(t.kind == TokenKind.INVALID for t in tokens)
     assert len(diagnostics) == 1
     assert diagnostics[0].code == "invalid_character"
@@ -151,7 +197,7 @@ def test_unterminated_block_comment():
 
 def test_non_ascii_digits_are_not_digits():
     # ISO 6.4.4: number digits are 0-9 only.
-    tokens, diagnostics = tokenize("p(²). X = 1١. 0e١.", "<t>")
+    tokens, diagnostics = lossless("p(²). X = 1١. 0e١.", "<t>")
     assert "".join(t.text for t in tokens) == "p(²). X = 1١. 0e١."
     solid = [(t.kind, t.text) for t in tokens if t.kind not in TRIVIA_KINDS]
     assert (TokenKind.INVALID, "²") in solid
@@ -163,7 +209,7 @@ def test_non_ascii_digits_are_not_digits():
 def test_inputs_the_old_scanner_crashed_on():
     for source in ["'\\8'.", "'\\19\\'.", "0'\\x110000\\.", "'\\x110000\\'.",
                    "1" * 5000 + "."]:
-        tokens, _ = tokenize(source, "<t>")
+        tokens, _ = lossless(source, "<t>")
         assert "".join(t.text for t in tokens) == source
     _, diagnostics = tokenize("1" * 5000 + ".", "<t>")
     assert [d.code for d in diagnostics] == ["bad_number"]
@@ -210,7 +256,7 @@ _ALPHABET = (list("azAZ_09'\"%/*.,|!;()[]{}#$&+-:<=>?@^~\\`xobeE \n\t")
 
 
 def _fields(source):
-    tokens, diagnostics = tokenize(source, "<t>")
+    tokens, diagnostics = lossless(source, "<t>")
     assert "".join(t.text for t in tokens) == source
 
     def coords(s):
@@ -241,3 +287,40 @@ def test_lexer_matches_oracle(tmp_path):
             continue
         assert got == expected, source
     assert oracle_raised < len(sources) // 20
+
+
+def start_of(token):
+    return token[2]
+
+
+# Layout the master regex skips, and starts of tokens that a skipped prefix
+# could swallow or split: other Unicode spaces, radix and character-code
+# prefixes, an open block comment and unterminated quotes.
+_ODD_ALPHABET = _ALPHABET + ["\u3000", "\x0b", "\x1c", "\x85", "\n\n ", "0x", "0'",
+                             "/*", "'a", '"a', "% c\n", " .", "f("]
+
+
+def test_lossless_view_is_tokenize_with_layout_between():
+    """Seeded random strings: the lossless view rejoins to the input, its
+    tokens that are not layout are tokenize's in source order, and both
+    give the same diagnostics, which match the reference scanner's where it
+    does not raise."""
+    rng = random.Random(12)
+    oracle_raised = 0
+    for _ in range(3000):
+        source = "".join(rng.choice(_ODD_ALPHABET) for _ in range(rng.randint(0, 40)))
+        tokens, diagnostics = tokenize(source, "<t>")
+        view, view_diagnostics = lossless(source, "<t>")
+        assert "".join(t.text for t in view) == source
+        assert all(t.text.isspace() for t in view if t.kind is TokenKind.LAYOUT)
+        assert [(t.kind, t.text, t.start, t.end, t.value) for t in view
+                if t.kind is not TokenKind.LAYOUT] == sorted(tokens, key=start_of), source
+        assert ([(d.code, d.message, d.span) for d in diagnostics]
+                == [(d.code, d.message, d.span) for d in view_diagnostics])
+        try:
+            expected = oracle_tokenize(source)
+        except (ValueError, OverflowError):
+            oracle_raised += 1
+            continue
+        assert _fields(source) == expected, source
+    assert oracle_raised < 150

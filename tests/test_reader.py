@@ -1,9 +1,10 @@
+import pytest
 from conftest import read_one, read_term
 from plkit.database import Database, OperatorDef
 from plkit.engine import Loader, consult_source
 from plkit.lexer import tokenize
 from plkit.reader import Reader
-from plkit.terms import Atom, Compound, Int, Var
+from plkit.terms import Atom, Compound, Int, OpApply, Var
 from term_gen import to_tuple
 
 
@@ -14,7 +15,7 @@ def tup(text, db=None):
 def read_source(source, db=None):
     db = db or Database()
     tokens, lex_diags = tokenize(source, "<t>")
-    reader = Reader(tokens, db, "<t>")
+    reader = Reader(source, tokens, db, "<t>")
     sentences = []
     while not reader.at_eof():
         sentence = reader.read_sentence()
@@ -309,8 +310,9 @@ def test_sentence_span_shared_with_its_clause():
 
 
 def test_consumed_end_is_past_the_sentence_read_or_skipped():
-    tokens, _ = tokenize("a. /* c */ f(. b.", "<t>")
-    reader = Reader(tokens, Database(), "<t>")
+    source = "a. /* c */ f(. b."
+    tokens, _ = tokenize(source, "<t>")
+    reader = Reader(source, tokens, Database(), "<t>")
     assert reader.consumed_end == 0
     reader.read_sentence()
     assert reader.consumed_end == 2
@@ -320,7 +322,46 @@ def test_consumed_end_is_past_the_sentence_read_or_skipped():
     assert reader.consumed_end == 17 and reader.at_eof()
 
 
+@pytest.mark.parametrize("buffer, end", [
+    ("X = 1.  \n", 6),
+    ("X = 1.\n\n  ", 6),
+    ("a. % c\n  ", 2),
+    ("foo(a  \n", 5),
+    ("   \n", 0),
+])
+def test_consumed_end_before_trailing_layout(buffer, end):
+    # the read-eval loop keeps the buffer from consumed_end on
+    tokens, _ = tokenize(buffer, "<repl>")
+    reader = Reader(buffer, tokens, Database(), "<repl>")
+    reader.read_sentence()
+    assert reader.consumed_end == end and reader.at_eof()
+
+
+def test_a_sign_before_a_paren():
+    # '-(1)' is the compound -(1); '- (1)' the prefix operator on 1
+    assert type(read_term("-(1)")) is Compound
+    assert type(read_term("- (1)")) is OpApply
+    assert tup("-(1)") == tup("- (1)") == ("compound", "-", [("int", 1)])
+    assert tup("-1") == ("int", -1)
+
+
 # --- diagnostics and recovery ---------------------------------------------
+
+
+@pytest.mark.parametrize("source, position", [
+    ("p(a)  \n\n", (3, 1)),
+    ("p(a)  \n\n% tail", (3, 7)),
+    ("p(a)  % tail\n\n", (3, 1)),
+])
+def test_missing_end_sits_at_the_end_of_the_source(source, position):
+    _, diagnostics = read_source(source)
+    assert [(d.code, d.span.start_line, d.span.start_col, d.span.start_offset)
+            for d in diagnostics] == [("missing_end", *position, len(source))]
+
+
+@pytest.mark.parametrize("source", ["", "   \n\t ", "% only\n", "/* only */"])
+def test_layout_and_comments_alone_read_nothing(source):
+    assert read_source(source) == ([], [])
 
 
 def test_missing_end_diagnostic():
@@ -383,7 +424,7 @@ def test_operator_removal_mid_file():
 def test_read_at_reduced_priority():
     db = Database()
     tokens, _ = tokenize("a, b", "<t>")
-    reader = Reader(tokens, db, "<t>")
+    reader = Reader("a, b", tokens, db, "<t>")
     term = reader.parse_term(999)
     # At 999 the comma operator is out of reach: only 'a' parses.
     assert to_tuple(term) == ("atom", "a")

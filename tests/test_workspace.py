@@ -6,7 +6,7 @@ from test_acceptance import make_corpus
 
 from plkit import workspace
 from plkit.diagnostics import Severity
-from plkit.lexer import ATOM_KINDS, Token, tokenize
+from plkit.lexer import ATOM_KINDS, Token, lossless
 from plkit.spans import SourceSpan
 from plkit.workspace import (
     ProjectConfig,
@@ -215,6 +215,41 @@ def test_no_import_fix_for_an_included_predicate(project):
             for fix in quick_fixes(d, model)] == ["Import o/1 from other.pl"]
 
 
+@pytest.mark.parametrize("files", [
+    {"a.pl": ":- include(a).\np.\n"},
+    {"a.pl": ":- include(b).\na.\n", "b.pl": ":- include(a).\nb.\n"},
+], ids=["self", "pair"])
+def test_an_include_cycle_is_a_diagnostic_on_the_directive(project, files):
+    model, root = build(project, files)
+    assert [d.code for d in model.diagnostics] == ["include_cycle"] * len(files)
+    for d in model.diagnostics:
+        # the span is the target of the file's own include directive
+        source = model.sources[d.span.file_id]
+        start = source.index(":- include(") + len(":- include(")
+        assert (d.span.start_offset, d.span.end_offset) == (start, start + 1)
+        assert d.severity == Severity.ERROR
+
+
+def test_ensure_loaded_of_the_file_being_consulted_is_no_cycle(project):
+    # re-entry is the cycle; ensure_loaded of a file being consulted is not
+    model, _ = build(project, {"a.pl": ":- ensure_loaded(a).\np.\n"})
+    assert model.diagnostics == []
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_an_included_files_parse_error_is_reported_once(project, inside):
+    # once when the included file is a project file too, and once, not
+    # dropped, when it lies outside the project's glob
+    model, root = build(project, {
+        "main.pl": ":- include('parts/inc').\n",
+        "other.pl": ":- include('parts/inc').\n",
+        "parts/inc.pl": "p(X) :- X > .\n"},
+        globs=("**/*.pl",) if inside else ("*.pl",))
+    assert [(os.path.relpath(d.span.file_id, root), d.span.start_line,
+             d.span.start_col, d.code) for d in model.diagnostics] == [
+        (os.path.join("parts", "inc.pl"), 1, 13, "unexpected_token")]
+
+
 def test_a_nonterminal_is_no_plain_predicate(project):
     model, root = build(project, {"a.pl": "g --> [a].\nx :- g.\n"})
     assert [d.message for d in by_code(model, "undefined_predicate")] == [
@@ -347,7 +382,7 @@ def _hover_answers(model, file):
     past the last token, gets no answer, and an answer's span is the
     token's. Returns the number of answers."""
     source = model.sources[file]
-    tokens, _ = tokenize(source, file)
+    tokens, _ = lossless(source, file)
     answers = 0
     for token in [*tokens, None]:
         if token is None:
