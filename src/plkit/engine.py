@@ -436,7 +436,9 @@ _DIRECTIVES = {
 #
 # One iterative machine after Aït-Kaci, "Warren's Abstract Machine: A
 # Tutorial Reconstruction" (1991): a goal list, a choicepoint stack and a
-# trail, without the WAM's compiler. Cut follows ISO/IEC 13211-1 §7.7-7.8.
+# trail. Of the WAM's compiler it keeps the clause code: the head's get and
+# the body's put instructions become one Python function per clause shape.
+# Cut follows ISO/IEC 13211-1 §7.7-7.8.
 #
 # Variables are bound in place: the solver's variables are RuntimeVars whose
 # `ref` holds the binding. A binding goes on the trail only when the variable
@@ -455,6 +457,8 @@ _DIRECTIVES = {
 # success of '\+'.
 
 _SOLVED = ("solved",)
+# the control constructs whose arguments call/1 checks are goals
+_SKELETON = frozenset((",", ";", "->"))
 _CUT = Atom("!")
 _FAIL = Atom("fail")
 
@@ -473,14 +477,16 @@ class RuntimeVar(Var):
 
 
 class _Compiled:
-    """A predicate's clauses as templates, with an index per argument
-    position built on demand.
+    """A predicate's clauses, with an index per argument position built on
+    demand.
 
-    `clauses` holds them as _compile_clause makes them. `indexes` maps an
-    argument position to (index, unkeyed): `index` maps a key of that
-    argument to the clauses that may match it, in source order, and
-    `unkeyed` holds the clauses whose argument there is a variable, which
-    match any other key."""
+    `clauses` holds them as _compile_clause makes them: each with the code
+    that resolves a call with it, straight-line Python shared by every
+    clause of its shape, or the template walker for a clause past the size
+    bound. `indexes` maps an argument position to (index, unkeyed): `index`
+    maps a key of that argument to the clauses that may match it, in source
+    order, and `unkeyed` holds the clauses whose argument there is a
+    variable, which match any other key."""
 
     __slots__ = ("clauses", "indexes")
 
@@ -512,34 +518,221 @@ class _Compiled:
         return built
 
 
+# A clause keeps the template walker unless its shape has fewer nodes than
+# _CODE_NODES and it nests a compound holding a variable less deep than
+# _CODE_DEPTH: its code nests a block per head level and two brackets per
+# level of a term it builds, and Python's parser refuses 100 of either.
+_CODE_NODES = 400
+_CODE_DEPTH = 24
+# a clause shape -> its generated code, made on the first clause of the shape
+_SHAPES: dict[tuple, Callable] = {}
+# a shape's tag for an atom or an integer; any other constant is "g"
+_CONSTANT_TAGS = {Atom: "a", Int: "i"}
+
+
 def _compile_clause(clause) -> tuple:
-    """A clause as (head argument templates, body goal templates in reverse
-    order, variable names by slot). In a template a variable becomes its
-    slot number and a compound holding a variable becomes (name, argument
-    templates); a `true` goal is dropped and a variable goal X runs as
-    call(X)."""
+    """A clause as (head argument templates, code, K). `code(solver, args,
+    K)` unifies the head with a call's arguments and answers the clause's
+    body goals built in reverse order, or None when the head does not unify.
+
+    In a template a variable becomes its slot number and a compound holding
+    a variable becomes (name, argument templates); a `true` goal is dropped
+    and a variable goal X runs as call(X). The one walk that makes the
+    templates also gives the clause's shape, its templates in postfix with
+    each functor name and constant replaced by a tag, and K, those names
+    and constants in the same order followed by the variable names by slot.
+    Clauses of one shape share the code _generate makes of it; a clause past
+    the size bound keeps the walker, `_walk_clause`, and its K is (head
+    templates, body templates, variable names)."""
+    head = clause.head.args if isinstance(clause.head, Compound) else ()
+    goals = [Compound("call", [g]) if isinstance(g, Var) else g
+             for g in reversed(_comma_list(clause.body))
+             if not (isinstance(g, Atom) and g.name == "true")]
     slots: dict[int, int] = {}
     names: list[str] = []
+    constants: list = []
+    shape: list = []
+    deepest = 0
+    depth = 0  # compounds around the next term
+    # rebuild()'s walk over the head arguments, then the goals, leaving
+    # their templates on `out`; a compound's arguments precede it on `todo`
+    # as (compound, shape mark, constants mark)
+    out: list = []
+    todo: list = [*reversed(goals), *reversed(head)]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is tuple:
+            t, mark, constants_mark = t
+            n = len(t.args)
+            args = out[-n:]
+            del out[-n:]
+            if args == t.args:  # ground: shared, and one constant
+                del shape[mark:], constants[constants_mark:]
+                shape.append("g")
+                constants.append(t)
+                out.append(t)
+            else:
+                shape.append(-n)
+                constants.append(t.name)
+                out.append((t.name, tuple(args)))
+                if depth > deepest:
+                    deepest = depth
+            depth -= 1
+        elif isinstance(t, Var):
+            number = slots.get(t.vid)
+            if number is None:
+                number = slots[t.vid] = len(names)
+                names.append(t.name)
+            shape.append(number)
+            out.append(number)
+        elif isinstance(t, Compound):
+            depth += 1
+            todo.append((t, len(shape), len(constants)))
+            todo.extend(reversed(t.args))
+        else:
+            shape.append(_CONSTANT_TAGS.get(kind, "g"))
+            constants.append(t)
+            out.append(t)
+    head, body = tuple(out[:len(head)]), tuple(out[len(head):])
+    if len(shape) >= _CODE_NODES or deepest >= _CODE_DEPTH:
+        return head, _walk_clause, (head, body, tuple(names))
+    key = (len(head), *shape)
+    code = _SHAPES.get(key)
+    if code is None:
+        code = _SHAPES[key] = _generate(key)
+    return head, code, (*constants, *names)
 
-    def slot(var: Var) -> int:
-        number = slots.get(var.vid)
-        if number is None:
-            number = slots[var.vid] = len(names)
-            names.append(var.name)
-        return number
 
-    def template(term: Term):
-        return rebuild(term, slot, lambda name, args: (name, tuple(args)))
+# how a dereferenced non-variable x fails to unify with the constant K[k]
+_MISMATCH = {
+    "a": "type({x}) is not Atom or {x}.name != K[{k}].name",
+    "i": "type({x}) is not Int or {x}.value != K[{k}].value",
+    "g": "{x} is not K[{k}] and not unify(K[{k}], {x})",
+}
 
-    head = clause.head.args if isinstance(clause.head, Compound) else []
-    goals = _comma_list(clause.body)
-    return (
-        tuple(template(arg) for arg in head),
-        tuple(template(Compound("call", [g]) if isinstance(g, Var) else g)
-              for g in reversed(goals)
-              if not (isinstance(g, Atom) and g.name == "true")),
-        tuple(names),
-    )
+
+def _generate(shape: tuple) -> Callable:
+    """The code of a clause shape as a Python function: the WAM's get and
+    unify instructions for the head, then its put instructions for the body
+    (Aït-Kaci 1991, §2-5), doing what _walk_clause does in the same order.
+    A slot is a local from its first occurrence on, and K is the only way a
+    name or a constant reaches the code. Recursion is bounded by
+    _CODE_DEPTH."""
+    # the postfix shape as trees: ("slot", number), ("constant", tag, index
+    # in K) or ("compound", index of its name in K, argument trees)
+    trees: list = []
+    n_constants = 0
+    for token in shape[1:]:
+        if type(token) is str:
+            trees.append(("constant", token, n_constants))
+            n_constants += 1
+        elif token >= 0:
+            trees.append(("slot", token))
+        else:
+            arguments = trees[token:]
+            del trees[token:]
+            trees.append(("compound", n_constants, arguments))
+            n_constants += 1
+    head, body = trees[:shape[0]], trees[shape[0]:]
+    lines: list[str] = []
+    defined: set[int] = set()
+    needs: set[str] = set()  # the solver's attributes the code reads
+    locals_made = itertools.count()
+
+    def emit(indent: int, line: str):
+        lines.append("    " * indent + line)
+
+    def fresh(tree, indent: int):
+        """Make the variables of the slots first met building `tree`, in
+        the order Solver._build makes them."""
+        todo = [tree]
+        while todo:
+            for arg in todo.pop()[2]:
+                if arg[0] == "slot" and arg[1] not in defined:
+                    defined.add(arg[1])
+                    needs.add("vid")
+                    emit(indent, f"s{arg[1]} = RV(K[{n_constants + arg[1]}], vid())")
+                elif arg[0] == "compound":
+                    todo.append(arg)
+
+    def term(tree) -> str:
+        if tree[0] == "slot":
+            return f"s{tree[1]}"
+        if tree[0] == "constant":
+            return f"K[{tree[2]}]"
+        return f"Compound(K[{tree[1]}], [{', '.join(map(term, tree[2]))}])"
+
+    def bind(x: str, value: str, indent: int):
+        needs.update(("boundary", "trail"))
+        emit(indent, f"{x}.ref = {value}")
+        emit(indent, f"if {x}.vid < boundary:")
+        emit(indent + 1, f"trail.append({x})")
+
+    def match(tree, x: str, indent: int):
+        emit(indent, f"while type({x}) is RV:")
+        emit(indent + 1, f"b = {x}.ref")
+        emit(indent + 1, "if b is None:")
+        emit(indent + 2, "break")
+        emit(indent + 1, f"{x} = b")
+        if tree[0] == "slot":
+            if tree[1] in defined:
+                needs.add("unify")
+                emit(indent, f"if not unify(s{tree[1]}, {x}):")
+                emit(indent + 1, "return None")
+            else:
+                defined.add(tree[1])
+                emit(indent, f"s{tree[1]} = {x}")
+            return
+        emit(indent, f"if type({x}) is RV:")
+        if tree[0] == "constant":
+            bind(x, f"K[{tree[2]}]", indent + 1)
+            if tree[1] == "g":
+                needs.add("unify")
+            emit(indent, f"elif {_MISMATCH[tree[1]].format(x=x, k=tree[2])}:")
+            emit(indent + 1, "return None")
+            return
+        before = set(defined)
+        fresh(tree, indent + 1)
+        bind(x, term(tree), indent + 1)
+        defined.intersection_update(before)
+        arguments = tree[2]
+        emit(indent, f"elif (isinstance({x}, Compound) and {x}.name == K[{tree[1]}]"
+                     f" and len({x}.args) == {len(arguments)}):")
+        xs = [f"x{next(locals_made)}" for _ in arguments]
+        emit(indent + 1, f"{', '.join(xs)}, = {x}.args")
+        for argument, sub in zip(arguments, xs):
+            match(argument, sub, indent + 1)
+        emit(indent, "else:")
+        emit(indent + 1, "return None")
+
+    if head:
+        emit(1, f"{', '.join(f'a{i}' for i in range(len(head)))}, = args")
+    for i, tree in enumerate(head):
+        match(tree, f"a{i}", 1)
+    goals = []
+    for tree in body:
+        if tree[0] == "compound":
+            fresh(tree, 1)
+        goals.append(term(tree))
+    emit(1, f"return ({', '.join(goals)},)" if goals else "return ()")
+    prologue = [f"    {name} = solver.{attribute}" for name, attribute in (
+        ("boundary", "_boundary"), ("trail", "trail"), ("unify", "unify"),
+        ("vid", "_vids.__next__")) if name in needs]
+    namespace = {"RV": RuntimeVar, "Compound": Compound, "Atom": Atom, "Int": Int}
+    exec(compile("\n".join(["def code(solver, args, K):", *prologue, *lines]),
+                 "<clause code>", "exec"), namespace)
+    return namespace["code"]
+
+
+def _walk_clause(solver, args, clause: tuple):
+    """The code of a clause past the size bound: walk its templates, `clause`
+    being (head templates, body templates, variable names)."""
+    head, body, names = clause
+    slots = [None] * len(names)
+    if not solver._match(head, args, slots, names):
+        return None
+    return [solver._build(template, slots, names) for template in body]
 
 
 def _index_key(term: Term):
@@ -785,12 +978,8 @@ class Solver:
             function = _EVALUABLE.get((t.name, len(t.args))) \
                 if isinstance(t, Compound) else None
             if function is None:
-                try:
-                    t = self.resolve_out(t)
-                except _Cyclic:
-                    pass  # shown with its variables unresolved
                 raise errors.type_error(
-                    f"not an arithmetic expression: {pretty_print(t)}")
+                    f"not an arithmetic expression: {self._shown(t)}")
             active.update(passed)
             todo.append((function, len(t.args), passed))
             todo.extend(reversed(t.args))
@@ -851,6 +1040,7 @@ class Solver:
                 # A variable goal runs as call/1, one level deeper: every
                 # cyclic goal passes through one, so its depth is bounded too.
                 goal = self.walk(goal)
+                self._check_callable(goal)
                 cut = len(cps)
                 depth += 1
                 if depth > max_depth:
@@ -924,7 +1114,7 @@ class Solver:
         args = goal.args if isinstance(goal, Compound) else ()
         last = len(clauses) - 1
         for i in range(start, last + 1):
-            head, body, names = clauses[i]
+            _, code, constants = clauses[i]
             if i < last:
                 # The choicepoint for the clauses left comes before the head
                 # match, as the WAM's try_me_else: a head that binds a
@@ -932,25 +1122,24 @@ class Solver:
                 boundary = self._new_boundary()
             elif i > start:
                 self._restore_boundary()
-            slots = [None] * len(names)
             mark = len(trail)
-            if self._match(head, args, slots, names):
+            goals = code(self, args, constants)
+            if goals is not None:
                 if i < last:
                     cps.append((mark, boundary, goal, nxt, depth, home, clauses,
                                 i + 1))
                 frame = nxt
-                for template in body:
-                    frame = (self._build(template, slots, names), frame,
-                             depth, barrier, home)
+                for built in goals:
+                    frame = (built, frame, depth, barrier, home)
                 return frame
             self.undo(mark)
         return None
 
     def _match(self, head: tuple, args, slots: list, names: tuple) -> bool:
-        """Unify a clause's head argument templates with a call's arguments,
-        left to right. A slot takes the call's term at its first occurrence;
-        no head term is built unless it meets an unbound variable. Explicit
-        stack of argument-pair iterators."""
+        """Unify the head argument templates of a clause past the size bound
+        with a call's arguments, left to right. A slot takes the call's term
+        at its first occurrence; no head term is built unless it meets an
+        unbound variable. Explicit stack of argument-pair iterators."""
         trail, boundary = self.trail, self._boundary
         todo = [zip(head, args)]
         while todo:
@@ -988,8 +1177,9 @@ class Solver:
         return True
 
     def _build(self, template, slots: list, names: tuple) -> Term:
-        """Instantiate a clause template: a slot becomes its term, or a fresh
-        variable at its first occurrence. Explicit stack."""
+        """Instantiate a template of a clause past the size bound: a slot
+        becomes its term, or a fresh variable at its first occurrence.
+        Explicit stack."""
         kind = type(template)
         if kind is int:
             term = slots[template]
@@ -1032,6 +1222,35 @@ class Solver:
                 return frame
         return None
 
+    def _check_callable(self, goal: Term):
+        """Raise ISO call/1's type_error(callable) when the ',', ';' and '->'
+        skeleton of `goal` holds a term that is neither callable nor a
+        variable (ISO/IEC 13211-1 §7.8.3.4), before any of it runs. Explicit
+        stack; a skeleton node met again is skipped."""
+        todo = [goal]
+        seen: Optional[set] = None
+        while todo:
+            g = self.walk(todo.pop())
+            if isinstance(g, Compound):
+                if g.name in _SKELETON and len(g.args) == 2:
+                    if seen is None:
+                        seen = set()
+                    if id(g) not in seen:
+                        seen.add(id(g))
+                        todo.extend(g.args)
+            elif not isinstance(g, (Atom, Var)):
+                raise errors.type_error(
+                    f"goal must be callable: {self._shown(goal)}")
+
+    def _shown(self, term: Term) -> str:
+        """`term` printed with its bindings; a cyclic one shows its
+        variables unresolved."""
+        try:
+            term = self.resolve_out(term)
+        except _Cyclic:
+            pass
+        return pretty_print(term)
+
     def _control(self, name: str, goal: Term, nxt, depth: int, cut: int,
                  home: Database):
         """The frame after a control construct. `!` truncates the
@@ -1047,6 +1266,8 @@ class Solver:
         if name == ",":
             return (args[0], (args[1], nxt, depth, cut, home), depth, cut, home)
         if name == "call":
+            if type(args[0]) is not RuntimeVar:  # else checked as it runs
+                self._check_callable(args[0])
             return (args[0], nxt, depth, len(cps), home)
         height = len(cps)
         mark = len(self.trail)

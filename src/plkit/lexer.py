@@ -102,16 +102,6 @@ class Token:
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r}, {self.span!r}, {self.value!r})"
 
-    def atom_name(self) -> str:
-        """The atom this token denotes, for atom-like kinds."""
-        if self.kind == TokenKind.QUOTED_ATOM:
-            return self.value  # type: ignore[return-value]
-        if self.kind == TokenKind.COMMA:
-            return ","
-        if self.kind == TokenKind.BAR:
-            return "|"
-        return self.text
-
 
 # Each match skips a run of layout, then takes one token. Alternatives are
 # tried in order: `end` before `symbol`, radix and character-code prefixes

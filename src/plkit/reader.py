@@ -188,7 +188,6 @@ class Reader:
 
     def __init__(self, source: str, tokens: list[tuple], db: Database, file_id: str):
         self.db = db
-        self.file_id = file_id
         self.lines = LineIndex(file_id, source)
         # `tokens` ends with the comments. The tokens before them, then an
         # end-of-input token of kind None whose empty span sits at the end

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from plkit import engine
 from plkit.cli import main
 from plkit.database import Database
 from plkit.engine import Loader, consult_source, repl, solve
@@ -155,3 +156,42 @@ def test_solve_a_deep_goal(name):
 def test_print_parse_round_trip(name):
     term = read_term(TERMS[name])
     assert struct_eq(read_term(pretty_print(term)), term)
+
+
+# --- clause code: a clause past the size bound keeps the template walker ----
+
+
+def compiled_clauses(db, indicator):
+    """The clauses of a predicate as its first call compiled them."""
+    return db.lookup(indicator).compiled.clauses
+
+
+@pytest.mark.parametrize("depth", [99, 120, 1000, N])
+def test_deep_non_ground_head(depth):
+    db = Database()
+    consult_source("deep(" + "f(" * depth + "X" + ")" * depth + ", X).\n",
+                   db, Loader(), "deep.pl")
+    goal = read_term("deep(" + "f(" * depth + "a" + ")" * depth + ", X)", db)
+    assert [{var: pretty_print(value, db) for var, value in binding.items()}
+            for binding in solve(goal, db)] == [{"X": "a"}]
+    (clause,) = compiled_clauses(db, ("deep", 2))
+    assert clause[1] is engine._walk_clause
+
+
+def test_a_10k_goal_body_runs():
+    db = Database()
+    consult_source(SOURCES["body_clause"], db, Loader(), "body.pl")
+    assert list(solve(read_term("p", db), db)) == [{}]
+    (clause,) = compiled_clauses(db, ("p", 0))
+    assert clause[1] is engine._walk_clause
+
+
+def test_facts_of_one_shape_share_one_function(monkeypatch):
+    monkeypatch.setattr(engine, "_SHAPES", {})
+    db = Database()
+    consult_source("".join(f"fact({i}, a{i}, \"s{i}\").\n" for i in range(20_000)),
+                   db, Loader(), "facts.pl")
+    (answer,) = solve(read_term("fact(19999, A, S)", db), db)
+    assert pretty_print(answer["A"], db) == "a19999"
+    assert len(engine._SHAPES) == 1
+    assert len({clause[1] for clause in compiled_clauses(db, ("fact", 3))}) == 1

@@ -20,8 +20,8 @@ from plkit.engine import (
 from plkit.errors import PrologError
 from plkit.lexer import tokenize
 from plkit.reader import Reader
-from plkit.terms import Atom, Compound, Int, Var, make_list, struct_eq
-from term_gen import to_tuple, tt_apply, tt_unify, tt_variant
+from plkit.terms import Atom, Compound, Int, OpApply, Term, Var, make_list, struct_eq
+from term_gen import TermGen, to_tuple, tt_apply, tt_unify, tt_variant
 
 
 def load(source, db=None, loader=None):
@@ -330,6 +330,26 @@ def test_control_constructs():
 def test_call():
     db, _, _ = load("p(7).\n")
     assert solutions("G = p(X), call(G)", db)[0]["X"].value == 7
+
+
+@pytest.mark.parametrize("goal", [
+    # ISO/IEC 13211-1 §7.8.3.4: the whole body is checked before it runs
+    "call((fail, 1))",
+    "call((write(3), 1))",
+    "call((1 ; true))",
+    "G = (fail, 1), call(G)",
+    "G = (fail -> true ; 1.5), G",
+])
+def test_call_of_a_body_that_is_not_callable(goal):
+    with pytest.raises(PrologError) as err:
+        solutions(goal, Database())
+    assert err.value.kind == "type_error"
+
+
+def test_call_of_a_body_with_a_variable_runs():
+    assert solutions("call((fail, X))", Database()) == []
+    assert len(solutions("G = (true ; X), call(G)", Database(),
+                         max_solutions=1)) == 1
 
 
 def test_unknown_predicate_raises_existence_error():
@@ -670,6 +690,143 @@ def test_solver_returns_mgu():
         binding = {name: to_tuple(value)
                    for name, value in result[0].items()}
         assert tt_variant(tt_apply(binding, t1), tt_apply(oracle, t1))
+
+
+# --- clause code ------------------------------------------------------------
+
+# Quoted atoms and strings that would break generated code if it held them
+# as source text, and Python keywords as functor names.
+QUOTED = r"""
+q('it''s', "say \"\"\" now").
+q('back\\slash', "new\nline").
+q('__import__(''os'')', "__import__('os').system('true')").
+q('\"\"\"', "'''").
+'def'(class, 'None') :- 'return'(X), X = lambda.
+'return'(lambda).
+'if'(X, Y) :- q(X, Y).
+'K'('K', "K[0]", f('K[1]', Y), Y).
+"""
+QUOTED_GOALS = ["q(A, S)", "'if'(A, S)", "'def'(A, B)", "'K'(A, B, C, D)",
+                "q('__import__(''os'')', S)", "q(A, \"'''\")", "q(A, \"'\")"]
+
+
+def exact(term):
+    """A solution's term as tuples, each variable with its name and vid."""
+    if isinstance(term, Var):
+        return ("var", term.name, term.vid)
+    if isinstance(term, Compound):
+        return ("compound", term.name, [exact(arg) for arg in term.args])
+    return to_tuple(term)
+
+
+def all_answers(db, goals):
+    return [[{name: exact(value) for name, value in binding.items()}
+             for binding in solve(read_term(goal, db), db)] for goal in goals]
+
+
+def test_quoted_constants_reach_clause_code_as_values(monkeypatch):
+    db, _, diagnostics = load(QUOTED)
+    assert not diagnostics
+    generated = all_answers(db, QUOTED_GOALS)
+    assert all(clause[1] is not engine._walk_clause
+               for entry in db.predicates.values()
+               for clause in entry.compiled.clauses)
+    assert [(answer["A"], answer["S"]) for answer in generated[0]] == [
+        (("atom", "it's"), ("str", 'say """ now')),
+        (("atom", "back\\slash"), ("str", "new\nline")),
+        (("atom", "__import__('os')"), ("str", "__import__('os').system('true')")),
+        (("atom", '"""'), ("str", "'''")),
+    ]
+    assert generated[1] == generated[0]
+    assert generated[2] == [{"A": ("atom", "class"), "B": ("atom", "None")}]
+    (answer,) = generated[3]
+    assert answer["C"][:2] == ("compound", "f") and answer["C"][2][0] == ("atom", "K[1]")
+    assert generated[5] == [{"A": ("atom", '"""')}] and generated[6] == []
+    monkeypatch.setattr(engine, "_CODE_NODES", 0)
+    db, _, _ = load(QUOTED)
+    assert all_answers(db, QUOTED_GOALS) == generated
+
+
+def test_head_code_matches_a_parsed_operator_term():
+    db, _, _ = load("parts(X + Y, X, Y).\n")
+    goal = read_term("parts(1 + 2, A, B)", db)
+    # the reader's operator term, ground, is shared into the run as it is
+    assert type(goal.args[0]) is OpApply
+    (answer,) = solve(goal, db)
+    assert (answer["A"].value, answer["B"].value) == (1, 2)
+
+
+def random_program(seed: int):
+    """A program over TermGen terms: facts q/1, rules r/2 that call q/1 and
+    rules p/2 that call r/2 and q/1; and goals that call each."""
+    gen = TermGen(seed)
+    rng = gen.rng
+    db = Database()
+
+    def call(callees):
+        name, arity = rng.choice(callees)
+        return Compound(name, [gen.term(2) for _ in range(arity)])
+
+    def goal(callees):
+        roll = rng.random()
+        if roll < 0.5:
+            return call(callees)
+        if roll < 0.65:
+            return Compound("=", [gen.term(3), gen.term(3)])
+        if roll < 0.75:
+            return Compound("\\+", [call(callees)])
+        if roll < 0.85:
+            return Compound(";", [call(callees), call(callees)])
+        if roll < 0.9:
+            return Atom("!")
+        if roll < 0.95:
+            return Atom("true")
+        return gen.var()  # runs as call/1
+
+    for name, arity, count, callees in (("q", 1, 8, ()),
+                                        ("r", 2, 6, [("q", 1)]),
+                                        ("p", 2, 6, [("q", 1), ("r", 2)])):
+        for _ in range(count):
+            gen.fresh_sentence()
+            head = Compound(name, [gen.term(3) for _ in range(arity)])
+            body: Term = Atom("true")
+            for _ in range(rng.randint(0, 3) if callees else 0):
+                body = Compound(",", [goal(callees), body])
+            db.assert_clause(head, body)
+    goals = []
+    for callees in ([("q", 1)], [("r", 2)], [("p", 2)]) * 4:
+        gen.fresh_sentence()
+        goals.append(call(callees))
+    return db, goals
+
+
+def solve_program(seed: int):
+    """Each goal's answers with the trail length after each, or its error,
+    and the solver's counters after it."""
+    db, goals = random_program(seed)
+    solver = Solver(db, SolveLimits(max_depth=20, max_solutions=20))
+    runs = []
+    for goal in goals:
+        try:
+            outcome = [({name: exact(value) for name, value in binding.items()},
+                        len(solver.trail)) for binding in solver.solve(goal)]
+        except PrologError as err:
+            outcome = err.kind
+        runs.append((outcome, solver.inferences, solver.backtracks,
+                     solver.deepest, len(solver.trail)))
+    return runs
+
+
+def test_clause_code_agrees_with_the_template_walker(monkeypatch):
+    seeds = range(60)
+    generated = [solve_program(seed) for seed in seeds]
+    monkeypatch.setattr(engine, "_CODE_NODES", 0)
+    walked = [solve_program(seed) for seed in seeds]
+    for seed, (ours, theirs) in enumerate(zip(generated, walked)):
+        assert ours == theirs, seed
+    # the goals do more than fail
+    outcomes = [run[0] for runs in generated for run in runs]
+    assert sum(isinstance(o, list) and len(o) > 0 for o in outcomes) > 50
 
 
 # --- repl -----------------------------------------------------------------

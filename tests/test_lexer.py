@@ -42,7 +42,6 @@ def test_atom_kinds():
     ]
     assert all(t.kind in ATOM_KINDS for t in got)
     assert got[1].value == "Bar baz"
-    assert got[1].atom_name() == "Bar baz"
 
 
 def test_variables():
