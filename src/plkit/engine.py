@@ -541,9 +541,11 @@ def _compile_clause(clause) -> tuple:
     templates also gives the clause's shape, its templates in postfix with
     each functor name and constant replaced by a tag, and K, those names
     and constants in the same order followed by the variable names by slot.
-    Clauses of one shape share the code _generate makes of it; a clause past
-    the size bound keeps the walker, `_walk_clause`, and its K is (head
-    templates, body templates, variable names)."""
+    Clauses of one shape share the code _generate makes of it; the shape
+    key also holds the clause's leading arithmetic guards (see _guards),
+    which the code runs inline, so that `code` answers False when one fails.
+    A clause past the size bound keeps the walker, `_walk_clause`, and its K
+    is (head templates, body templates, variable names)."""
     head = clause.head.args if isinstance(clause.head, Compound) else ()
     goals = [Compound("call", [g]) if isinstance(g, Var) else g
              for g in reversed(_comma_list(clause.body))
@@ -597,11 +599,62 @@ def _compile_clause(clause) -> tuple:
     head, body = tuple(out[:len(head)]), tuple(out[len(head):])
     if len(shape) >= _CODE_NODES or deepest >= _CODE_DEPTH:
         return head, _walk_clause, (head, body, tuple(names))
-    key = (len(head), *shape)
+    key = (len(head), _guards(head, body), *shape)
     code = _SHAPES.get(key)
     if code is None:
         code = _SHAPES[key] = _generate(key)
     return head, code, (*constants, *names)
+
+
+def _guards(head: tuple, body: tuple) -> tuple:
+    """The leading run of a compiled clause's body goals that its code runs
+    inline: is/2 and the comparisons whose evaluated sides hold only
+    variables of the head or of an earlier guard's `is` left side, and no
+    compound holding a variable but an evaluable one. Each guard is its
+    name followed by the names of the compounds it evaluates, in postfix
+    order."""
+    guards: list = []
+    seen: Optional[set] = None
+    for goal in reversed(body):
+        if not (type(goal) is tuple and len(goal[1]) == 2
+                and (goal[0] == "is" or goal[0] in _COMPARISONS)):
+            break
+        if seen is None:
+            seen = set()
+            _slots(head, seen)
+        left, right = goal[1]
+        functions: list = []
+        if not all(_evaluable(side, seen, functions)
+                   for side in ((right,) if goal[0] == "is" else (left, right))):
+            break
+        guards.append((goal[0], *functions))
+        if goal[0] == "is" and type(left) is int:
+            seen.add(left)
+    return tuple(guards)
+
+
+def _slots(templates, seen: set):
+    """Add the slots in `templates` to `seen`. Here and in _evaluable,
+    recursion is bounded by _CODE_DEPTH."""
+    for template in templates:
+        if type(template) is int:
+            seen.add(template)
+        elif type(template) is tuple:
+            _slots(template[1], seen)
+
+
+def _evaluable(template, seen: set, functions: list) -> bool:
+    """Whether a guard's code can evaluate `template`: each slot in `seen`
+    and each compound evaluable, whose names it appends in postfix order."""
+    if type(template) is int:
+        return template in seen
+    if type(template) is tuple:
+        name, args = template
+        if (name, len(args)) not in _EVALUABLE \
+                or not all(_evaluable(arg, seen, functions) for arg in args):
+            return False
+        functions.append(name)
+    return True
 
 
 # how a dereferenced non-variable x fails to unify with the constant K[k]
@@ -617,13 +670,17 @@ def _generate(shape: tuple) -> Callable:
     unify instructions for the head, then its put instructions for the body
     (Aït-Kaci 1991, §2-5), doing what _walk_clause does in the same order.
     A slot is a local from its first occurrence on, and K is the only way a
-    name or a constant reaches the code. Recursion is bounded by
-    _CODE_DEPTH."""
+    name or a constant reaches the code. Between the two, the guards run
+    inline in source order, as their builtins would (Van Roy 1990, shallow
+    backtracking): an integer operand gives its value, any other goes
+    through eval_arith, a failed comparison answers False, and an `is`
+    gives a slot first met on its left the number itself, with no variable
+    made for it. Recursion is bounded by _CODE_DEPTH."""
     # the postfix shape as trees: ("slot", number), ("constant", tag, index
     # in K) or ("compound", index of its name in K, argument trees)
     trees: list = []
     n_constants = 0
-    for token in shape[1:]:
+    for token in shape[2:]:
         if type(token) is str:
             trees.append(("constant", token, n_constants))
             n_constants += 1
@@ -634,14 +691,27 @@ def _generate(shape: tuple) -> Callable:
             del trees[token:]
             trees.append(("compound", n_constants, arguments))
             n_constants += 1
-    head, body = trees[:shape[0]], trees[shape[0]:]
+    guards = shape[1]
+    end = len(trees) - len(guards)  # the guards close the body in reverse
+    head, body = trees[:shape[0]], trees[shape[0]:end]
     lines: list[str] = []
     defined: set[int] = set()
+    # a slot's value once a guard has evaluated it: no binding a guard makes
+    # can change it, as every variable it passed through is bound
+    evaluated: dict[int, str] = {}
     needs: set[str] = set()  # the solver's attributes the code reads
     locals_made = itertools.count()
+    functions: list[Callable] = []  # the evaluable functions, as F0, F1, ...
 
     def emit(indent: int, line: str):
         lines.append("    " * indent + line)
+
+    def deref(x: str, indent: int):
+        emit(indent, f"while type({x}) is RV:")
+        emit(indent + 1, f"b = {x}.ref")
+        emit(indent + 1, "if b is None:")
+        emit(indent + 2, "break")
+        emit(indent + 1, f"{x} = b")
 
     def fresh(tree, indent: int):
         """Make the variables of the slots first met building `tree`, in
@@ -670,11 +740,7 @@ def _generate(shape: tuple) -> Callable:
         emit(indent + 1, f"trail.append({x})")
 
     def match(tree, x: str, indent: int):
-        emit(indent, f"while type({x}) is RV:")
-        emit(indent + 1, f"b = {x}.ref")
-        emit(indent + 1, "if b is None:")
-        emit(indent + 2, "break")
-        emit(indent + 1, f"{x} = b")
+        deref(x, indent)
         if tree[0] == "slot":
             if tree[1] in defined:
                 needs.add("unify")
@@ -706,10 +772,62 @@ def _generate(shape: tuple) -> Callable:
         emit(indent, "else:")
         emit(indent + 1, "return None")
 
+    def value(tree, names) -> str:
+        """An expression for the value of an evaluated side; each step that
+        may raise is a statement of its own, in eval_arith's order."""
+        if tree[0] == "constant":
+            if tree[1] == "i":
+                return f"K[{tree[2]}].value"
+            x = f"x{next(locals_made)}"
+            needs.add("eval_arith")
+            emit(2, f"{x} = eval_arith(K[{tree[2]}])")
+            return x
+        if tree[0] == "slot":
+            x = evaluated.get(tree[1])
+            if x is None:
+                x = evaluated[tree[1]] = f"x{next(locals_made)}"
+                needs.add("eval_arith")
+                emit(2, f"{x} = s{tree[1]}")
+                deref(x, 2)
+                emit(2, f"{x} = {x}.value if type({x}) is Int else eval_arith(s{tree[1]})")
+            return x
+        operands = [value(arg, names) for arg in tree[2]]
+        functions.append(_EVALUABLE[next(names), len(operands)])
+        x = f"x{next(locals_made)}"
+        emit(2, f"{x} = F{len(functions) - 1}({', '.join(operands)})")
+        emit(2, f"if type({x}) is float and {x} - {x}:")  # inf or nan
+        emit(3, f"raise evaluation_error({x})")
+        return x
+
     if head:
         emit(1, f"{', '.join(f'a{i}' for i in range(len(head)))}, = args")
     for i, tree in enumerate(head):
         match(tree, f"a{i}", 1)
+    if guards:
+        emit(1, "try:")
+        for tree, (name, *names) in zip(reversed(trees[end:]), guards):
+            left, right = tree[2]
+            names = iter(names)
+            if name != "is":
+                left = value(left, names)
+                right = value(right, names)
+                emit(2, f"if not {left} {_COMPARISONS[name][0]} {right}:")
+                emit(3, "return False")
+                continue
+            number = value(right, names)
+            number = f"Int({number}) if type({number}) is int else Float({number})"
+            if left[0] == "slot" and left[1] not in defined:
+                defined.add(left[1])
+                evaluated[left[1]] = f"s{left[1]}.value"
+                emit(2, f"s{left[1]} = {number}")
+            else:
+                if left[0] == "compound":
+                    fresh(left, 2)
+                needs.add("unify")
+                emit(2, f"if not unify({term(left)}, {number}):")
+                emit(3, "return False")
+        emit(1, "except ArithmeticError as error:")
+        emit(2, "raise evaluation_error(error) from None")
     goals = []
     for tree in body:
         if tree[0] == "compound":
@@ -718,8 +836,10 @@ def _generate(shape: tuple) -> Callable:
     emit(1, f"return ({', '.join(goals)},)" if goals else "return ()")
     prologue = [f"    {name} = solver.{attribute}" for name, attribute in (
         ("boundary", "_boundary"), ("trail", "trail"), ("unify", "unify"),
-        ("vid", "_vids.__next__")) if name in needs]
-    namespace = {"RV": RuntimeVar, "Compound": Compound, "Atom": Atom, "Int": Int}
+        ("vid", "_vids.__next__"), ("eval_arith", "eval_arith")) if name in needs]
+    namespace = {"RV": RuntimeVar, "Compound": Compound, "Atom": Atom, "Int": Int,
+                 "Float": Float, "evaluation_error": _evaluation_error,
+                 **{f"F{i}": function for i, function in enumerate(functions)}}
     exec(compile("\n".join(["def code(solver, args, K):", *prologue, *lines]),
                  "<clause code>", "exec"), namespace)
     return namespace["code"]
@@ -796,6 +916,26 @@ _EVALUABLE = {
     ("+", 1): operator.pos,
     ("abs", 1): abs,
 }
+# each arithmetic comparison: the Python operator clause code writes, and
+# the function its builtin applies
+_COMPARISONS = {
+    "=:=": ("==", operator.eq),
+    "=\\=": ("!=", operator.ne),
+    "<": ("<", operator.lt),
+    ">": (">", operator.gt),
+    "=<": ("<=", operator.le),
+    ">=": (">=", operator.ge),
+}
+
+
+def _evaluation_error(cause) -> PrologError:
+    """ISO evaluation_error (ISO/IEC 13211-1 §9.1.4) for a Python arithmetic
+    exception, or for a float result that is infinite or not a number."""
+    if isinstance(cause, ZeroDivisionError):
+        return PrologError("evaluation_error", "zero divisor")
+    if cause != cause:  # not a number
+        return PrologError("evaluation_error", "undefined")
+    return PrologError("evaluation_error", "float overflow")
 
 
 class Solver:
@@ -954,12 +1094,14 @@ class Solver:
                 try:
                     if arity == 2:
                         b = values.pop()
-                        values[-1] = function(values[-1], b)
+                        value = function(values[-1], b)
                     else:
-                        values[-1] = function(values[-1])
-                except ZeroDivisionError:
-                    raise errors.PrologError("evaluation_error",
-                                             "zero divisor") from None
+                        value = function(values[-1])
+                except ArithmeticError as error:
+                    raise _evaluation_error(error) from None
+                if type(value) is float and value - value:  # inf or nan
+                    raise _evaluation_error(value)
+                values[-1] = value
                 active.difference_update(passed)
                 continue
             t = item
@@ -1124,7 +1266,7 @@ class Solver:
                 self._restore_boundary()
             mark = len(trail)
             goals = code(self, args, constants)
-            if goals is not None:
+            if goals is not None and goals is not False:
                 if i < last:
                     cps.append((mark, boundary, goal, nxt, depth, home, clauses,
                                 i + 1))
@@ -1132,6 +1274,10 @@ class Solver:
                 for built in goals:
                     frame = (built, frame, depth, barrier, home)
                 return frame
+            if goals is False and i < last:
+                # A guard failed: count the backtrack to the clauses left
+                # that running it as a goal makes.
+                self.backtracks += 1
             self.undo(mark)
         return None
 
@@ -1459,12 +1605,7 @@ BUILTIN_INDICATORS: dict[tuple[str, int], Callable | PredicateEntry] = {
     ("=", 2): Solver._bi_unify,
     ("\\=", 2): Solver._bi_not_unify,
     ("is", 2): Solver._bi_is,
-    ("=:=", 2): _arith_compare(operator.eq),
-    ("=\\=", 2): _arith_compare(operator.ne),
-    ("<", 2): _arith_compare(operator.lt),
-    (">", 2): _arith_compare(operator.gt),
-    ("=<", 2): _arith_compare(operator.le),
-    (">=", 2): _arith_compare(operator.ge),
+    **{(name, 2): _arith_compare(op) for name, (_, op) in _COMPARISONS.items()},
     ("==", 2): Solver._bi_struct_eq,
     ("\\==", 2): Solver._bi_struct_neq,
     ("atom", 1): _type_test(lambda t: isinstance(t, Atom)),

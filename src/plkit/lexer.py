@@ -285,6 +285,7 @@ def _quoted(src: str, start: int, kind: TokenKind) -> _Scanned:
 _INTEGER_KIND, _FLOAT_KIND, _QUOTED_KIND, _STRING_KIND = (
     TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.QUOTED_ATOM, TokenKind.STRING)
 _OPEN_PAREN, _OPEN_PAREN_CT = TokenKind.OPEN_PAREN, TokenKind.OPEN_PAREN_CT
+_INFINITY = float("inf")
 
 
 def tokenize(source: str, file_id: str = "<string>") -> tuple[list[tuple], list[Diagnostic]]:
@@ -336,6 +337,9 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[tuple], list[
         elif group == _FLOAT:
             kind = _FLOAT_KIND
             value = float(source[start:end])
+            if value == _INFINITY:  # past the largest float
+                kind, value = TokenKind.INVALID, None
+                error = ("bad_number", "float literal out of range")
         elif group in _COMMENT_GROUPS:
             comments.append((_COMMENT_GROUPS[group], source[start:end], start, end, None))
             pos = end

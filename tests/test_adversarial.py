@@ -195,3 +195,21 @@ def test_facts_of_one_shape_share_one_function(monkeypatch):
     assert pretty_print(answer["A"], db) == "a19999"
     assert len(engine._SHAPES) == 1
     assert len({clause[1] for clause in compiled_clauses(db, ("fact", 3))}) == 1
+
+
+def test_a_guard_nested_past_the_depth_bound_keeps_the_walker():
+    depth = engine._CODE_DEPTH + 6
+    db = Database()
+    consult_source("inc(X, Y) :- Y is " + "(" * depth + "X" + " + 1)" * depth
+                   + ", Y > X.\n", db, Loader(), "inc.pl")
+    (answer,) = solve(read_term("inc(1, Y)", db), db)
+    assert answer["Y"].value == 1 + depth
+    (clause,) = compiled_clauses(db, ("inc", 2))
+    assert clause[1] is engine._walk_clause
+
+
+def test_between_gives_every_answer():
+    # both between/3 clauses start with guards that run inline
+    db = Database()
+    answers = solve(read_term("between(1, 5000, X)", db), db)
+    assert [answer["X"].value for answer in answers] == list(range(1, 5001))

@@ -91,6 +91,16 @@ def test_check_non_ascii_digits_exit_one(project, capsys):
     assert reported == set(files)
 
 
+def test_check_reports_a_float_literal_out_of_range(project, capsys):
+    root = project({"a.pl": "p(1.0e400).\nq(1.5e308).\n"})
+    code, out, _ = run(["check", root, "--format=machine"], capsys)
+    assert code == 1
+    fields = [line.split("\t") for line in out.splitlines()]
+    assert [(f[1], f[2], f[6], f[7]) for f in fields
+            if f[6] == "bad_number"] == [("1", "3", "bad_number", "float literal out of range")]
+    assert all(f[1] == "1" for f in fields)
+
+
 def test_check_prints_an_included_files_parse_error_once(project, capsys):
     root = project({"main.pl": ":- include(inc).\n", "inc.pl": "p(X) :- X > .\n"})
     code, out, _ = run(["check", root], capsys)

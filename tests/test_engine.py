@@ -1,4 +1,6 @@
 import io
+import itertools
+import random
 
 import pytest
 
@@ -20,7 +22,9 @@ from plkit.engine import (
 from plkit.errors import PrologError
 from plkit.lexer import tokenize
 from plkit.reader import Reader
-from plkit.terms import Atom, Compound, Int, OpApply, Term, Var, make_list, struct_eq
+from plkit.terms import (
+    Atom, Compound, Float, Int, OpApply, Term, Var, make_list, struct_eq,
+)
 from term_gen import TermGen, to_tuple, tt_apply, tt_unify, tt_variant
 
 
@@ -270,6 +274,42 @@ def test_arithmetic_errors():
     with pytest.raises(PrologError) as err:
         solutions("X is 7 // 0", db)
     assert err.value.kind == "evaluation_error"
+
+
+FLOAT_GUARDS = """\
+times(X, Y, Z) :- Z is X * Y.
+minus(X, Y, Z) :- Z is X - Y.
+above(X, Y) :- X * Y > 0.
+"""
+BIG = "9" * 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("goal", [
+    "X is 1.0e308 * 10",
+    "1.0e308 * 10 > 0",
+    "X is BIG * 1.5",
+    "X is BIG / 7",
+    "times(1.0e308, 10, X)",
+    "above(1.0e308, 10)",
+    "times(BIG, 1.5, X)",
+])
+def test_float_overflow_is_an_evaluation_error(goal):
+    """ISO 9.1.4: a float result that overflows, through the builtin and
+    through a clause's inline guard."""
+    db, _, _ = load(FLOAT_GUARDS)
+    with pytest.raises(PrologError) as err:
+        solutions(goal.replace("BIG", BIG), db)
+    assert (err.value.kind, err.value.message) == ("evaluation_error", "float overflow")
+
+
+def test_an_undefined_float_result_is_an_evaluation_error():
+    db, _, _ = load(FLOAT_GUARDS)
+    infinity = Float(float("inf"))
+    for goal in (Compound("is", [Var("X", 1), Compound("-", [infinity, infinity])]),
+                 Compound("minus", [infinity, infinity, Var("X", 1)])):
+        with pytest.raises(PrologError) as err:
+            list(solve(goal, db))
+        assert (err.value.kind, err.value.message) == ("evaluation_error", "undefined")
 
 
 def test_syntactic_equality():
@@ -800,10 +840,10 @@ def random_program(seed: int):
     return db, goals
 
 
-def solve_program(seed: int):
+def solve_program(seed: int, program=random_program):
     """Each goal's answers with the trail length after each, or its error,
     and the solver's counters after it."""
-    db, goals = random_program(seed)
+    db, goals = program(seed)
     solver = Solver(db, SolveLimits(max_depth=20, max_solutions=20))
     runs = []
     for goal in goals:
@@ -827,6 +867,111 @@ def test_clause_code_agrees_with_the_template_walker(monkeypatch):
     # the goals do more than fail
     outcomes = [run[0] for runs in generated for run in runs]
     assert sum(isinstance(o, list) and len(o) > 0 for o in outcomes) > 50
+
+
+# the rarer operands of a guard: a float, one that overflows, an atom, a
+# ground evaluable compound and one that is not evaluable
+ODD_OPERANDS = [Float(0.5), Float(1.0e300), Atom("a"), Compound("+", [Int(1), Int(2)]),
+                Compound("foo", [Int(1)])]
+
+
+def random_guard_program(seed: int):
+    """A program of g/2 clauses whose bodies start with is/2 and comparison
+    guards over the head's variables, integers, floats, atoms, unbound
+    variables and zero divisors, with bound, compound and fresh `is` left
+    sides, then call n/1; and goals that call g/2."""
+    rng = random.Random(seed)
+    vids = itertools.count(1)
+
+    def var(name):
+        return Var(name, next(vids))
+
+    def operand(known):
+        roll = rng.random()
+        if roll < 0.5:
+            return rng.choice(known)
+        if roll < 0.9:
+            return Int(rng.randint(-3, 3))
+        return var("U") if roll < 0.91 else rng.choice(ODD_OPERANDS)
+
+    def expression(depth, known):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return operand(known)
+        if roll < 0.5:
+            return Compound(rng.choice(["-", "abs"]), [expression(depth - 1, known)])
+        name = rng.choice(["+", "-", "*"] * 5 + ["/", "//", "mod", "foo"])
+        return Compound(name, [expression(depth - 1, known), expression(depth - 1, known)])
+
+    db = Database()
+    for n in (Int(0), Int(1), Int(2), Float(2.5), Atom("a")):
+        db.assert_clause(Compound("n", [n]), Atom("true"))
+    for _ in range(5):
+        x, y = var("X"), var("Y")
+        head = Compound("g", [rng.choice([x, x, Compound("f", [x]), Int(2)]),
+                              rng.choice([y, y, Int(3)])])
+        known = [x]  # Y may be unbound
+        goals = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                left = rng.choice([var("Z"), var("Z"), x, y, Int(3), Float(4.0),
+                                   Compound("f", [var("W")])])
+                goals.append(Compound("is", [left, expression(2, known)]))
+                if type(left) is Var and left is not y:
+                    known.append(left)
+            else:
+                op = rng.choice(["<", ">", "=<", ">=", "=:=", "=\\="])
+                goals.append(Compound(op, [expression(2, known), expression(1, known)]))
+        goals.append(Compound("n", [rng.choice(known + [y, var("V")])]))
+        body: Term = goals[-1]
+        for goal in reversed(goals[:-1]):
+            body = Compound(",", [goal, body])
+        db.assert_clause(head, body)
+    goals = [Compound("g", [rng.choice([Int(0), Int(1), Int(2), Int(3), Int(-2),
+                                        Int(2), Compound("f", [Int(2)]), *ODD_OPERANDS[:3],
+                                        var("A")]),
+                            rng.choice([Int(3), var("B"), var("B")])])
+             for _ in range(12)]
+    return db, goals
+
+
+def solve_guard_program(seed: int):
+    """solve_program's runs of a random_guard_program, each variable's vid
+    replaced by its rank among the run's vids."""
+    runs = solve_program(seed, random_guard_program)
+    vids = set()
+
+    def renumber(item, rank=None):
+        if isinstance(item, dict):
+            return {key: renumber(value, rank) for key, value in item.items()}
+        if isinstance(item, (list, tuple)):
+            if len(item) == 3 and item[0] == "var":
+                vids.add(item[2])
+                return item if rank is None else (*item[:2], rank[item[2]])
+            return type(item)(renumber(part, rank) for part in item)
+        return item
+
+    renumber(runs)
+    return renumber(runs, {vid: rank for rank, vid in enumerate(sorted(vids))})
+
+
+def test_inline_guards_agree_with_the_template_walker(monkeypatch):
+    """The guards that clause code runs inline answer, fail, raise, count,
+    trail and order variables as the goals the walker builds do. An `is`
+    makes no variable for a fresh left side, so later variables get smaller
+    vids; their order, which decides binding direction and trailing, stays."""
+    seeds = range(150)
+    monkeypatch.setattr(engine, "_SHAPES", {})
+    generated = [solve_guard_program(seed) for seed in seeds]
+    assert sum(bool(key[1]) for key in engine._SHAPES) > 400
+    monkeypatch.setattr(engine, "_CODE_NODES", 0)
+    walked = [solve_guard_program(seed) for seed in seeds]
+    for seed, (ours, theirs) in enumerate(zip(generated, walked)):
+        assert ours == theirs, seed
+    outcomes = [run[0] for runs in generated for run in runs]
+    assert sum(isinstance(o, list) and len(o) > 0 for o in outcomes) > 100
+    for kind in ("instantiation_error", "type_error", "evaluation_error"):
+        assert outcomes.count(kind) > 40, kind
 
 
 # --- repl -----------------------------------------------------------------

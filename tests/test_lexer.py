@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from oracle_lexer import oracle_tokenize
 from test_acceptance import make_corpus
 
 from plkit.lexer import (
     ATOM_KINDS,
+    COMMENT_KINDS,
     Token,
     TokenKind,
     lossless,
@@ -62,6 +62,14 @@ def test_floats():
     assert got[0].value == 3.14
     assert got[1].value == 1.0e10
     assert got[2].value == 2.5e-3
+
+
+def test_float_literal_out_of_range():
+    tokens, diagnostics = tokenize("p(1.0e400). q(1.5e308).", "<t>")
+    assert tokens[2] == (TokenKind.INVALID, "1.0e400", 2, 9, None)
+    assert tokens[7] == (TokenKind.FLOAT, "1.5e308", 14, 21, 1.5e308)
+    assert [(d.code, d.message, d.span.start_offset) for d in diagnostics] == [
+        ("bad_number", "float literal out of range", 2)]
 
 
 def test_float_requires_fraction_digits():
@@ -248,50 +256,124 @@ def test_line_index_positions():
     assert lines.position(6) == (3, 1)  # end of input
 
 
-# Every character that can start a token, the ones that continue radix,
-# exponent and escape forms, and a few non-ASCII ones.
-_ALPHABET = (list("azAZ_09'\"%/*.,|!;()[]{}#$&+-:<=>?@^~\\`xobeE \n\t")
-             + ["\f", "\r", "\xa0", "é", "É", "²", "١", "\x01", "0'", "''", "/*", "*/"])
+# Makers of random tokens for generated sources: each gives the (text,
+# value) of a token of its kind, which any layout after it ends.
+def _name(rng):
+    return rng.choice("abxyz") + "".join(rng.choices("az_09é", k=rng.randint(0, 4)))
 
 
-def _fields(source):
-    tokens, diagnostics = lossless(source, "<t>")
-    assert "".join(t.text for t in tokens) == source
-
-    def coords(s):
-        return (s.start_offset, s.end_offset, s.start_line, s.start_col,
-                s.end_line, s.end_col)
-
-    return ([(t.kind.value, t.text, t.value, *coords(t.span)) for t in tokens],
-            [(d.code, d.message, *coords(d.span)) for d in diagnostics])
+def _quoted(rng, quote):
+    """A quoted item of plain runs, doubled quotes and escapes."""
+    other = "'" if quote == '"' else '"'
+    pieces = rng.choices([("ab", "ab"), (" c", " c"), (quote * 2, quote), ("\\n", "\n"),
+                          ("\\\\", "\\"), ("\\x41\\", "A"), ("\\101\\", "A"),
+                          ("é", "é"), (other, other)], k=rng.randint(0, 4))
+    return (quote + "".join(text for text, _ in pieces) + quote,
+            "".join(value for _, value in pieces))
 
 
-def test_lexer_matches_oracle(tmp_path):
-    """The regex lexer against the character-at-a-time reference scanner:
-    the corpus files and seeded random strings must lex identically, except
-    where the reference raises."""
-    root = tmp_path / "corpus"
-    make_corpus(str(root), 12)
-    sources = [path.read_text(encoding="utf-8") for path in sorted(root.iterdir())]
+def _symbol(rng):
+    while True:
+        text = "".join(rng.choices("#$&*+-./:<=>?@^~\\", k=rng.randint(1, 3)))
+        if text != "." and "/*" not in text:  # an end token, a comment
+            return text, None
+
+
+def _integer(rng):
+    if rng.random() < 0.2:  # a character code
+        text, value = rng.choice([("a", "a"), ("Z", "Z"), ("\\n", "\n"), ("''", "'"),
+                                  (" ", " "), ("\\\\", "\\"), ("é", "é")])
+        return f"0'{text}", ord(value)
+    n = rng.randrange(10 ** rng.randint(1, 25))
+    return rng.choice([f"0x{n:x}", f"0o{n:o}", f"0b{n:b}", str(n)]), n
+
+
+def _float(rng):
+    text = (f"{rng.randrange(10 ** rng.randint(1, 5))}.{rng.randrange(10 ** 4)}"
+            + rng.choice(["", "e10", "E-3", "e+300", "e-400", "e400"]))
+    return text, float(text)
+
+
+_MAKERS = {
+    TokenKind.NAME_ATOM: lambda rng: (_name(rng), None),
+    TokenKind.VARIABLE: lambda rng: (rng.choice("XY_") + _name(rng)[1:], None),
+    TokenKind.INTEGER: _integer,
+    TokenKind.FLOAT: _float,
+    TokenKind.QUOTED_ATOM: lambda rng: _quoted(rng, "'"),
+    TokenKind.STRING: lambda rng: _quoted(rng, '"'),
+    TokenKind.SYMBOL_ATOM: _symbol,
+    TokenKind.SOLO_CHAR: lambda rng: (rng.choice("!;"), None),
+    TokenKind.LINE_COMMENT: lambda rng: (rng.choice(["%", "% note", "%/* x"]), None),
+    TokenKind.BLOCK_COMMENT: lambda rng: (rng.choice(["/**/", "/* a\n b */", "/*%*/"]), None),
+    TokenKind.END: lambda rng: (".", None),
+    **{kind: (lambda rng, text=text: (text, None)) for text, kind in [
+        ("(", TokenKind.OPEN_PAREN), (")", TokenKind.CLOSE_PAREN),
+        ("[", TokenKind.OPEN_BRACKET), ("]", TokenKind.CLOSE_BRACKET),
+        ("{", TokenKind.OPEN_BRACE), ("}", TokenKind.CLOSE_BRACE),
+        (",", TokenKind.COMMA), ("|", TokenKind.BAR)]},
+}
+_KINDS = list(_MAKERS)
+_LAYOUT = [" ", "\n", "\t", "  \n ", "\u3000", "\r\n", "\x0b"]
+
+
+def generated_source(rng):
+    """A source of random tokens, with the tuples and the (code, message,
+    start) diagnostics that tokenize must give for it. Layout follows each
+    token, a newline a line comment, but a '(' may follow an atom or a
+    variable at once."""
+    source, tokens, comments, diagnostics = "", [], [], []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.choice(_KINDS)
+        text, value = _MAKERS[kind](rng)
+        start = len(source)
+        if value == float("inf"):
+            kind, value = TokenKind.INVALID, None
+            diagnostics.append(("bad_number", "float literal out of range", start))
+        (comments if kind in COMMENT_KINDS else tokens).append(
+            (kind, text, start, start + len(text), value))
+        source += text
+        if kind in ATOM_KINDS | {TokenKind.VARIABLE} and rng.random() < 0.3:
+            tokens.append((TokenKind.OPEN_PAREN_CT, "(", len(source), len(source) + 1, None))
+            source += "("
+        source += "\n" if kind is TokenKind.LINE_COMMENT else rng.choice(_LAYOUT)
+    return source, tokens + comments, diagnostics
+
+
+def test_tokens_lex_back(tmp_path):
+    """Generated sources give tokenize's tuples and diagnostics exactly, and
+    their lossless view rejoins them with each token's line and column; each
+    token of the corpus files lexes alone to itself."""
     rng = random.Random(5)
-    sources += ["".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 40)))
-                for _ in range(3000)]
-    oracle_raised = 0
-    for source in sources:
-        got = _fields(source)
-        try:
-            expected = oracle_tokenize(source)
-        except (ValueError, OverflowError):
-            oracle_raised += 1
-            continue
-        assert got == expected, source
-    assert oracle_raised < len(sources) // 20
+    for _ in range(3000):
+        source, expected, diagnostics = generated_source(rng)
+        tokens, got = tokenize(source, "<t>")
+        assert tokens == expected, source
+        assert [(d.code, d.message, d.span.start_offset) for d in got] == diagnostics
+        view, _ = lossless(source, "<t>")
+        assert "".join(t.text for t in view) == source
+        for t in view:
+            line_start = source.rfind("\n", 0, t.start) + 1
+            assert (t.span.start_line, t.span.start_col) == (
+                source.count("\n", 0, t.start) + 1, t.start - line_start + 1)
+    make_corpus(str(tmp_path), 12)
+    for path in sorted(tmp_path.iterdir()):
+        source = path.read_text(encoding="utf-8")
+        view, _ = lossless(source, str(path))
+        assert "".join(t.text for t in view) == source
+        for t in view:
+            if t.kind not in (TokenKind.LAYOUT, TokenKind.INVALID):
+                kind = TokenKind.OPEN_PAREN if t.kind is TokenKind.OPEN_PAREN_CT else t.kind
+                assert tokenize(t.text)[0] == [(kind, t.text, 0, len(t.text), t.value)]
 
 
 def start_of(token):
     return token[2]
 
 
+# Every character that can start a token, the ones that continue radix,
+# exponent and escape forms, and a few non-ASCII ones.
+_ALPHABET = (list("azAZ_09'\"%/*.,|!;()[]{}#$&+-:<=>?@^~\\`xobeE \n\t")
+             + ["\f", "\r", "\xa0", "é", "É", "²", "١", "\x01", "0'", "''", "/*", "*/"])
 # Layout the master regex skips, and starts of tokens that a skipped prefix
 # could swallow or split: other Unicode spaces, radix and character-code
 # prefixes, an open block comment and unterminated quotes.
@@ -302,10 +384,8 @@ _ODD_ALPHABET = _ALPHABET + ["\u3000", "\x0b", "\x1c", "\x85", "\n\n ", "0x", "0
 def test_lossless_view_is_tokenize_with_layout_between():
     """Seeded random strings: the lossless view rejoins to the input, its
     tokens that are not layout are tokenize's in source order, and both
-    give the same diagnostics, which match the reference scanner's where it
-    does not raise."""
+    give the same diagnostics."""
     rng = random.Random(12)
-    oracle_raised = 0
     for _ in range(3000):
         source = "".join(rng.choice(_ODD_ALPHABET) for _ in range(rng.randint(0, 40)))
         tokens, diagnostics = tokenize(source, "<t>")
@@ -316,10 +396,3 @@ def test_lossless_view_is_tokenize_with_layout_between():
                 if t.kind is not TokenKind.LAYOUT] == sorted(tokens, key=start_of), source
         assert ([(d.code, d.message, d.span) for d in diagnostics]
                 == [(d.code, d.message, d.span) for d in view_diagnostics])
-        try:
-            expected = oracle_tokenize(source)
-        except (ValueError, OverflowError):
-            oracle_raised += 1
-            continue
-        assert _fields(source) == expected, source
-    assert oracle_raised < 150
