@@ -226,16 +226,23 @@ class Database:
                 raise errors.type_error(
                     "clause head must be an atom or compound term")
             indicator = PredicateIndicator(*ind)
-        entry = self.predicates.setdefault(indicator, PredicateEntry(indicator))
+        entry = self._entry(indicator)
         entry.clauses.append(Clause(head, body, span))
         entry.compiled = None
+        return entry
+
+    def _entry(self, indicator: PredicateIndicator) -> PredicateEntry:
+        """The entry of `indicator`, made on its first clause or declaration."""
+        entry = self.predicates.get(indicator)
+        if entry is None:
+            entry = self.predicates[indicator] = PredicateEntry(indicator)
         return entry
 
     def lookup(self, indicator: tuple[str, int]) -> Optional[PredicateEntry]:
         return self.predicates.get(indicator)
 
     def declare(self, indicator: PredicateIndicator, prop: str) -> PredicateEntry:
-        entry = self.predicates.setdefault(indicator, PredicateEntry(indicator))
+        entry = self._entry(indicator)
         entry.properties.add(prop)
         return entry
 

@@ -1164,8 +1164,12 @@ class Solver:
 
     def _run(self, goal: Term) -> Iterator[None]:
         """Yield once per solution of a built goal; the bindings are in its
-        variables."""
-        cps = self.choicepoints
+        variables. A user call with one candidate clause runs that clause's
+        code here, as the WAM runs a call with no try/retry/trust: it pushes
+        no choicepoint and draws no boundary, and a head that fails is
+        undone and counts no backtrack. Two or more candidates go to
+        _try_clauses."""
+        trail, cps = self.trail, self.choicepoints
         max_depth = self.limits.max_depth
         frame = (goal, _SOLVED, 0, 0, self.db)
         while True:
@@ -1191,9 +1195,11 @@ class Solver:
                     self.deepest = depth
             if isinstance(goal, Compound):
                 name = goal.name
-                key = name, len(goal.args)
+                args = goal.args
+                key = name, len(args)
             elif isinstance(goal, Atom):
                 name = goal.name
+                args = ()
                 key = name, 0
             elif isinstance(goal, Var):
                 raise errors.instantiation_error("unbound goal")
@@ -1208,7 +1214,20 @@ class Solver:
                     self.deepest = depth
                 self.inferences += 1
                 home, clauses = self._solve_user(goal, key, home)
-                frame = self._try_clauses(goal, nxt, depth, home, clauses, 0)
+                if len(clauses) != 1:
+                    frame = self._try_clauses(goal, nxt, depth, home, clauses, 0)
+                    continue
+                _, code, constants = clauses[0]
+                mark = len(trail)
+                goals = code(self, args, constants)
+                if goals is None or goals is False:
+                    self.undo(mark)
+                    frame = None
+                    continue
+                barrier = len(cps)
+                frame = nxt
+                for built in goals:
+                    frame = (built, frame, depth, barrier, home)
             elif native is Solver._control:
                 frame = self._control(name, goal, nxt, depth, cut, home)
             elif native(self, goal):
@@ -1223,7 +1242,9 @@ class Solver:
         call's leftmost bound argument. The caller's home database is
         searched first, then the prelude, so a program's own append/3 wins
         in the program, and the prelude's in the prelude. Called once per
-        call; backtracking into another clause does not call it again."""
+        call; backtracking into another clause does not call it again. With
+        first-argument indexing most calls get one clause, which _run then
+        runs itself."""
         entry = home.lookup(key)
         if entry is None and home is not _PRELUDE:
             home = _PRELUDE
@@ -1240,17 +1261,30 @@ class Solver:
             compiled = entry.compiled = _Compiled(entry)
         if key[1]:
             for position, arg in enumerate(goal.args):
-                arg = self.walk(arg)
-                if type(arg) is not RuntimeVar:
-                    index, unkeyed = compiled.index(position)
-                    return home, index.get(_index_key(arg), unkeyed)
+                while type(arg) is RuntimeVar:
+                    bound = arg.ref
+                    if bound is None:
+                        break
+                    arg = bound
+                else:  # bound: index the call on this argument
+                    index, unkeyed = (compiled.indexes.get(position)
+                                      or compiled.index(position))
+                    kind = type(arg)
+                    if kind is Compound:
+                        arg_key = arg.name, len(arg.args)
+                    elif kind is Atom:
+                        arg_key = arg.name
+                    else:
+                        arg_key = _index_key(arg)
+                    return home, index.get(arg_key, unkeyed)
         return home, compiled.clauses
 
     def _try_clauses(self, goal: Term, nxt, depth: int, home: Database,
                      clauses, start: int):
         """Resolve `goal` with the first of clauses[start:] whose head
         unifies: its body frames, pushed in front of `nxt`, or None when no
-        head unifies. A choicepoint records any clauses left."""
+        head unifies. A choicepoint records any clauses left. A call with
+        one candidate clause never comes here: _run runs it."""
         trail, cps = self.trail, self.choicepoints
         barrier = len(cps)
         args = goal.args if isinstance(goal, Compound) else ()

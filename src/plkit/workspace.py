@@ -702,11 +702,11 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
     prefix = _prefix_at(source, offset)
     items: list[tuple[tuple, CompletionItem]] = []
 
-    def add(label: str, kind: str, synopsis: str, insert: str, locality: int):
-        name_part = label.split("/")[0].split("//")[0]
-        if prefix and not name_part.startswith(prefix):
+    def add(name: str, label: str, kind: str, synopsis: str, locality: int):
+        if prefix and not name.startswith(prefix):
             return
-        rank = 0 if name_part == prefix else 1
+        rank = 0 if name == prefix else 1
+        insert = name if kind == "Variable" else atom_text(name)
         items.append(((rank, locality, label),
                       CompletionItem(label, kind, synopsis, insert)))
 
@@ -717,7 +717,7 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
             for var in _var_occurrences(sentence.term):
                 if var.name not in seen and var.name != "_":
                     seen.add(var.name)
-                    add(var.name, "Variable", "clause variable", var.name, 0)
+                    add(var.name, var.name, "Variable", "clause variable", 0)
     else:
         sentence = _sentence_at(index, offset)
         in_import = (
@@ -729,22 +729,23 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
             for path in sorted(model.index.files):
                 module = model.index.files[path].db.module
                 if module is not None:
-                    add(module.name, "Module", f"module in {os.path.basename(path)}",
-                        module.name, 1)
+                    add(module.name, module.name, "Module",
+                        f"module in {os.path.basename(path)}", 1)
         for entry in index.db.predicates.values():
             if entry.clauses:
-                add(entry.display_label, "Dcg" if entry.dcg else "Predicate",
-                    pretty_print(entry.clauses[0].head), entry.indicator.name, 0)
+                add(entry.indicator.name, entry.display_label,
+                    "Dcg" if entry.dcg else "Predicate",
+                    pretty_print(entry.clauses[0].head), 0)
         visible = model.index.visible.get(index.file, {})
         for (name, arity), origin in sorted(visible.items()):
             other = model.index.lookup(origin)
             found = other.definition(name, arity) if other is not None else None
             synopsis = (pretty_print(found.clauses[0].head) if found is not None
                         else f"{name}/{arity} from {os.path.basename(origin)}")
-            add(f"{name}/{arity}", "Predicate", synopsis, name, 1)
+            add(name, f"{name}/{arity}", "Predicate", synopsis, 1)
         catalog = load_default_catalog()
         for name, arity in BUILTIN_INDICATORS:
-            add(f"{name}/{arity}", "Keyword", catalog[name, arity].synopsis, name, 2)
+            add(name, f"{name}/{arity}", "Keyword", catalog[name, arity].synopsis, 2)
 
     items.sort(key=lambda pair: pair[0])
     return [item for _, item in items[: model.config.completion_cap]]

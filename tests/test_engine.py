@@ -21,9 +21,10 @@ from plkit.engine import (
 )
 from plkit.errors import PrologError
 from plkit.lexer import tokenize
+from plkit.printer import pretty_print
 from plkit.reader import Reader
 from plkit.terms import (
-    Atom, Compound, Float, Int, OpApply, Term, Var, make_list, struct_eq,
+    Atom, Compound, Float, Int, OpApply, Str, Term, Var, make_list, struct_eq,
 )
 from term_gen import TermGen, to_tuple, tt_apply, tt_unify, tt_variant
 
@@ -587,7 +588,12 @@ def test_one_solve_user_call_per_predicate_call(monkeypatch):
 def test_counters_on_nrev():
     db, _, _ = load(NREV)
     solver = Solver(db)
-    assert len(list(solver.solve(nrev_goal(30)))) == 1
+    answers = solver.solve(nrev_goal(30))
+    next(answers)
+    # every call has one candidate clause, so no choicepoint is ever made
+    # and no binding is trailed
+    assert len(solver.trail) == 0
+    assert list(answers) == [] and len(solver.trail) == 0
     assert solver.inferences == 31 * 32 // 2
     assert solver.backtracks == 0
     # each level's app/3 recursion reaches as deep as the innermost nrev/2
@@ -655,6 +661,85 @@ def test_assert_clause_drops_a_later_argument_index():
     assert [r["K"].name for r in solutions("s(K, 1)", db)] == ["a"]
     db.assert_clause(read_term("s(c, 1)"), Atom("true"))
     assert [r["K"].name for r in solutions("s(K, 1)", db)] == ["a", "c"]
+
+
+# --- one-candidate calls ----------------------------------------------------
+
+
+SUM_TO = ("sum_to(0, S, S).\n"
+          "sum_to(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1, sum_to(N1, A1, S).\n")
+
+
+def counted_run(db, goal_text, **limits):
+    """Each answer, printed, with the trail length at it, or the error kind;
+    then the solver's inferences, backtracks, deepest and trail length."""
+    solver = Solver(db, SolveLimits(**limits) if limits else None)
+    try:
+        outcome = [({name: pretty_print(value) for name, value in binding.items()},
+                    len(solver.trail))
+                   for binding in solver.solve(read_term(goal_text, db))]
+    except PrologError as err:
+        outcome = err.kind
+    return outcome, solver.inferences, solver.backtracks, solver.deepest, len(solver.trail)
+
+
+def test_counters_on_sum_to():
+    db, _, _ = load(SUM_TO)
+    # sum_to(N, ...) with N > 0 has one candidate; sum_to(0, ...) has two and
+    # makes the run's one choicepoint, which trails S and is popped at the end
+    assert counted_run(db, "sum_to(50, 0, S)") == ([({"S": "1275"}, 1)], 51, 1, 51, 0)
+
+
+def test_one_candidate_head_that_fails_is_undone():
+    db, _, _ = load("p(a, f(1)).\n")
+    # p(X, f(2)) is indexed on f(2): one candidate, whose head binds X to a
+    # and then fails; only the ';' choicepoint is popped
+    assert counted_run(db, "(p(X, f(2)) ; true), var(X)") == ([({"X": "X"}, 0)], 1, 1, 1, 0)
+    assert counted_run(db, "p(X, f(2))") == ([], 1, 0, 1, 0)
+
+
+def test_cut_in_a_one_candidate_clause_cuts_to_its_call():
+    db, _, _ = load(CUT_PROGRAM + "two(X, Y) :- m(X), first(Y).\n")
+    # first/1 has one clause: its cut drops m(Y)'s choicepoint, not m(X)'s
+    assert counted_run(db, "two(X, Y)") == (
+        [({"X": "1", "Y": "1"}, 2), ({"X": "2", "Y": "1"}, 2), ({"X": "3", "Y": "1"}, 1)],
+        8, 2, 3, 1)
+
+
+def test_deterministic_recursion_stops_at_the_depth_limit():
+    db, _, _ = load("up(N) :- N1 is N + 1, up(N1).\n")
+    assert counted_run(db, "up(0)", max_depth=50) == ("resource_error", 50, 0, 50, 0)
+
+
+def test_one_candidate_clause_past_the_size_bound_runs_the_walker():
+    nested, ground = "X", "a"
+    for _ in range(30):
+        nested, ground = f"f({nested})", f"f({ground})"
+    db, _, _ = load(f"deep(X, {nested}) :- atom(X).\n")
+    assert counted_run(db, f"deep(Y, {ground})") == ([({"Y": "a"}, 0)], 1, 0, 1, 0)
+    assert [clause[1] for clause in db.lookup(("deep", 2)).compiled.clauses] \
+        == [engine._walk_clause]
+    assert counted_run(db, f"(deep(b, {ground}) ; true)") == ([({}, 0)], 1, 1, 1, 0)
+    assert counted_run(db, f"deep(Y, {ground.replace('(a)', '(1)')})") == ([], 1, 0, 1, 0)
+
+
+def test_other_bound_arguments_are_keyed_by_index_key(monkeypatch):
+    db, _, _ = load('k(1.5, float).\nk("s", string).\nk(1 + 2, operator).\n'
+                    "k(a, atom).\nk(f(b), compound).\n")
+    assert len(solutions("k(a, W)", db)) == 1  # builds the first-argument index
+    keyed = []
+    original = engine._index_key
+
+    def recorded(term):
+        keyed.append(type(term))
+        return original(term)
+
+    monkeypatch.setattr(engine, "_index_key", recorded)
+    output = run_repl('k(1.5, W).\nk("s", W).\nk(1 + 2, W).\nk(f(Y), W).\n', db)
+    for answer in ("float", "string", "operator", "compound"):
+        assert f"W = {answer}" in output
+    # an exact Atom or Compound is keyed in place
+    assert keyed == [Float, Str, OpApply]
 
 
 # --- conditional trailing ----------------------------------------------------

@@ -549,6 +549,16 @@ def test_complete_builtin_member(project):
     assert any(i.label == "member/2" for i in items)
 
 
+def test_complete_matches_and_inserts_a_quoted_name_whole(project):
+    model, root = build(project, {"a.pl": "p :- atom.\n'atom/x'(1).\n"})
+    items = complete_at(model, root, "a.pl", "p :- atom")
+    labels = [i.label for i in items]
+    # the builtin atom/1 is the exact match; 'atom/x' only starts with atom
+    assert labels.index("atom/1") < labels.index("atom/x/1")
+    inserts = {i.label: i.insert_text for i in items}
+    assert inserts["atom/x/1"] == "'atom/x'" and inserts["atom/1"] == "atom"
+
+
 def test_complete_variable_prefix(project):
     model, root = build(project, {
         "a.pl": "p(Count, Counter) :- Count > 0, Co.\n"})
