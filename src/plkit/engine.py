@@ -450,11 +450,12 @@ _DIRECTIVES = {
 # A frame of the goal list is (goal, next frame, depth, cut barrier, home):
 # depth counts the user or prelude calls nested above the goal, the cut
 # barrier is the choicepoint height that `!` truncates to, and home is the
-# database whose definitions the goal's calls see first. The goal list ends
-# in _SOLVED. A choicepoint is (trail mark, boundary, goal, next, depth,
-# home, clauses, index of the next clause) for a call with clauses left, or
-# (trail mark, boundary, None, frame) for the other branch of ';' or the
-# success of '\+'.
+# database whose definitions the goal's calls see first. A goal is a term,
+# or the (callee, arguments) pair that clause code makes of a call (see
+# _compile_clause). The goal list ends in _SOLVED. A choicepoint is (trail
+# mark, boundary, arguments, next, depth, home, clauses, index of the next
+# clause) for a call with clauses left, or (trail mark, boundary, None,
+# frame) for the other branch of ';' or the success of '\+'.
 
 _SOLVED = ("solved",)
 # the control constructs whose arguments call/1 checks are goals
@@ -474,6 +475,19 @@ class RuntimeVar(Var):
         self.name = name
         self.vid = vid
         self.ref = None
+
+
+class _Site:
+    """A compiled body goal that calls a user or prelude predicate: its key,
+    and the resolution it last made (see Solver._solve_user): the home
+    database it was made for and that database's generation, the entry
+    found, and the database it was found in."""
+
+    __slots__ = ("key", "home", "generation", "entry", "where")
+
+    def __init__(self, key: tuple[str, int]):
+        self.key = key
+        self.home = None
 
 
 class _Compiled:
@@ -541,11 +555,17 @@ def _compile_clause(clause) -> tuple:
     templates also gives the clause's shape, its templates in postfix with
     each functor name and constant replaced by a tag, and K, those names
     and constants in the same order followed by the variable names by slot.
+    A body goal that calls a builtin, user or prelude predicate names its
+    callee here (see _callee): a "c" after the goal in the shape, and the
+    callee after its constants in K. Its code then answers the goal as
+    (callee, arguments), with no term built for it; a control construct or
+    a goal that is not callable stays a term.
     Clauses of one shape share the code _generate makes of it; the shape
     key also holds the clause's leading arithmetic guards (see _guards),
     which the code runs inline, so that `code` answers False when one fails.
     A clause past the size bound keeps the walker, `_walk_clause`, and its K
-    is (head templates, body templates, variable names)."""
+    is (head templates, body templates, variable names): its goals stay
+    terms."""
     head = clause.head.args if isinstance(clause.head, Compound) else ()
     goals = [Compound("call", [g]) if isinstance(g, Var) else g
              for g in reversed(_comma_list(clause.body))
@@ -596,6 +616,11 @@ def _compile_clause(clause) -> tuple:
             shape.append(_CONSTANT_TAGS.get(kind, "g"))
             constants.append(t)
             out.append(t)
+        if not depth and len(out) > len(head):  # a body goal is complete
+            callee = _callee(out[-1])
+            if callee is not None:
+                shape.append("c")
+                constants.append(callee)
     head, body = tuple(out[:len(head)]), tuple(out[len(head):])
     if len(shape) >= _CODE_NODES or deepest >= _CODE_DEPTH:
         return head, _walk_clause, (head, body, tuple(names))
@@ -604,6 +629,25 @@ def _compile_clause(clause) -> tuple:
     if code is None:
         code = _SHAPES[key] = _generate(key)
     return head, code, (*constants, *names)
+
+
+def _callee(goal):
+    """The callee of a body goal's template: a builtin's native function, or
+    a new _Site for a user or prelude predicate; None for a control
+    construct, which stays a term, and for a goal that is not callable."""
+    kind = type(goal)
+    if kind is tuple:
+        key = goal[0], len(goal[1])
+    elif isinstance(goal, Compound):
+        key = goal.name, len(goal.args)
+    elif kind is Atom:
+        key = goal.name, 0
+    else:
+        return None
+    native = BUILTIN_INDICATORS.get(key)
+    if native is None or native.__class__ is PredicateEntry:
+        return _Site(key)
+    return None if native is Solver._control else native
 
 
 def _guards(head: tuple, body: tuple) -> tuple:
@@ -675,13 +719,19 @@ def _generate(shape: tuple) -> Callable:
     backtracking): an integer operand gives its value, any other goes
     through eval_arith, a failed comparison answers False, and an `is`
     gives a slot first met on its left the number itself, with no variable
-    made for it. Recursion is bounded by _CODE_DEPTH."""
+    made for it. A call answers (K[callee], arguments): a tuple of the
+    goal's arguments, a ground goal's own `args`, or () for an atom.
+    Recursion is bounded by _CODE_DEPTH."""
     # the postfix shape as trees: ("slot", number), ("constant", tag, index
-    # in K) or ("compound", index of its name in K, argument trees)
+    # in K), ("compound", index of its name in K, argument trees) or, for a
+    # body goal, ("call", index of its callee in K, goal tree)
     trees: list = []
     n_constants = 0
     for token in shape[2:]:
-        if type(token) is str:
+        if token == "c":
+            trees[-1] = ("call", n_constants, trees[-1])
+            n_constants += 1
+        elif type(token) is str:
             trees.append(("constant", token, n_constants))
             n_constants += 1
         elif token >= 0:
@@ -806,7 +856,7 @@ def _generate(shape: tuple) -> Callable:
     if guards:
         emit(1, "try:")
         for tree, (name, *names) in zip(reversed(trees[end:]), guards):
-            left, right = tree[2]
+            left, right = tree[2][2]  # a guard is a call of a compound
             names = iter(names)
             if name != "is":
                 left = value(left, names)
@@ -830,9 +880,18 @@ def _generate(shape: tuple) -> Callable:
         emit(2, "raise evaluation_error(error) from None")
     goals = []
     for tree in body:
-        if tree[0] == "compound":
-            fresh(tree, 1)
-        goals.append(term(tree))
+        if tree[0] != "call":
+            if tree[0] == "compound":
+                fresh(tree, 1)
+            goals.append(term(tree))
+            continue
+        _, callee, goal = tree
+        if goal[0] == "compound":
+            fresh(goal, 1)
+            args = f"({''.join(term(arg) + ', ' for arg in goal[2])})"
+        else:
+            args = "()" if goal[1] == "a" else f"K[{goal[2]}].args"
+        goals.append(f"(K[{callee}], {args})")
     emit(1, f"return ({', '.join(goals)},)" if goals else "return ()")
     prologue = [f"    {name} = solver.{attribute}" for name, attribute in (
         ("boundary", "_boundary"), ("trail", "trail"), ("unify", "unify"),
@@ -1164,10 +1223,16 @@ class Solver:
 
     def _run(self, goal: Term) -> Iterator[None]:
         """Yield once per solution of a built goal; the bindings are in its
-        variables. A user call with one candidate clause runs that clause's
-        code here, as the WAM runs a call with no try/retry/trust: it pushes
-        no choicepoint and draws no boundary, and a head that fails is
-        undone and counts no backtrack. Two or more candidates go to
+        variables. A frame's goal is a (callee, arguments) pair made by
+        clause code, or a term: the query, an argument of a control
+        construct or call/1, or a goal of the walker. A term is turned into
+        the same pair through BUILTIN_INDICATORS, its callee being a native
+        function or, for a user or prelude predicate, its key; a control
+        construct goes to _control instead. Then one block runs every call.
+        A user call with one candidate clause runs that clause's code here,
+        as the WAM runs a call with no try/retry/trust: it pushes no
+        choicepoint and draws no boundary, and a head that fails is undone
+        and counts no backtrack. Two or more candidates go to
         _try_clauses."""
         trail, cps = self.trail, self.choicepoints
         max_depth = self.limits.max_depth
@@ -1182,40 +1247,50 @@ class Solver:
                 frame = None
                 continue
             goal, nxt, depth, cut, home = frame
-            if type(goal) is RuntimeVar:
-                # A variable goal runs as call/1, one level deeper: every
-                # cyclic goal passes through one, so its depth is bounded too.
-                goal = self.walk(goal)
-                self._check_callable(goal)
-                cut = len(cps)
-                depth += 1
-                if depth > max_depth:
-                    raise errors.resource_error("depth limit exceeded")
-                if depth > self.deepest:
-                    self.deepest = depth
-            if isinstance(goal, Compound):
-                name = goal.name
-                args = goal.args
-                key = name, len(args)
-            elif isinstance(goal, Atom):
-                name = goal.name
-                args = ()
-                key = name, 0
-            elif isinstance(goal, Var):
-                raise errors.instantiation_error("unbound goal")
+            if type(goal) is tuple:
+                callee, args = goal
             else:
-                raise errors.type_error("goal must be callable")
-            native = BUILTIN_INDICATORS.get(key)
-            if native is None or native.__class__ is PredicateEntry:
+                if type(goal) is RuntimeVar:
+                    # A variable goal runs as call/1, one level deeper: every
+                    # cyclic goal passes through one, so its depth is bounded
+                    # too.
+                    goal = self.walk(goal)
+                    self._check_callable(goal)
+                    cut = len(cps)
+                    depth += 1
+                    if depth > max_depth:
+                        raise errors.resource_error("depth limit exceeded")
+                    if depth > self.deepest:
+                        self.deepest = depth
+                if isinstance(goal, Compound):
+                    name = goal.name
+                    args = goal.args
+                    key = name, len(args)
+                elif isinstance(goal, Atom):
+                    name = goal.name
+                    args = ()
+                    key = name, 0
+                elif isinstance(goal, Var):
+                    raise errors.instantiation_error("unbound goal")
+                else:
+                    raise errors.type_error("goal must be callable")
+                callee = BUILTIN_INDICATORS.get(key)
+                if callee is None or callee.__class__ is PredicateEntry:
+                    callee = key
+                elif callee is Solver._control:
+                    frame = self._control(name, goal, nxt, depth, cut, home)
+                    continue
+            kind = callee.__class__
+            if kind is _Site or kind is tuple:
                 if depth >= max_depth:
                     raise errors.resource_error("depth limit exceeded")
                 depth += 1
                 if depth > self.deepest:
                     self.deepest = depth
                 self.inferences += 1
-                home, clauses = self._solve_user(goal, key, home)
+                home, clauses = self._solve_user(callee, args, home)
                 if len(clauses) != 1:
-                    frame = self._try_clauses(goal, nxt, depth, home, clauses, 0)
+                    frame = self._try_clauses(args, nxt, depth, home, clauses, 0)
                     continue
                 _, code, constants = clauses[0]
                 mark = len(trail)
@@ -1228,30 +1303,42 @@ class Solver:
                 frame = nxt
                 for built in goals:
                     frame = (built, frame, depth, barrier, home)
-            elif native is Solver._control:
-                frame = self._control(name, goal, nxt, depth, cut, home)
-            elif native(self, goal):
+            elif callee(self, args):
                 frame = nxt
             else:
                 frame = None
 
-    def _solve_user(self, goal: Term, key: tuple[str, int],
-                    home: Database) -> tuple[Database, list]:
-        """One call of a user or prelude predicate: the database it is
-        defined in and the clauses to try, narrowed by the index on the
-        call's leftmost bound argument. The caller's home database is
-        searched first, then the prelude, so a program's own append/3 wins
-        in the program, and the prelude's in the prelude. Called once per
+    def _solve_user(self, callee, args, home: Database) -> tuple[Database, list]:
+        """One call of a user or prelude predicate, `callee` being a _Site or
+        a (name, arity) key: the database it is defined in and the clauses
+        to try, narrowed by the index on the call's leftmost bound argument.
+        The caller's home database is searched first, then the prelude, so a
+        program's own append/3 wins in the program, and the prelude's in the
+        prelude. A site keeps what it found while its home database is the
+        same and has made no new predicate entry since (Database.generation),
+        the only change that can make the name resolve elsewhere; an unknown
+        predicate is looked up, and raises, on every call. Called once per
         call; backtracking into another clause does not call it again. With
         first-argument indexing most calls get one clause, which _run then
         runs itself."""
-        entry = home.lookup(key)
-        if entry is None and home is not _PRELUDE:
-            home = _PRELUDE
+        site = callee if callee.__class__ is _Site else None
+        if site is not None and site.home is home and site.generation == home.generation:
+            entry = site.entry
+            home = site.where
+        else:
+            key = callee if site is None else site.key
+            where = home
             entry = home.lookup(key)
-        if entry is None:
-            raise errors.existence_error(
-                f"unknown predicate {PredicateIndicator(*key)}")
+            if entry is None and home is not _PRELUDE:
+                where = _PRELUDE
+                entry = where.lookup(key)
+            if entry is None:
+                raise errors.existence_error(
+                    f"unknown predicate {PredicateIndicator(*key)}")
+            if site is not None:
+                site.home, site.generation = home, home.generation
+                site.entry, site.where = entry, where
+            home = where
         compiled = entry.compiled
         if compiled is None:
             if entry.dcg:
@@ -1259,8 +1346,8 @@ class Solver:
                 raise errors.existence_error(
                     f"unknown predicate {entry.indicator}")
             compiled = entry.compiled = _Compiled(entry)
-        if key[1]:
-            for position, arg in enumerate(goal.args):
+        if args:
+            for position, arg in enumerate(args):
                 while type(arg) is RuntimeVar:
                     bound = arg.ref
                     if bound is None:
@@ -1279,15 +1366,15 @@ class Solver:
                     return home, index.get(arg_key, unkeyed)
         return home, compiled.clauses
 
-    def _try_clauses(self, goal: Term, nxt, depth: int, home: Database,
+    def _try_clauses(self, args, nxt, depth: int, home: Database,
                      clauses, start: int):
-        """Resolve `goal` with the first of clauses[start:] whose head
-        unifies: its body frames, pushed in front of `nxt`, or None when no
-        head unifies. A choicepoint records any clauses left. A call with
-        one candidate clause never comes here: _run runs it."""
+        """Resolve a call with arguments `args` by the first of
+        clauses[start:] whose head unifies: its body frames, pushed in front
+        of `nxt`, or None when no head unifies. A choicepoint records the
+        arguments and any clauses left. A call with one candidate clause
+        never comes here: _run runs it."""
         trail, cps = self.trail, self.choicepoints
         barrier = len(cps)
-        args = goal.args if isinstance(goal, Compound) else ()
         last = len(clauses) - 1
         for i in range(start, last + 1):
             _, code, constants = clauses[i]
@@ -1302,7 +1389,7 @@ class Solver:
             goals = code(self, args, constants)
             if goals is not None and goals is not False:
                 if i < last:
-                    cps.append((mark, boundary, goal, nxt, depth, home, clauses,
+                    cps.append((mark, boundary, args, nxt, depth, home, clauses,
                                 i + 1))
                 frame = nxt
                 for built in goals:
@@ -1396,8 +1483,8 @@ class Solver:
             self._restore_boundary()
             if choice[2] is None:
                 return choice[3]
-            _, _, goal, nxt, depth, home, clauses, start = choice
-            frame = self._try_clauses(goal, nxt, depth, home, clauses, start)
+            _, _, args, nxt, depth, home, clauses, start = choice
+            frame = self._try_clauses(args, nxt, depth, home, clauses, start)
             if frame is not None:
                 return frame
         return None
@@ -1471,23 +1558,24 @@ class Solver:
         commit = (_CUT, (then, nxt, depth, cut, home), depth, height, home)
         return (cond, commit, depth, len(cps), home)
 
-    # built-ins: each returns whether it succeeded; its bindings are trailed
+    # built-ins: each takes the call's arguments and returns whether it
+    # succeeded; its bindings are trailed
 
-    def _bi_true(self, goal):
+    def _bi_true(self, args):
         return True
 
-    def _bi_fail(self, goal):
+    def _bi_fail(self, args):
         return False
 
-    def _bi_unify(self, goal):
-        return self.unify(goal.args[0], goal.args[1])
+    def _bi_unify(self, args):
+        return self.unify(args[0], args[1])
 
-    def _bi_not_unify(self, goal):
-        return not self._unify_and_undo(goal.args[0], goal.args[1])[0]
+    def _bi_not_unify(self, args):
+        return not self._unify_and_undo(args[0], args[1])[0]
 
-    def _bi_is(self, goal):
-        value = self.to_number(self.eval_arith(goal.args[1]))
-        return self.unify(goal.args[0], value)
+    def _bi_is(self, args):
+        value = self.to_number(self.eval_arith(args[1]))
+        return self.unify(args[0], value)
 
     def _syntactic_eq(self, a: Term, b: Term) -> bool:
         """Whether `a` and `b` are identical under the bindings: they unify
@@ -1495,17 +1583,17 @@ class Solver:
         unifies, binds = self._unify_and_undo(a, b)
         return unifies and not binds
 
-    def _bi_struct_eq(self, goal):
-        return self._syntactic_eq(goal.args[0], goal.args[1])
+    def _bi_struct_eq(self, args):
+        return self._syntactic_eq(args[0], args[1])
 
-    def _bi_struct_neq(self, goal):
-        return not self._syntactic_eq(goal.args[0], goal.args[1])
+    def _bi_struct_neq(self, args):
+        return not self._syntactic_eq(args[0], args[1])
 
-    def _bi_functor(self, goal):
-        t = self.walk(goal.args[0])
+    def _bi_functor(self, args):
+        t = self.walk(args[0])
         if isinstance(t, Var):
-            name_t = self.walk(goal.args[1])
-            arity_t = self.walk(goal.args[2])
+            name_t = self.walk(args[1])
+            arity_t = self.walk(args[2])
             if isinstance(name_t, Var) or isinstance(arity_t, Var):
                 raise errors.instantiation_error("functor/3: underinstantiated")
             if not isinstance(arity_t, Int) or arity_t.value < 0:
@@ -1527,30 +1615,30 @@ class Solver:
         else:
             name_term = t
             arity = 0
-        return self.unify(goal.args[1], name_term) \
-            and self.unify(goal.args[2], Int(arity))
+        return self.unify(args[1], name_term) \
+            and self.unify(args[2], Int(arity))
 
-    def _bi_arg(self, goal):
-        n = self.walk(goal.args[0])
-        t = self.walk(goal.args[1])
+    def _bi_arg(self, args):
+        n = self.walk(args[0])
+        t = self.walk(args[1])
         if isinstance(n, Var) or isinstance(t, Var):
             raise errors.instantiation_error("arg/3: underinstantiated")
         if not isinstance(n, Int) or not isinstance(t, Compound):
             raise errors.type_error("arg/3: bad arguments")
         return 1 <= n.value <= t.arity \
-            and self.unify(goal.args[2], t.args[n.value - 1])
+            and self.unify(args[2], t.args[n.value - 1])
 
-    def _bi_univ(self, goal):
+    def _bi_univ(self, args):
         from .terms import make_list
 
-        t = self.walk(goal.args[0])
+        t = self.walk(args[0])
         if not isinstance(t, Var):
             if isinstance(t, Compound):
                 items: list[Term] = [Atom(t.name)] + list(t.args)
             else:
                 items = [t]
-            return self.unify(goal.args[1], make_list(items))
-        spec = self.walk(goal.args[1])
+            return self.unify(args[1], make_list(items))
+        spec = self.walk(args[1])
         elems: list[Term] = []
         cells: set[int] = set()  # ids of the list cells walked so far
         node = spec
@@ -1581,14 +1669,14 @@ class Solver:
 
 
 def _arith_compare(op):
-    def compare(solver: Solver, goal):
-        return op(solver.eval_arith(goal.args[0]), solver.eval_arith(goal.args[1]))
+    def compare(solver: Solver, args):
+        return op(solver.eval_arith(args[0]), solver.eval_arith(args[1]))
     return compare
 
 
 def _type_test(test):
-    def check(solver: Solver, goal):
-        return test(solver.walk(goal.args[0]))
+    def check(solver: Solver, args):
+        return test(solver.walk(args[0]))
     return check
 
 

@@ -570,9 +570,10 @@ def test_one_solve_user_call_per_predicate_call(monkeypatch):
     calls = []
     original = Solver._solve_user
 
-    def counted(self, *args):
-        calls.append(args[1])
-        return original(self, *args)
+    def counted(self, callee, args, home):
+        # a compiled body goal calls through its site, a goal term by its key
+        calls.append(callee.key if isinstance(callee, engine._Site) else callee)
+        return original(self, callee, args, home)
 
     monkeypatch.setattr(Solver, "_solve_user", counted)
     db, _, _ = load(NREV)
@@ -583,6 +584,23 @@ def test_one_solve_user_call_per_predicate_call(monkeypatch):
     db, _, _ = load(CUT_PROGRAM)
     assert len(solutions("m(X)", db)) == 3
     assert calls == [("m", 1)]
+
+
+def test_nrev_builds_only_its_list_cells(monkeypatch):
+    db, _, _ = load(NREV)
+    goal = nrev_goal(30)
+    built = []
+    original = Compound.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Compound, "__init__", counted)
+    assert len(list(solve(goal, db))) == 1
+    # the query's 31 compounds, then one list cell per inference but the
+    # first: body goals are handed to the solver as (callee, args), not built
+    assert len(built) == 496
 
 
 def test_counters_on_nrev():
@@ -670,16 +688,17 @@ SUM_TO = ("sum_to(0, S, S).\n"
           "sum_to(N, A, S) :- N > 0, A1 is A + N, N1 is N - 1, sum_to(N1, A1, S).\n")
 
 
-def counted_run(db, goal_text, **limits):
-    """Each answer, printed, with the trail length at it, or the error kind;
-    then the solver's inferences, backtracks, deepest and trail length."""
+def counted_run(db, goal_text, messages=False, **limits):
+    """Each answer, printed, with the trail length at it, or the error kind
+    (with its message if `messages`); then the solver's inferences,
+    backtracks, deepest and trail length."""
     solver = Solver(db, SolveLimits(**limits) if limits else None)
     try:
         outcome = [({name: pretty_print(value) for name, value in binding.items()},
                     len(solver.trail))
                    for binding in solver.solve(read_term(goal_text, db))]
     except PrologError as err:
-        outcome = err.kind
+        outcome = (err.kind, err.message) if messages else err.kind
     return outcome, solver.inferences, solver.backtracks, solver.deepest, len(solver.trail)
 
 
@@ -740,6 +759,98 @@ def test_other_bound_arguments_are_keyed_by_index_key(monkeypatch):
         assert f"W = {answer}" in output
     # an exact Atom or Compound is keyed in place
     assert keyed == [Float, Str, OpApply]
+
+
+# --- call sites: a compiled body goal names its callee -----------------------
+
+
+def explained_run(db, goal_text):
+    return counted_run(db, goal_text, messages=True)
+
+
+def test_a_call_site_sees_a_predicate_consulted_later():
+    db, _, _ = load("r(X) :- q(X).\n")
+    assert explained_run(db, "r(X)") == (
+        ("existence_error", "unknown predicate q/1"), 2, 0, 2, 0)
+    load("q(1).\n", db)
+    assert explained_run(db, "r(X)") == ([({"X": "1"}, 0)], 2, 0, 2, 0)
+
+
+def test_a_call_site_sees_a_definition_that_shadows_the_prelude():
+    db, _, _ = load("s(L) :- append([1], [2], L).\n")
+    assert explained_run(db, "s(L)") == ([({"L": "[1,2]"}, 0)], 3, 0, 3, 0)
+    load("append(_, _, mine).\n", db)
+    assert explained_run(db, "s(L)") == ([({"L": "mine"}, 0)], 2, 0, 2, 0)
+
+
+def test_a_call_site_sees_a_clause_added_to_its_callee():
+    db, _, _ = load("t(X) :- u(X).\nu(1).\n")
+    assert explained_run(db, "t(X)") == ([({"X": "1"}, 0)], 2, 0, 2, 0)
+    load("u(2).\n", db)
+    assert explained_run(db, "t(X)") == (
+        [({"X": "1"}, 1), ({"X": "2"}, 0)], 2, 1, 2, 0)
+
+
+def test_a_dcg_nonterminal_called_as_a_goal_raises_on_every_call():
+    db, _, _ = load("greet --> [hi].\ng(S) :- greet(S, []).\n")
+    unknown = ("existence_error", "unknown predicate greet/2")
+    assert explained_run(db, "g(S)") == (unknown, 2, 0, 2, 0)
+    assert explained_run(db, "g(S)") == (unknown, 2, 0, 2, 0)
+    assert explained_run(db, "greet(S, [])") == (unknown, 1, 0, 1, 0)
+
+
+def test_a_body_goal_that_is_not_callable_raises_on_every_call():
+    db, _, _ = load('x :- 1.\nw :- "str".\n')
+    for goal in ("x", "x", "w", "w"):
+        assert explained_run(db, goal) == (
+            ("type_error", "goal must be callable"), 1, 0, 1, 0)
+
+
+NATIVES = """\
+n1(X, Y) :- atom(X), X = Y.
+n1(X, Y) :- X = f(Y).
+n2(X) :- X \\= a.
+n3(X, Y) :- X == Y.
+n4(T, N, A) :- functor(T, N, A).
+n5(N, T, A) :- arg(N, T, A).
+n6(T, L) :- T =.. L.
+n7 :- atom(a), functor(f(a), f, 1), f(a) = f(a).
+n8 :- fail.
+n9 :- n7.
+n10 :- n5(1, f(a), a).
+"""
+
+
+@pytest.mark.parametrize("goal, outcome, inferences, backtracks", [
+    ("n1(a, W)", [({"W": "a"}, 1)], 1, 1),
+    ("n1(Z, W)", [({"Z": "f(W)", "W": "W"}, 0)], 1, 1),
+    ("n1(f(b), W)", [({"W": "b"}, 0)], 1, 1),
+    ("n2(b)", [({}, 0)], 1, 0),
+    ("n2(a)", [], 1, 0),
+    ("n2(Y)", [], 1, 0),
+    ("n3(A, A)", [({"A": "A"}, 0)], 1, 0),
+    ("n3(A, B)", [], 1, 0),
+    ("n4(f(a, b), N, A)", [({"N": "f", "A": "2"}, 0)], 1, 0),
+    ("n4(T, foo, 2)", [({"T": "foo(_,_)"}, 0)], 1, 0),
+    ("n4(T, N, 2)", ("instantiation_error", "functor/3: underinstantiated"), 1, 0),
+    ("n4(T, foo, -1)", ("type_error", "functor/3: bad arity"), 1, 0),
+    ("n5(2, f(a, b), A)", [({"A": "b"}, 0)], 1, 0),
+    ("n5(N, f(a), A)", ("instantiation_error", "arg/3: underinstantiated"), 1, 0),
+    ("n5(a, f(a), A)", ("type_error", "arg/3: bad arguments"), 1, 0),
+    ("n5(3, f(a), A)", [], 1, 0),
+    ("n6(f(a), L)", [({"L": "[f,a]"}, 0)], 1, 0),
+    ("n6(T, [g, 1])", [({"T": "g(1)"}, 0)], 1, 0),
+    ("n6(T, [])", ("domain_error", "=../2: empty list"), 1, 0),
+    ("n6(T, [1, 2])", ("type_error", "=../2: functor must be an atom"), 1, 0),
+    ("n6(T, L)", ("instantiation_error", "=../2: partial list"), 1, 0),
+    ("n7", [({}, 0)], 1, 0),
+    ("n8", [], 1, 0),
+    ("n9", [({}, 0)], 2, 0),
+    ("n10", [({}, 0)], 2, 0),
+])
+def test_natives_called_from_clause_code(goal, outcome, inferences, backtracks):
+    db, _, _ = load(NATIVES)
+    assert explained_run(db, goal) == (outcome, inferences, backtracks, inferences, 0)
 
 
 # --- conditional trailing ----------------------------------------------------
