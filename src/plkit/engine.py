@@ -635,14 +635,8 @@ def _callee(goal):
     """The callee of a body goal's template: a builtin's native function, or
     a new _Site for a user or prelude predicate; None for a control
     construct, which stays a term, and for a goal that is not callable."""
-    kind = type(goal)
-    if kind is tuple:
-        key = goal[0], len(goal[1])
-    elif isinstance(goal, Compound):
-        key = goal.name, len(goal.args)
-    elif kind is Atom:
-        key = goal.name, 0
-    else:
+    key = (goal[0], len(goal[1])) if type(goal) is tuple else indicator_of(goal)
+    if key is None:
         return None
     native = BUILTIN_INDICATORS.get(key)
     if native is None or native.__class__ is PredicateEntry:
