@@ -213,9 +213,6 @@ class Database:
         # op/3 definitions executed in this session (own plus imported),
         # with the spans of the declaring directives.
         self.declared_operators: list[tuple[OperatorDef, Optional[SourceSpan]]] = []
-        # Bumped on each new predicate entry, which may change what a name
-        # resolves to; the solver's call sites re-resolve after it.
-        self.generation = 0
 
     def assert_clause(self, head: Term, body: Term,
                       span: Optional[SourceSpan] = None,
@@ -239,7 +236,6 @@ class Database:
         entry = self.predicates.get(indicator)
         if entry is None:
             entry = self.predicates[indicator] = PredicateEntry(indicator)
-            self.generation += 1
         return entry
 
     def lookup(self, indicator: tuple[str, int]) -> Optional[PredicateEntry]:

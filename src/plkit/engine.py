@@ -477,19 +477,6 @@ class RuntimeVar(Var):
         self.ref = None
 
 
-class _Site:
-    """A compiled body goal that calls a user or prelude predicate: its key,
-    and the resolution it last made (see Solver._solve_user): the home
-    database it was made for and that database's generation, the entry
-    found, and the database it was found in."""
-
-    __slots__ = ("key", "home", "generation", "entry", "where")
-
-    def __init__(self, key: tuple[str, int]):
-        self.key = key
-        self.home = None
-
-
 class _Compiled:
     """A predicate's clauses, with an index per argument position built on
     demand.
@@ -576,6 +563,7 @@ def _compile_clause(clause) -> tuple:
     shape: list = []
     deepest = 0
     depth = 0  # compounds around the next term
+    calls = 0  # the "c" tokens in shape, which the size bound does not count
     # rebuild()'s walk over the head arguments, then the goals, leaving
     # their templates on `out`; a compound's arguments precede it on `todo`
     # as (compound, shape mark, constants mark)
@@ -621,8 +609,9 @@ def _compile_clause(clause) -> tuple:
             if callee is not None:
                 shape.append("c")
                 constants.append(callee)
+                calls += 1
     head, body = tuple(out[:len(head)]), tuple(out[len(head):])
-    if len(shape) >= _CODE_NODES or deepest >= _CODE_DEPTH:
+    if len(shape) - calls >= _CODE_NODES or deepest >= _CODE_DEPTH:
         return head, _walk_clause, (head, body, tuple(names))
     key = (len(head), _guards(head, body), *shape)
     code = _SHAPES.get(key)
@@ -633,14 +622,14 @@ def _compile_clause(clause) -> tuple:
 
 def _callee(goal):
     """The callee of a body goal's template: a builtin's native function, or
-    a new _Site for a user or prelude predicate; None for a control
+    the (name, arity) key of a user or prelude predicate; None for a control
     construct, which stays a term, and for a goal that is not callable."""
     key = (goal[0], len(goal[1])) if type(goal) is tuple else indicator_of(goal)
     if key is None:
         return None
     native = BUILTIN_INDICATORS.get(key)
     if native is None or native.__class__ is PredicateEntry:
-        return _Site(key)
+        return key
     return None if native is Solver._control else native
 
 
@@ -1274,8 +1263,7 @@ class Solver:
                 elif callee is Solver._control:
                     frame = self._control(name, goal, nxt, depth, cut, home)
                     continue
-            kind = callee.__class__
-            if kind is _Site or kind is tuple:
+            if callee.__class__ is tuple:
                 if depth >= max_depth:
                     raise errors.resource_error("depth limit exceeded")
                 depth += 1
@@ -1302,37 +1290,24 @@ class Solver:
             else:
                 frame = None
 
-    def _solve_user(self, callee, args, home: Database) -> tuple[Database, list]:
-        """One call of a user or prelude predicate, `callee` being a _Site or
-        a (name, arity) key: the database it is defined in and the clauses
-        to try, narrowed by the index on the call's leftmost bound argument.
-        The caller's home database is searched first, then the prelude, so a
-        program's own append/3 wins in the program, and the prelude's in the
-        prelude. A site keeps what it found while its home database is the
-        same and has made no new predicate entry since (Database.generation),
-        the only change that can make the name resolve elsewhere; an unknown
-        predicate is looked up, and raises, on every call. Called once per
-        call; backtracking into another clause does not call it again. With
-        first-argument indexing most calls get one clause, which _run then
-        runs itself."""
-        site = callee if callee.__class__ is _Site else None
-        if site is not None and site.home is home and site.generation == home.generation:
-            entry = site.entry
-            home = site.where
-        else:
-            key = callee if site is None else site.key
-            where = home
+    def _solve_user(self, key: tuple[str, int], args,
+                    home: Database) -> tuple[Database, list]:
+        """One call of a user or prelude predicate: the database it is
+        defined in and the clauses to try, narrowed by the index on the
+        call's leftmost bound argument. The caller's home database is
+        searched first, then the prelude, so a program's own append/3 wins
+        in the program, and the prelude's in the prelude; the name is looked
+        up on every call, so a predicate defined after a clause was compiled
+        is seen by its next call. Called once per call; backtracking into
+        another clause does not call it again. With first-argument indexing
+        most calls get one clause, which _run then runs itself."""
+        entry = home.lookup(key)
+        if entry is None and home is not _PRELUDE:
+            home = _PRELUDE
             entry = home.lookup(key)
-            if entry is None and home is not _PRELUDE:
-                where = _PRELUDE
-                entry = where.lookup(key)
-            if entry is None:
-                raise errors.existence_error(
-                    f"unknown predicate {PredicateIndicator(*key)}")
-            if site is not None:
-                site.home, site.generation = home, home.generation
-                site.entry, site.where = entry, where
-            home = where
+        if entry is None:
+            raise errors.existence_error(
+                f"unknown predicate {PredicateIndicator(*key)}")
         compiled = entry.compiled
         if compiled is None:
             if entry.dcg:

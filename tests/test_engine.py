@@ -570,10 +570,9 @@ def test_one_solve_user_call_per_predicate_call(monkeypatch):
     calls = []
     original = Solver._solve_user
 
-    def counted(self, callee, args, home):
-        # a compiled body goal calls through its site, a goal term by its key
-        calls.append(callee.key if isinstance(callee, engine._Site) else callee)
-        return original(self, callee, args, home)
+    def counted(self, key, args, home):
+        calls.append(key)
+        return original(self, key, args, home)
 
     monkeypatch.setattr(Solver, "_solve_user", counted)
     db, _, _ = load(NREV)
@@ -742,6 +741,15 @@ def test_one_candidate_clause_past_the_size_bound_runs_the_walker():
     assert counted_run(db, f"deep(Y, {ground.replace('(a)', '(1)')})") == ([], 1, 0, 1, 0)
 
 
+@pytest.mark.parametrize("goals, walker", [(399, False), (400, True)])
+def test_the_size_bound_counts_the_terms_of_a_clause_not_its_calls(goals, walker):
+    # each atom goal is one node; naming its callee adds no node
+    db, _, _ = load(f"big :- {', '.join(['p'] * goals)}.\np.\n")
+    assert counted_run(db, "big") == ([({}, 0)], goals + 1, 0, 2, 0)
+    code = db.lookup(("big", 0)).compiled.clauses[0][1]
+    assert (code is engine._walk_clause) is walker
+
+
 def test_other_bound_arguments_are_keyed_by_index_key(monkeypatch):
     db, _, _ = load('k(1.5, float).\nk("s", string).\nk(1 + 2, operator).\n'
                     "k(a, atom).\nk(f(b), compound).\n")
@@ -764,45 +772,41 @@ def test_other_bound_arguments_are_keyed_by_index_key(monkeypatch):
 # --- call sites: a compiled body goal names its callee -----------------------
 
 
-def explained_run(db, goal_text):
-    return counted_run(db, goal_text, messages=True)
-
-
 def test_a_call_site_sees_a_predicate_consulted_later():
     db, _, _ = load("r(X) :- q(X).\n")
-    assert explained_run(db, "r(X)") == (
+    assert counted_run(db, "r(X)", messages=True) == (
         ("existence_error", "unknown predicate q/1"), 2, 0, 2, 0)
     load("q(1).\n", db)
-    assert explained_run(db, "r(X)") == ([({"X": "1"}, 0)], 2, 0, 2, 0)
+    assert counted_run(db, "r(X)", messages=True) == ([({"X": "1"}, 0)], 2, 0, 2, 0)
 
 
 def test_a_call_site_sees_a_definition_that_shadows_the_prelude():
     db, _, _ = load("s(L) :- append([1], [2], L).\n")
-    assert explained_run(db, "s(L)") == ([({"L": "[1,2]"}, 0)], 3, 0, 3, 0)
+    assert counted_run(db, "s(L)", messages=True) == ([({"L": "[1,2]"}, 0)], 3, 0, 3, 0)
     load("append(_, _, mine).\n", db)
-    assert explained_run(db, "s(L)") == ([({"L": "mine"}, 0)], 2, 0, 2, 0)
+    assert counted_run(db, "s(L)", messages=True) == ([({"L": "mine"}, 0)], 2, 0, 2, 0)
 
 
 def test_a_call_site_sees_a_clause_added_to_its_callee():
     db, _, _ = load("t(X) :- u(X).\nu(1).\n")
-    assert explained_run(db, "t(X)") == ([({"X": "1"}, 0)], 2, 0, 2, 0)
+    assert counted_run(db, "t(X)", messages=True) == ([({"X": "1"}, 0)], 2, 0, 2, 0)
     load("u(2).\n", db)
-    assert explained_run(db, "t(X)") == (
+    assert counted_run(db, "t(X)", messages=True) == (
         [({"X": "1"}, 1), ({"X": "2"}, 0)], 2, 1, 2, 0)
 
 
 def test_a_dcg_nonterminal_called_as_a_goal_raises_on_every_call():
     db, _, _ = load("greet --> [hi].\ng(S) :- greet(S, []).\n")
     unknown = ("existence_error", "unknown predicate greet/2")
-    assert explained_run(db, "g(S)") == (unknown, 2, 0, 2, 0)
-    assert explained_run(db, "g(S)") == (unknown, 2, 0, 2, 0)
-    assert explained_run(db, "greet(S, [])") == (unknown, 1, 0, 1, 0)
+    assert counted_run(db, "g(S)", messages=True) == (unknown, 2, 0, 2, 0)
+    assert counted_run(db, "g(S)", messages=True) == (unknown, 2, 0, 2, 0)
+    assert counted_run(db, "greet(S, [])", messages=True) == (unknown, 1, 0, 1, 0)
 
 
 def test_a_body_goal_that_is_not_callable_raises_on_every_call():
     db, _, _ = load('x :- 1.\nw :- "str".\n')
     for goal in ("x", "x", "w", "w"):
-        assert explained_run(db, goal) == (
+        assert counted_run(db, goal, messages=True) == (
             ("type_error", "goal must be callable"), 1, 0, 1, 0)
 
 
@@ -850,7 +854,7 @@ n10 :- n5(1, f(a), a).
 ])
 def test_natives_called_from_clause_code(goal, outcome, inferences, backtracks):
     db, _, _ = load(NATIVES)
-    assert explained_run(db, goal) == (outcome, inferences, backtracks, inferences, 0)
+    assert counted_run(db, goal, messages=True) == (outcome, inferences, backtracks, inferences, 0)
 
 
 # --- conditional trailing ----------------------------------------------------
