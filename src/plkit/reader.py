@@ -82,9 +82,11 @@ _OPERATOR_KINDS = ATOM_KINDS - {QUOTED_ATOM}
 _KIND, _TEXT, _START, _END = range(4)
 
 # Frame tags. Frames are tuples (tag, max priority of the term the frame
-# is part of, opening token, ...):
-#   (_PREFIX, maxp, op_tok, op, argument position)
-#   (_INFIX, maxp, op_tok, op, op position, left, postfix reading or None)
+# is part of, opening token, ...). A frame with a second reading keeps the
+# number of variable occurrences read before it, to drop those read since:
+#   (_PREFIX, maxp, op_tok, op, argument position, occurrences)
+#   (_INFIX, maxp, op_tok, op, op position, left, postfix reading or None,
+#    occurrences)
 #   (_ARGS, maxp, name_tok, name, args)
 #   (_LIST, maxp, open_tok, items)       an item is being read
 #   (_LIST_TAIL, maxp, open_tok, items)  the tail after '|' is being read
@@ -95,16 +97,21 @@ _PREFIX, _INFIX, _ARGS, _LIST, _LIST_TAIL, _PAREN, _CURLY = range(7)
 
 @dataclass
 class Sentence:
+    """One term read through its terminating '.'.
+
+    `variables` are its named variables, each as its first occurrence, in
+    the order they first occur; `singletons` are those that occur once.
+    They are what ISO `read_term/2` gives as `variable_names` and
+    `singletons` (ISO/IEC 13211-1 §7.10.3): the anonymous variable `_` is
+    in neither, and a name starting with `_` is in both.
+    """
+
     kind: str  # clause | directive | dcg_rule | fact
     term: Term
     span: SourceSpan  # the term through its terminating '.'
+    variables: tuple[Var, ...]
+    singletons: tuple[Var, ...]
     leading_comments: list[Token] = field(default_factory=list)
-
-    @property
-    def end_span(self) -> SourceSpan:
-        """The terminating '.' (one character)."""
-        return SourceSpan(self.span.lines, self.span.end_offset - 1,
-                          self.span.end_offset)
 
     @property
     def head(self) -> Term:
@@ -201,6 +208,8 @@ class Reader:
         self.diagnostics: list[Diagnostic] = []  # parse errors, in read order
         self._vid_counter = itertools.count()
         self._sentence_vars: dict[str, Var] = {}
+        # The named variables of the sentence being read, one per occurrence.
+        self._occurrences: list[Var] = []
         # Comments in source order; those before _next_comment are given
         # to a sentence or were passed over by error recovery.
         self._comments = tokens[n:]
@@ -233,6 +242,7 @@ class Reader:
         next End. A sentence's leading comments are those after the previous
         End (of a sentence read or skipped), through its own."""
         self._sentence_vars = {}
+        self._occurrences = []
         toks, lines = self.toks, self.lines
         if toks[self.i][_KIND] is None:
             return None
@@ -262,7 +272,15 @@ class Reader:
                 kind = "dcg_rule"
         comments = [Token(ckind, text, lines, start, end)
                     for ckind, text, start, end, _ in self._take_comments(end_tok[_START])]
-        return Sentence(kind, term, SourceSpan(lines, term.start, end_tok[_END]), comments)
+        first: dict[str, Var] = {}
+        repeated: set[str] = set()
+        for var in self._occurrences:
+            if first.setdefault(var.name, var) is not var:
+                repeated.add(var.name)
+        variables = tuple(first.values())
+        singletons = tuple(var for var in variables if var.name not in repeated)
+        return Sentence(kind, term, SourceSpan(lines, term.start, end_tok[_END]),
+                        variables, singletons, comments)
 
     def _recover(self):
         """Skip tokens up to and including the next End (or to end of input)."""
@@ -282,6 +300,7 @@ class Reader:
         lines = self.lines
         by_name = self.db.operators.by_name
         sentence_vars = self._sentence_vars
+        occurrences = self._occurrences
         vids = self._vid_counter
         stack: list[tuple] = []
         maxp = max_priority
@@ -325,7 +344,8 @@ class Reader:
                                         and prefix.priority <= maxp
                                         and nkind in _OPERAND_START_KINDS
                                         and not _operator_follows(toks, i, by_name)):
-                                    stack.append((_PREFIX, maxp, tok, prefix, i))
+                                    stack.append((_PREFIX, maxp, tok, prefix, i,
+                                                  len(occurrences)))
                                     maxp = prefix.right_arg_max()
                                     continue
                                 # Operator atoms standing alone are plain atoms.
@@ -340,6 +360,7 @@ class Reader:
                                         text, next(vids), lines, start, end)
                                 else:
                                     left = Var(text, var.vid, lines, start, end)
+                                occurrences.append(left)
                         elif kind is INTEGER:
                             left = Int(value, lines, start, end)
                         elif kind is OPEN_BRACKET:
@@ -396,7 +417,8 @@ class Reader:
                                                and lp <= postfix.left_arg_max()) else None
                             if (infix is not None and infix.priority <= maxp
                                     and lp <= infix.left_arg_max()):
-                                stack.append((_INFIX, maxp, tok, infix, i, left, post))
+                                stack.append((_INFIX, maxp, tok, infix, i, left, post,
+                                              len(occurrences)))
                                 i += 1
                                 maxp = infix.right_arg_max()
                                 break
@@ -440,7 +462,7 @@ class Reader:
                             left = Compound(name, args, lines, start, close[_END], start, end)
                             lp = 0
                         elif tag == _INFIX:
-                            _, _, op_tok, op, _, left0, _ = frame
+                            _, _, op_tok, op, _, left0, _, _ = frame
                             left = OpApply(op, [left0, left], lines, left0.start,
                                            left.end, op_tok[_START], op_tok[_END])
                             lp = op.priority
@@ -480,7 +502,7 @@ class Reader:
                             left.end = close[_END]
                             lp = 0
                         elif tag == _PREFIX:
-                            _, _, op_tok, op, _ = frame
+                            _, _, op_tok, op, _, _ = frame
                             left = OpApply(op, [left], lines, op_tok[_START],
                                            left.end, op_tok[_START], op_tok[_END])
                             lp = op.priority
@@ -495,16 +517,20 @@ class Reader:
                             lp = 0
                         maxp = frame[1]
             except ParseFailure:
-                # Unwind to the newest frame with a second reading.
+                # Unwind to the newest frame with a second reading, and drop
+                # the variable occurrences read since it, as the tokens
+                # after its operator are read again.
                 while stack:
                     frame = stack.pop()
                     if frame[0] == _PREFIX:  # the operator as a plain atom
-                        _, maxp, op_tok, _, i = frame
+                        _, maxp, op_tok, _, i, n = frame
+                        del occurrences[n:]
                         left = Atom(op_tok[_TEXT], lines, op_tok[_START], op_tok[_END])
                         lp = 0
                         break
                     if frame[0] == _INFIX and frame[6] is not None:  # as postfix
-                        _, maxp, op_tok, _, i, left0, postfix = frame
+                        _, maxp, op_tok, _, i, left0, postfix, n = frame
+                        del occurrences[n:]
                         i += 1
                         left = OpApply(postfix, [left0], lines, left0.start,
                                        op_tok[_END], op_tok[_START], op_tok[_END])

@@ -25,7 +25,7 @@ from .lexer import ATOM_KINDS, tokenize
 from .printer import atom_text, pretty_print
 from .reader import Sentence
 from .spans import LineIndex, SourceSpan, file_start
-from .terms import Atom, Compound, OpApply, Term, Var, indicator_of
+from .terms import Atom, Compound, OpApply, Term, indicator_of
 
 
 @dataclass
@@ -203,24 +203,6 @@ def _walk_goals(body: Term, sink: list[CallSite], dcg: bool = False):
             sink.append(CallSite(PredicateIndicator(ind[0], ind[1] + 2), goal))
 
 
-def _var_occurrences(term: Term) -> list[Var]:
-    """Every variable occurrence in `term`, left to right."""
-    if not isinstance(term, Compound):
-        return [term] if isinstance(term, Var) else []
-    found: list[Var] = []
-    stack = [iter(term.args)]  # the arguments still to visit, per level
-    while stack:
-        for arg in stack[-1]:
-            if isinstance(arg, Compound):
-                stack.append(iter(arg.args))
-                break
-            if isinstance(arg, Var):
-                found.append(arg)
-        else:
-            stack.pop()
-    return found
-
-
 def index_file(sentences: list[Sentence], db: Database, file: str,
                tokens: object = None,
                phase1_diagnostics: list[Diagnostic] = ()) -> FileIndex:
@@ -261,19 +243,14 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
         if sentence.body is not None:
             _walk_goals(sentence.body, calls, dcg=(sentence.kind == "dcg_rule"))
 
-        # singleton variables, one warning per offending variable
-        counts: dict[int, list[Var]] = {}
-        for var in _var_occurrences(sentence.term):
-            counts.setdefault(var.vid, []).append(var)
-        for occ in counts.values():
-            var = occ[0]
-            if len(occ) == 1 and not var.name.startswith("_"):
+        for var in sentence.singletons:
+            if not var.name.startswith("_"):
                 diagnostics.append(
                     Diagnostic(
                         Severity.WARNING,
                         "singleton_variable",
                         f"singleton variable {var.name}",
-                        var.span or sentence.span,
+                        var.span,
                     )
                 )
 
@@ -429,12 +406,9 @@ def collector_paused():
             gc.enable()
 
 
-def build_project(root: str, config: Optional[ProjectConfig] = None,
-                  file_order: Optional[list[str]] = None) -> ProjectModel:
+def build_project(root: str, config: Optional[ProjectConfig] = None) -> ProjectModel:
     """Run phases I-IV over every file under `root` matching the config.
-
-    `file_order` overrides discovery order (used to verify that the result
-    does not depend on it); the output is sorted either way.
+    The output is sorted, whatever order the files are read in.
 
     The build runs with the collector paused: it allocates several terms per
     token of source, all living as long as the model, and the collector
@@ -445,14 +419,13 @@ def build_project(root: str, config: Optional[ProjectConfig] = None,
     itself, as the one-shot CLI commands do, skips that collection.
     """
     with collector_paused() as enabled:
-        model = _build_project(root, config, file_order)
+        model = _build_project(root, config)
     if enabled:
         gc.collect(0)
     return model
 
 
-def _build_project(root: str, config: Optional[ProjectConfig],
-                   file_order: Optional[list[str]]) -> ProjectModel:
+def _build_project(root: str, config: Optional[ProjectConfig]) -> ProjectModel:
     config = config or ProjectConfig()
     if not os.path.isdir(root):
         raise FileNotFoundError(f"project root {root!r} is not a directory")
@@ -460,7 +433,7 @@ def _build_project(root: str, config: Optional[ProjectConfig],
         os.path.join(root, p) if not os.path.isabs(p) else p
         for p in config.library_paths
     ))
-    files = file_order if file_order is not None else discover_files(root, config)
+    files = discover_files(root, config)
     indices: dict[str, FileIndex] = {}
     sources: dict[str, str] = {}
     extra: list[Diagnostic] = []
@@ -713,11 +686,8 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
     if prefix and (prefix[0].isupper() or prefix[0] == "_"):
         sentence = _sentence_at(index, offset)
         if sentence is not None:
-            seen = set()
-            for var in _var_occurrences(sentence.term):
-                if var.name not in seen and var.name != "_":
-                    seen.add(var.name)
-                    add(var.name, var.name, "Variable", "clause variable", 0)
+            for var in sentence.variables:
+                add(var.name, var.name, "Variable", "clause variable", 0)
     else:
         sentence = _sentence_at(index, offset)
         in_import = (

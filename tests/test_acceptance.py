@@ -11,6 +11,7 @@ import random
 import time
 
 from conftest import read_term
+from plkit import workspace
 from plkit.cli import main
 from plkit.database import Database
 from plkit.diagnostics import Severity
@@ -345,7 +346,7 @@ def check_output(root, capsys):
     return out
 
 
-def test_criterion_09_determinism(tmp_path, capsys):
+def test_criterion_09_determinism(tmp_path, capsys, monkeypatch):
     """cmd_check output over a 20-file corpus is byte-identical across
     three runs and across shuffled discovery order."""
     root = str(tmp_path / "corpus20")
@@ -360,7 +361,8 @@ def test_criterion_09_determinism(tmp_path, capsys):
     for _ in range(3):
         shuffled = paths[:]
         rng.shuffle(shuffled)
-        model = build_project(root, file_order=shuffled)
+        monkeypatch.setattr(workspace, "discover_files", lambda root, config: shuffled)
+        model = build_project(root)
         lines = "".join(d.machine_line() + "\n" for d in model.diagnostics)
         assert lines == baseline
 

@@ -206,7 +206,7 @@ def test_regeneration_is_byte_identical(project):
     root, model, out_dir, written = build_docs(project, {
         "shapes.pl": DOCUMENTED, "extra.pl": "e(1).\n"})
     first = {path: read(path) for path in written}
-    model2 = build_project(root, file_order=None)
+    model2 = build_project(root)
     written2 = generate_html(model2, project_docs(model2), out_dir)
     assert written2 == written
     assert {path: read(path) for path in written2} == first

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from conftest import read_one, read_term
 from plkit.database import Database, OperatorDef
 from plkit.engine import Loader, consult_source
 from plkit.lexer import tokenize
+from plkit.printer import pretty_print
 from plkit.reader import Reader
 from plkit.terms import Atom, Compound, Int, OpApply, Var
-from term_gen import to_tuple
+from term_gen import TermGen, to_tuple
+from test_acceptance import make_corpus
 
 
 def tup(text, db=None):
@@ -184,6 +188,102 @@ def test_variables_not_shared_across_sentences():
     assert v1.vid != v2.vid
 
 
+def _var_occurrences(term):
+    """Every variable occurrence in `term`, left to right: a walk of the
+    term read, the oracle for a sentence's `variables` and `singletons`."""
+    if not isinstance(term, Compound):
+        return [term] if isinstance(term, Var) else []
+    found = []
+    stack = [iter(term.args)]  # the arguments still to visit, per level
+    while stack:
+        for arg in stack[-1]:
+            if isinstance(arg, Compound):
+                stack.append(iter(arg.args))
+                break
+            if isinstance(arg, Var):
+                found.append(arg)
+        else:
+            stack.pop()
+    return found
+
+
+def _walked_variables(term):
+    """The named variables of `term` and its singletons, as (name, start)
+    of each one's first occurrence, found by walking the term."""
+    occurrences = {}
+    for var in _var_occurrences(term):
+        if var.name != "_":
+            occurrences.setdefault(var.vid, []).append(var)
+    return ([(occ[0].name, occ[0].start) for occ in occurrences.values()],
+            [(occ[0].name, occ[0].start) for occ in occurrences.values()
+             if len(occ) == 1])
+
+
+def _read_variables(sentence):
+    return ([(var.name, var.start) for var in sentence.variables],
+            [(var.name, var.start) for var in sentence.singletons])
+
+
+def test_variables_and_singletons():
+    sentence = read_one("p(X, _, _Y, X, Z, _) :- q(_Y, W).")
+    assert _read_variables(sentence) == (
+        [("X", 2), ("_Y", 8), ("Z", 15), ("W", 30)], [("Z", 15), ("W", 30)])
+    assert read_one("a :- b.").variables == ()
+
+
+# Token soups read under these tables reach second readings, where a prefix
+# operator is read again as an atom and the tokens after it are read again.
+SOUP_TABLES = [
+    [("p", 200, "xfy"), ("p", 200, "fx")],
+    [("q", 500, "xf"), ("p", 200, "xfy"), ("p", 200, "fx")],
+]
+SOUP_TOKENS = ["X", "Y", "_", "p", "p", "q", "-", "a", "(", ")"]
+
+
+def test_variables_and_singletons_agree_with_a_walk_of_the_term(tmp_path):
+    sentences = []
+    make_corpus(str(tmp_path), 40)
+    for path in sorted(tmp_path.iterdir()):
+        sentences += read_source(path.read_text(encoding="utf-8"))[0]
+    gen, db = TermGen(18), Database()
+    for _ in range(300):
+        gen.fresh_sentence()
+        sentences.append(read_one(pretty_print(gen.term(5), db) + " .", db))
+    rng = random.Random(18)
+    for table in SOUP_TABLES:
+        db = Database()
+        for name, priority, fixity in table:
+            db.operators.add(OperatorDef(name, priority, fixity))
+        soups = (" ".join(rng.choices(SOUP_TOKENS, k=rng.randint(1, 6))) + " ."
+                 for _ in range(10_000))
+        sentences += read_source("\n".join(soups), db)[0]
+    assert len(sentences) > 8000
+    for sentence in sentences:
+        assert _read_variables(sentence) == _walked_variables(sentence.term), (
+            sentence.span.lines.text[sentence.span.start_offset:sentence.span.end_offset])
+
+
+@pytest.mark.parametrize("source", [
+    # `-` is read as a prefix operator until the second `p` clashes, then
+    # as an atom, and `p X p -` is read again.
+    "t(Y) :- Y = (- p X p -).",
+    # `@@` is read as an infix operator until the second `p` clashes, then
+    # as a postfix one, and `p X p -` is read again.
+    "t(Y) :- Y = (a @@ p X p -).",
+], ids=["prefix", "infix"])
+def test_a_second_reading_counts_its_variables_once(source):
+    # op/3 keeps a name from being infix and postfix at once; `@@` is set
+    # straight in the table.
+    db = Database()
+    db.operators.add(OperatorDef("p", 200, "xfy"))
+    db.operators.add(OperatorDef("p", 200, "fx"))
+    db.operators.by_name["@@"] = {"infix": OperatorDef("@@", 700, "xfx"),
+                                  "postfix": OperatorDef("@@", 100, "xf")}
+    x = source.index("X")
+    assert _read_variables(read_one(source, db)) == (
+        [("Y", 2), ("X", x)], [("X", x)])
+
+
 def test_spans_cover_source():
     term = read_term("foo(bar, X)")
     assert term.span is not None
@@ -233,12 +333,6 @@ def test_span_and_functor_span_of_each_construct():
     assert _texts(postfix_in_infix) == ("a @@ + b", "+")
     assert _texts(postfix_in_infix.args[0]) == ("a @@", "@@")
     assert _texts(read_term("(-(a))")) == ("(-(a))", "-")
-
-
-def test_end_span_recorded():
-    sentence = read_one("a.")
-    assert sentence.end_span.start_offset == 1
-    assert sentence.end_span.end_offset == 2
 
 
 def test_leading_comments_attached():

@@ -65,7 +65,7 @@ def at(model, root, name, needle):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_build_project_restores_gc_setting(project, enabled):
+def test_build_project_restores_gc_setting(project, enabled, monkeypatch):
     root = project({"a.pl": A_SOURCE, "b.pl": B_SOURCE})
     missing = os.path.join(root, "missing.pl")
     was = gc.isenabled()
@@ -73,7 +73,9 @@ def test_build_project_restores_gc_setting(project, enabled):
         (gc.enable if enabled else gc.disable)()
         build_project(root)
         assert gc.isenabled() is enabled
-        model = build_project(root, file_order=[fpath(root, "a.pl"), missing])
+        monkeypatch.setattr(workspace, "discover_files",
+                            lambda root, config: [fpath(root, "a.pl"), missing])
+        model = build_project(root)
         assert [d.code for d in model.diagnostics] == ["unreadable_file"]
         assert gc.isenabled() is enabled
         with pytest.raises(FileNotFoundError):
@@ -171,6 +173,19 @@ def test_underscore_prefix_suppresses_singleton(project):
     assert by_code(model, "singleton_variable") == []
 
 
+def test_singleton_read_twice_by_a_second_reading(project):
+    # `- p X p -` is read with `-` as a prefix operator until the second
+    # `p` clashes; `-` is then read as an atom and `p X p -` again, so X
+    # occurs once in the term, though its token is read twice.
+    model, root = build(project, {"a.pl": (":- op(200, xfy, p).\n"
+                                           ":- op(200, fx, p).\n"
+                                           "t(Y) :- Y = (- p X p -).\n")})
+    assert [d.machine_line().split("\t")[1:] for d in model.diagnostics] == [
+        ["3", "18", "3", "19", "warning", "singleton_variable", "singleton variable X"]]
+    items = complete_at(model, root, "a.pl", "- p X")
+    assert [(i.label, i.kind) for i in items] == [("X", "Variable")]
+
+
 def test_discontiguous_clauses_warning(project):
     model, _ = build(project, {
         "a.pl": "p(1).\nq(1).\np(2).\n"})
@@ -261,13 +276,16 @@ def test_a_nonterminal_is_no_plain_predicate(project):
         assert info is not None and info.text == "g defined at a.pl:1"
 
 
-def test_diagnostics_deterministic_under_file_order(project):
+def test_diagnostics_deterministic_under_file_order(project, monkeypatch):
     files = {"a.pl": A_SOURCE, "b.pl": B_SOURCE,
              "c.pl": "x :- ghost(1).\n"}
     root = project(files)
     paths = sorted(fpath(root, n) for n in files)
-    first = build_project(root, file_order=paths)
-    second = build_project(root, file_order=list(reversed(paths)))
+    monkeypatch.setattr(workspace, "discover_files", lambda root, config: paths)
+    first = build_project(root)
+    monkeypatch.setattr(workspace, "discover_files",
+                        lambda root, config: list(reversed(paths)))
+    second = build_project(root)
     assert ([d.machine_line() for d in first.diagnostics]
             == [d.machine_line() for d in second.diagnostics])
 
