@@ -13,11 +13,11 @@ an infix operator waiting for its right side, an argument list, a list, or a
 parenthesised or curly term. Nesting is bounded by memory, not by Python's
 recursion limit.
 
-Two tokens have a second reading. An atom that can be a prefix operator is
-read as one first, and as a plain atom if its argument fails to read; an
-infix operator whose right side fails to read is read as a postfix operator
-when it is also one. A ParseFailure unwinds the stack to the newest frame
-with a second reading, and reading resumes there.
+An atom that can be a prefix operator has a second reading: it is read as
+one first, and as a plain atom if its argument fails to read. A
+ParseFailure unwinds the stack to the newest prefix frame, and reading
+resumes there. An infix operator has no second reading, as no name is both
+an infix and a postfix operator (OperatorTable.add refuses it).
 """
 
 from __future__ import annotations
@@ -82,11 +82,11 @@ _OPERATOR_KINDS = ATOM_KINDS - {QUOTED_ATOM}
 _KIND, _TEXT, _START, _END = range(4)
 
 # Frame tags. Frames are tuples (tag, max priority of the term the frame
-# is part of, opening token, ...). A frame with a second reading keeps the
-# number of variable occurrences read before it, to drop those read since:
+# is part of, opening token, ...). A prefix frame, which has a second
+# reading, keeps the number of variable occurrences read before it, to drop
+# those read since:
 #   (_PREFIX, maxp, op_tok, op, argument position, occurrences)
-#   (_INFIX, maxp, op_tok, op, op position, left, postfix reading or None,
-#    occurrences)
+#   (_INFIX, maxp, op_tok, op, left)
 #   (_ARGS, maxp, name_tok, name, args)
 #   (_LIST, maxp, open_tok, items)       an item is being read
 #   (_LIST_TAIL, maxp, open_tok, items)  the tail after '|' is being read
@@ -410,23 +410,19 @@ class Reader:
                             entry = None
                         if entry is not None:
                             infix = entry.get("infix")
-                            postfix = entry.get("postfix")
-                            # The postfix reading, where it applies.
-                            post = postfix if (postfix is not None
-                                               and postfix.priority <= maxp
-                                               and lp <= postfix.left_arg_max()) else None
                             if (infix is not None and infix.priority <= maxp
                                     and lp <= infix.left_arg_max()):
-                                stack.append((_INFIX, maxp, tok, infix, i, left, post,
-                                              len(occurrences)))
+                                stack.append((_INFIX, maxp, tok, infix, left))
                                 i += 1
                                 maxp = infix.right_arg_max()
                                 break
-                            if post is not None:
+                            postfix = entry.get("postfix")
+                            if (postfix is not None and postfix.priority <= maxp
+                                    and lp <= postfix.left_arg_max()):
                                 i += 1
-                                left = OpApply(post, [left], lines, left.start,
+                                left = OpApply(postfix, [left], lines, left.start,
                                                tok[_END], tok[_START], tok[_END])
-                                lp = post.priority
+                                lp = postfix.priority
                                 continue
                             if ((infix is not None and infix.priority <= maxp)
                                     or (postfix is not None and postfix.priority <= maxp)):
@@ -462,7 +458,7 @@ class Reader:
                             left = Compound(name, args, lines, start, close[_END], start, end)
                             lp = 0
                         elif tag == _INFIX:
-                            _, _, op_tok, op, _, left0, _, _ = frame
+                            _, _, op_tok, op, left0 = frame
                             left = OpApply(op, [left0, left], lines, left0.start,
                                            left.end, op_tok[_START], op_tok[_END])
                             lp = op.priority
@@ -517,24 +513,16 @@ class Reader:
                             lp = 0
                         maxp = frame[1]
             except ParseFailure:
-                # Unwind to the newest frame with a second reading, and drop
-                # the variable occurrences read since it, as the tokens
-                # after its operator are read again.
+                # Unwind to the newest prefix frame, read its operator as a
+                # plain atom, and drop the variable occurrences read since
+                # it, as the tokens after the operator are read again.
                 while stack:
                     frame = stack.pop()
-                    if frame[0] == _PREFIX:  # the operator as a plain atom
+                    if frame[0] == _PREFIX:
                         _, maxp, op_tok, _, i, n = frame
                         del occurrences[n:]
                         left = Atom(op_tok[_TEXT], lines, op_tok[_START], op_tok[_END])
                         lp = 0
-                        break
-                    if frame[0] == _INFIX and frame[6] is not None:  # as postfix
-                        _, maxp, op_tok, _, i, left0, postfix, n = frame
-                        del occurrences[n:]
-                        i += 1
-                        left = OpApply(postfix, [left0], lines, left0.start,
-                                       op_tok[_END], op_tok[_START], op_tok[_END])
-                        lp = postfix.priority
                         break
                 else:
                     self.i = i

@@ -22,7 +22,11 @@ class Term:
     """A term read from source holds its file's `LineIndex` in `lines` and
     the [start, end) code-point offsets of its text; any other term holds
     `lines` None. Every subclass sets the three in its own `__init__`: the
-    reader builds a leaf per token and the solver a compound per list cell."""
+    reader builds a leaf per token and the solver a compound per list cell.
+    Clause code (`engine._generate`) sets the slots of a Compound, Int or
+    Float that no source holds, and of a RuntimeVar, without the
+    constructor, so a slot added to one of these classes is added there
+    too."""
 
     __slots__ = ("lines", "start", "end")
 

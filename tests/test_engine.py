@@ -595,11 +595,46 @@ def test_nrev_builds_only_its_list_cells(monkeypatch):
         built.append(self)
         original(self, *args, **kwargs)
 
+    def new(cls):
+        term = object.__new__(cls)
+        if isinstance(term, Compound):
+            built.append(term)
+        return term
+
     monkeypatch.setattr(Compound, "__init__", counted)
+    # clause code makes its terms with the `new` of its globals, so count
+    # what code generated afresh makes with it
+    monkeypatch.setattr(engine, "_SHAPES", {})
+    monkeypatch.setattr(engine, "_CODE_GLOBALS", {**engine._CODE_GLOBALS, "new": new})
     assert len(list(solve(goal, db))) == 1
     # the query's 31 compounds, then one list cell per inference but the
     # first: body goals are handed to the solver as (callee, args), not built
     assert len(built) == 496
+
+
+def test_clause_code_builds_complete_terms():
+    """Clause code makes its terms without their constructors; each slot a
+    constructor sets holds the same value as on a term the constructor
+    builds, and a slot that it leaves unset stays unset."""
+    db, _, _ = load("p(f(N), g(M)) :- I is M + 1, F is M / 2.0, q(h(I, F, V, N)).\n")
+    _, code, constants = engine._compile_clause(db.lookup(("p", 2)).clauses[0])
+    solver = Solver(db)
+    x = engine.RuntimeVar("X", 0)
+    (_, (h,)), = code(solver, (x, Compound("g", [Int(3)])), constants)
+    f = x.ref  # the head compound that binds X
+    i, fl, v, n = h.args
+    assert (type(i), type(fl), n) == (Int, Float, f.args[0])
+    missing = object()
+    for term, twin in [(f, Compound(f.name, f.args)), (h, Compound(h.name, h.args)),
+                       (i, Int(i.value)), (fl, Float(fl.value)),
+                       (v, engine.RuntimeVar(v.name, v.vid)),
+                       (n, engine.RuntimeVar(n.name, n.vid))]:
+        assert type(term) is type(twin)
+        slots = [slot for cls in type(term).__mro__
+                 for slot in cls.__dict__.get("__slots__", ())]
+        assert {slot: getattr(term, slot, missing) for slot in slots} == \
+            {slot: getattr(twin, slot, missing) for slot in slots}
+        assert term.span is None and getattr(term, "functor_span", None) is None
 
 
 def test_counters_on_nrev():

@@ -267,18 +267,11 @@ def test_variables_and_singletons_agree_with_a_walk_of_the_term(tmp_path):
     # `-` is read as a prefix operator until the second `p` clashes, then
     # as an atom, and `p X p -` is read again.
     "t(Y) :- Y = (- p X p -).",
-    # `@@` is read as an infix operator until the second `p` clashes, then
-    # as a postfix one, and `p X p -` is read again.
-    "t(Y) :- Y = (a @@ p X p -).",
-], ids=["prefix", "infix"])
+], ids=["prefix"])
 def test_a_second_reading_counts_its_variables_once(source):
-    # op/3 keeps a name from being infix and postfix at once; `@@` is set
-    # straight in the table.
     db = Database()
     db.operators.add(OperatorDef("p", 200, "xfy"))
     db.operators.add(OperatorDef("p", 200, "fx"))
-    db.operators.by_name["@@"] = {"infix": OperatorDef("@@", 700, "xfx"),
-                                  "postfix": OperatorDef("@@", 100, "xf")}
     x = source.index("X")
     assert _read_variables(read_one(source, db)) == (
         [("Y", 2), ("X", x)], [("X", x)])
@@ -365,21 +358,6 @@ def test_comment_read_once_across_a_second_reading():
     term = sentences[1].term
     assert to_tuple(term) == ("compound", "mod", [("atom", "?-"), ("atom", "->")])
     assert [t.text for t in sentences[1].leading_comments] == ["% c"]
-
-
-def test_infix_operator_read_as_postfix_when_its_right_side_fails():
-    # op/3 keeps a name from being infix and postfix at once; set both
-    # straight in the table to reach the reader's second reading.
-    db = Database()
-    infix = OperatorDef("@@", 200, "xfx")
-    postfix = OperatorDef("@@", 100, "xf")
-    db.operators.by_name["@@"] = {"infix": infix, "postfix": postfix}
-    assert to_tuple(read_term("p(a @@ b)", db)) == (
-        "compound", "p", [("compound", "@@", [("atom", "a"), ("atom", "b")])])
-    term = read_term("p(a @@)", db)
-    assert to_tuple(term) == ("compound", "p", [("compound", "@@", [("atom", "a")])])
-    assert term.args[0].op == postfix
-    assert (term.args[0].span.start_offset, term.args[0].span.end_offset) == (2, 6)
 
 
 def test_deep_terms_read_without_recursion():
