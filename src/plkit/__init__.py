@@ -12,7 +12,6 @@ from .database import (
     OperatorTable,
     PredicateEntry,
     PredicateIndicator,
-    default_table,
 )
 from .diagnostics import Diagnostic, Severity
 from .engine import Loader, SolveLimits, consult_source, repl, solve

@@ -30,41 +30,36 @@ EXIT_ERRORS = 1
 EXIT_FAILURE = 2
 
 
-def read_config_file(root: str) -> dict[str, list[str]]:
-    """Flat key/value config; repeated keys accumulate."""
+class ConfigError(Exception):
+    """A plkit.cfg that cannot be read or holds a bad value."""
+
+
+def read_config(root: str, args) -> tuple[ProjectConfig, str]:
+    """The project's config and output format. Command-line flags win over
+    plkit.cfg, whose flat key=value lines accumulate repeated keys."""
     path = os.path.join(root, CONFIG_FILE)
     values: dict[str, list[str]] = {}
-    if not os.path.isfile(path):
-        return values
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            values.setdefault(key.strip(), []).append(value.strip())
-    return values
-
-
-def make_config(root: str, args) -> ProjectConfig:
-    file_cfg = read_config_file(root)
-    globs = tuple(args.glob) if args.glob else tuple(file_cfg.get("glob", [])) or ("**/*.pl",)
-    libs = tuple(args.lib) if args.lib else tuple(file_cfg.get("lib", []))
-    cap = 50
-    if file_cfg.get("cap"):
-        cap = int(file_cfg["cap"][0])
-    doc_out = file_cfg.get("doc_out", ["prologdoc"])[0]
-    return ProjectConfig(globs=globs, library_paths=libs,
-                         completion_cap=cap, doc_out=doc_out)
-
-
-def output_format(args, root: str) -> str:
-    if args.format:
-        return args.format
-    file_cfg = read_config_file(root)
-    if file_cfg.get("format"):
-        return file_cfg["format"][0]
-    return "human"
+    if os.path.isfile(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for raw in fh:
+                    line = raw.strip()
+                    if line and not line.startswith("#") and "=" in line:
+                        key, _, value = line.partition("=")
+                        values.setdefault(key.strip(), []).append(value.strip())
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read {path}: {err}") from None
+    cap = values.get("cap", ["50"])[0]
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ConfigError(f"{path}: cap must be an integer >= 1, not {cap!r}")
+    fmt = args.format or values.get("format", ["human"])[0]
+    if fmt not in ("human", "machine"):
+        raise ConfigError(f"{path}: format must be human or machine, not {fmt!r}")
+    config = ProjectConfig(globs=tuple(args.glob or values.get("glob", ())) or ("**/*.pl",),
+                           library_paths=tuple(args.lib or values.get("lib", ())),
+                           completion_cap=int(cap),
+                           doc_out=values.get("doc_out", ["prologdoc"])[0])
+    return config, fmt
 
 
 def print_diagnostics(diagnostics: list[Diagnostic], fmt: str, out) -> bool:
@@ -87,10 +82,6 @@ def print_diagnostics(diagnostics: list[Diagnostic], fmt: str, out) -> bool:
     return failed
 
 
-def _build(root: str, args) -> ProjectModel:
-    return build_project(root, make_config(root, args))
-
-
 def _to_offset(source: str, line: int, col: int):
     if line < 1 or col < 1:
         return None
@@ -107,32 +98,35 @@ def cmd_check(args, out) -> int:
     if not os.path.isdir(root):
         sys.stderr.write(f"error: {root!r} is not a directory\n")
         return EXIT_FAILURE
-    model = _build(root, args)
-    failed = print_diagnostics(model.diagnostics, output_format(args, root), out)
+    config, fmt = read_config(root, args)
+    model = build_project(root, config)
+    failed = print_diagnostics(model.diagnostics, fmt, out)
     has_errors = failed or any(d.severity == Severity.ERROR
                                for d in model.diagnostics)
     return EXIT_ERRORS if has_errors else EXIT_OK
 
 
-def _file_command_model(args) -> tuple[ProjectModel, str] | int:
+def _file_command_model(args) -> tuple[ProjectModel, str, str] | int:
+    """The project model, the file and the output format of a command on
+    one file, or the exit code of a bad file."""
     file = os.path.abspath(args.file)
     if not os.path.isfile(file):
         sys.stderr.write(f"error: {file!r} is not a file\n")
         return EXIT_FAILURE
     root = os.path.abspath(args.root) if args.root else os.path.dirname(file)
-    model = _build(root, args)
+    config, fmt = read_config(root, args)
+    model = build_project(root, config)
     if model.file_index(file) is None:
         sys.stderr.write(f"error: {file!r} is not part of the project\n")
         return EXIT_FAILURE
-    return model, file
+    return model, file, fmt
 
 
 def cmd_outline(args, out) -> int:
     result = _file_command_model(args)
     if isinstance(result, int):
         return result
-    model, file = result
-    fmt = output_format(args, args.root or os.path.dirname(file))
+    model, file, fmt = result
     for item in outline(file, model):
         s = item.target_span
         if fmt == "machine":
@@ -148,7 +142,7 @@ def cmd_hover(args, out) -> int:
     result = _file_command_model(args)
     if isinstance(result, int):
         return result
-    model, file = result
+    model, file, fmt = result
     source = model.sources[file]
     offset = _to_offset(source, args.line, args.col)
     if offset is None:
@@ -157,7 +151,6 @@ def cmd_hover(args, out) -> int:
     info = hover(file, offset, args.mode, model)
     if info is None:
         return EXIT_OK
-    fmt = output_format(args, args.root or os.path.dirname(file))
     if fmt == "machine":
         text = info.text.replace("\n", "\\n")
         out.write(f"{info.span.start_line}\t{info.span.start_col}\t{text}\n")
@@ -170,13 +163,12 @@ def cmd_complete(args, out) -> int:
     result = _file_command_model(args)
     if isinstance(result, int):
         return result
-    model, file = result
+    model, file, fmt = result
     source = model.sources[file]
     offset = _to_offset(source, args.line, args.col)
     if offset is None:
         sys.stderr.write("error: position out of range\n")
         return EXIT_FAILURE
-    fmt = output_format(args, args.root or os.path.dirname(file))
     for item in complete(file, offset, model):
         if fmt == "machine":
             out.write("\t".join([item.label, item.kind,
@@ -211,7 +203,8 @@ def cmd_fix(args, out) -> int:
     if not os.path.isdir(root):
         sys.stderr.write(f"error: {root!r} is not a directory\n")
         return EXIT_FAILURE
-    model = _build(root, args)
+    config, _ = read_config(root, args)
+    model = build_project(root, config)
     matches = [d for d in model.diagnostics if _match_selector(d, args.selector)]
     if len(matches) != 1:
         sys.stderr.write(
@@ -250,7 +243,7 @@ def cmd_fix(args, out) -> int:
         with open(file, "w", encoding="utf-8") as fh:
             fh.write(updated[file])
     before = sum(1 for d in model.diagnostics if d.severity == Severity.ERROR)
-    rebuilt = _build(root, args)
+    rebuilt = build_project(root, config)
     after = sum(1 for d in rebuilt.diagnostics if d.severity == Severity.ERROR)
     out.write(f"applied: {chosen.title}\n")
     out.write(f"errors: {before} -> {after}\n")
@@ -262,7 +255,7 @@ def cmd_doc(args, out) -> int:
     if not os.path.isdir(root):
         sys.stderr.write(f"error: {root!r} is not a directory\n")
         return EXIT_FAILURE
-    model = _build(root, args)
+    model = build_project(root, read_config(root, args)[0])
     out_dir = args.out or os.path.join(root, model.config.doc_out)
     try:
         written = generate_html(model, project_docs(model), out_dir)
@@ -348,7 +341,7 @@ def main(argv=None) -> int:
         # collector is paused, so the collector never walks it.
         with collector_paused():
             return args.func(args, sys.stdout)
-    except FileNotFoundError as err:
+    except (FileNotFoundError, ConfigError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_FAILURE
 

@@ -203,16 +203,15 @@ class ModuleInfo:
 class Database:
     """One consulted-file session: operators, predicates, module, flags."""
 
-    def __init__(self, operators: Optional[OperatorTable] = None):
-        self.operators = operators if operators is not None else OperatorTable()
+    def __init__(self):
+        self.operators = OperatorTable()
         self.predicates: dict[PredicateIndicator, PredicateEntry] = {}
         self.module: Optional[ModuleInfo] = None
         self.imports: list[ImportRecord] = []
         self.flags: dict[str, Term] = {}
         self.loaded_files: set[str] = set()
-        # op/3 definitions executed in this session (own plus imported),
-        # with the spans of the declaring directives.
-        self.declared_operators: list[tuple[OperatorDef, Optional[SourceSpan]]] = []
+        # op/3 definitions executed in this session (own plus imported)
+        self.declared_operators: list[OperatorDef] = []
 
     def assert_clause(self, head: Term, body: Term,
                       span: Optional[SourceSpan] = None,
@@ -246,6 +245,3 @@ class Database:
         entry.properties.add(prop)
         return entry
 
-
-def default_table() -> OperatorTable:
-    return OperatorTable()

@@ -287,7 +287,7 @@ def _dir_op(goal: Compound, db: Database, loader: Loader) -> list[Diagnostic]:
         try:
             definition = OperatorDef(opname, prio_t.value, fixity)
             db.operators.add(definition)
-            db.declared_operators.append((definition, goal.span))
+            db.declared_operators.append(definition)
         except PrologError as err:
             diagnostics.append(_error(goal.span, err.kind, err.message))
     return diagnostics
@@ -347,10 +347,10 @@ def _dir_use_module(goal: Compound, db: Database, loader: Loader) -> list[Diagno
         return diagnostics  # import cycle; the other load is in progress
     target_db, _, _ = loaded
     # Operator declarations of the imported file become visible here.
-    for definition, span in target_db.declared_operators:
+    for definition in target_db.declared_operators:
         try:
             db.operators.add(definition)
-            db.declared_operators.append((definition, span))
+            db.declared_operators.append(definition)
         except PrologError:
             pass
     return diagnostics
@@ -539,17 +539,19 @@ def _compile_clause(clause) -> tuple:
     In a template a variable becomes its slot number and a compound holding
     a variable becomes (name, argument templates); a `true` goal is dropped
     and a variable goal X runs as call(X). The one walk that makes the
-    templates also gives the clause's shape, its templates in postfix with
-    each functor name and constant replaced by a tag, and K, those names
-    and constants in the same order followed by the variable names by slot.
-    A body goal that calls a builtin, user or prelude predicate names its
-    callee here (see _callee): a "c" after the goal in the shape, and the
-    callee after its constants in K. Its code then answers the goal as
-    (callee, arguments), with no term built for it; a control construct or
-    a goal that is not callable stays a term.
-    Clauses of one shape share the code _generate makes of it; the shape
-    key also holds the clause's leading arithmetic guards (see _guards),
-    which the code runs inline, so that `code` answers False when one fails.
+    templates also gives each its code tree, which names each functor name
+    and constant by its index in K: ("slot", number), ("constant", tag,
+    index), ("compound", index of its name, argument trees), or ("call",
+    index of its callee, goal tree) for a body goal that calls a builtin,
+    user or prelude predicate (see _callee). K holds those names, constants
+    and callees in the order the walk meets them, followed by the variable
+    names by slot. A call's code answers (callee, arguments), with no term
+    built for it; a control construct or a goal that is not callable stays
+    a term.
+    Clauses of one shape, the same trees, share the code _generate makes of
+    it; the shape key also holds the clause's leading arithmetic guards (see
+    _guards), which the code runs inline, so that `code` answers False when
+    one fails.
     A clause past the size bound keeps the walker, `_walk_clause`, and its K
     is (head templates, body templates, variable names): its goals stay
     terms."""
@@ -559,15 +561,17 @@ def _compile_clause(clause) -> tuple:
              if not (isinstance(g, Atom) and g.name == "true")]
     slots: dict[int, int] = {}
     names: list[str] = []
+    head_slots = 0  # the slots of the head's variables, numbered first
     constants: list = []
-    shape: list = []
+    nodes = 0
     deepest = 0
     depth = 0  # compounds around the next term
-    calls = 0  # the "c" tokens in shape, which the size bound does not count
     # rebuild()'s walk over the head arguments, then the goals, leaving
-    # their templates on `out`; a compound's arguments precede it on `todo`
-    # as (compound, shape mark, constants mark)
+    # their templates on `out` and their trees on `trees`; a compound's
+    # arguments precede it on `todo` as (compound, nodes mark, constants
+    # mark)
     out: list = []
+    trees: list = []
     todo: list = [*reversed(goals), *reversed(head)]
     while todo:
         t = todo.pop()
@@ -578,42 +582,49 @@ def _compile_clause(clause) -> tuple:
             args = out[-n:]
             del out[-n:]
             if args == t.args:  # ground: shared, and one constant
-                del shape[mark:], constants[constants_mark:]
-                shape.append("g")
+                del trees[-n:], constants[constants_mark:]
+                nodes = mark + 1
+                trees.append(("constant", "g", len(constants)))
                 constants.append(t)
                 out.append(t)
             else:
-                shape.append(-n)
+                trees[-n:] = [("compound", len(constants), tuple(trees[-n:]))]
                 constants.append(t.name)
                 out.append((t.name, tuple(args)))
                 if depth > deepest:
                     deepest = depth
             depth -= 1
         elif isinstance(t, Var):
+            nodes += 1
             number = slots.get(t.vid)
             if number is None:
                 number = slots[t.vid] = len(names)
                 names.append(t.name)
-            shape.append(number)
+            trees.append(("slot", number))
             out.append(number)
         elif isinstance(t, Compound):
+            todo.append((t, nodes, len(constants)))
+            nodes += 1
             depth += 1
-            todo.append((t, len(shape), len(constants)))
             todo.extend(reversed(t.args))
         else:
-            shape.append(_CONSTANT_TAGS.get(kind, "g"))
+            nodes += 1
+            trees.append(("constant", _CONSTANT_TAGS.get(kind, "g"), len(constants)))
             constants.append(t)
             out.append(t)
-        if not depth and len(out) > len(head):  # a body goal is complete
+        if depth:
+            continue
+        if len(out) == len(head):  # the last head argument is complete
+            head_slots = len(names)
+        elif len(out) > len(head):  # a body goal is complete
             callee = _callee(out[-1])
             if callee is not None:
-                shape.append("c")
+                trees[-1] = ("call", len(constants), trees[-1])
                 constants.append(callee)
-                calls += 1
     head, body = tuple(out[:len(head)]), tuple(out[len(head):])
-    if len(shape) - calls >= _CODE_NODES or deepest >= _CODE_DEPTH:
+    if nodes >= _CODE_NODES or deepest >= _CODE_DEPTH:
         return head, _walk_clause, (head, body, tuple(names))
-    key = (len(head), _guards(head, body), *shape)
+    key = (len(head), _guards(head_slots, body), len(constants), *trees)
     code = _SHAPES.get(key)
     if code is None:
         code = _SHAPES[key] = _generate(key)
@@ -633,13 +644,13 @@ def _callee(goal):
     return None if native is Solver._control else native
 
 
-def _guards(head: tuple, body: tuple) -> tuple:
+def _guards(head_slots: int, body: tuple) -> tuple:
     """The leading run of a compiled clause's body goals that its code runs
     inline: is/2 and the comparisons whose evaluated sides hold only
-    variables of the head or of an earlier guard's `is` left side, and no
-    compound holding a variable but an evaluable one. Each guard is its
-    name followed by the names of the compounds it evaluates, in postfix
-    order."""
+    variables of the head, slots 0 to `head_slots` - 1, or of an earlier
+    guard's `is` left side, and no compound holding a variable but an
+    evaluable one. Each guard is its name followed by the names of the
+    compounds it evaluates, in the order its code tree's compounds close."""
     guards: list = []
     seen: Optional[set] = None
     for goal in reversed(body):
@@ -647,8 +658,7 @@ def _guards(head: tuple, body: tuple) -> tuple:
                 and (goal[0] == "is" or goal[0] in _COMPARISONS)):
             break
         if seen is None:
-            seen = set()
-            _slots(head, seen)
+            seen = set(range(head_slots))
         left, right = goal[1]
         functions: list = []
         if not all(_evaluable(side, seen, functions)
@@ -660,19 +670,10 @@ def _guards(head: tuple, body: tuple) -> tuple:
     return tuple(guards)
 
 
-def _slots(templates, seen: set):
-    """Add the slots in `templates` to `seen`. Here and in _evaluable,
-    recursion is bounded by _CODE_DEPTH."""
-    for template in templates:
-        if type(template) is int:
-            seen.add(template)
-        elif type(template) is tuple:
-            _slots(template[1], seen)
-
-
 def _evaluable(template, seen: set, functions: list) -> bool:
     """Whether a guard's code can evaluate `template`: each slot in `seen`
-    and each compound evaluable, whose names it appends in postfix order."""
+    and each compound evaluable, whose names it appends as the compounds
+    close. Recursion is bounded by _CODE_DEPTH."""
     if type(template) is int:
         return template in seen
     if type(template) is tuple:
@@ -696,7 +697,10 @@ _MISMATCH = {
 
 
 def _generate(shape: tuple) -> Callable:
-    """The code of a clause shape as a Python function: the WAM's get and
+    """The code of a clause shape, (head arity, guards, the number of names
+    and constants before the variable names in K, then the code trees of
+    the head arguments and of the body goals in reverse order, as
+    _compile_clause makes them), as a Python function: the WAM's get and
     unify instructions for the head, then its put instructions for the body
     (Aït-Kaci 1991, §2-5), doing what _walk_clause does in the same order.
     A slot is a local from its first occurrence on, and K is the only way a
@@ -716,26 +720,7 @@ def _generate(shape: tuple) -> Callable:
     in-process so, against 36 ms with constructor calls and the longer call
     path before it (best of 15, Python 3.11, 2-vCPU host).
     Recursion is bounded by _CODE_DEPTH."""
-    # the postfix shape as trees: ("slot", number), ("constant", tag, index
-    # in K), ("compound", index of its name in K, argument trees) or, for a
-    # body goal, ("call", index of its callee in K, goal tree)
-    trees: list = []
-    n_constants = 0
-    for token in shape[2:]:
-        if token == "c":
-            trees[-1] = ("call", n_constants, trees[-1])
-            n_constants += 1
-        elif type(token) is str:
-            trees.append(("constant", token, n_constants))
-            n_constants += 1
-        elif token >= 0:
-            trees.append(("slot", token))
-        else:
-            arguments = trees[token:]
-            del trees[token:]
-            trees.append(("compound", n_constants, arguments))
-            n_constants += 1
-    guards = shape[1]
+    guards, n_constants, trees = shape[1], shape[2], shape[3:]
     end = len(trees) - len(guards)  # the guards close the body in reverse
     head, body = trees[:shape[0]], trees[shape[0]:end]
     lines: list[str] = []

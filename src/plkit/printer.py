@@ -233,10 +233,9 @@ def _fmt_atomic(term: Term) -> str:
 _DEFAULT_TABLE = OperatorTable()
 
 
-def pretty_print(term: Term, db: Database | None = None,
-                 max_priority: int = 1200) -> str:
+def pretty_print(term: Term, db: Database | None = None) -> str:
     table = db.operators if db is not None else _DEFAULT_TABLE
-    return _Printer(table).fmt(term, max_priority)
+    return _Printer(table).fmt(term, 1200)
 
 
 def sentence_text(term: Term, db: Database | None = None) -> str:

@@ -20,7 +20,7 @@ from .database import (
     PredicateIndicator,
 )
 from .diagnostics import Diagnostic, Severity, sort_key
-from .engine import BUILTIN_INDICATORS, Loader, internal_error
+from .engine import BUILTIN_INDICATORS, Loader, Solver, internal_error
 from .lexer import ATOM_KINDS, tokenize
 from .printer import atom_text, pretty_print
 from .reader import Sentence
@@ -175,11 +175,9 @@ class StaleFixError(Exception):
 
 # --- phase I + II ---------------------------------------------------------
 
-CONTROL_CONSTRUCTS = {(",", 2), (";", 2), ("->", 2), ("\\+", 1)}
-
-
-# Goals whose arguments are goals in turn
-_TRANSPARENT = CONTROL_CONSTRUCTS | {("call", 1)}
+# Goals whose arguments are goals in turn: the control constructs but cut
+_TRANSPARENT = frozenset(indicator for indicator, native in BUILTIN_INDICATORS.items()
+                         if native is Solver._control and indicator[1] > 0)
 # DCG body items that are not nonterminal calls: terminal lists and cut
 _DCG_NON_CALLS = {(".", 2), ("[]", 0), ("!", 0)}
 

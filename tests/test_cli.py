@@ -235,6 +235,21 @@ def test_machine_format_from_config_file(project, capsys):
     assert "\t" not in out.splitlines()[0]
 
 
+@pytest.mark.parametrize("config, message", [
+    (b"cap = abc\n", "cap must be an integer >= 1, not 'abc'"),
+    (b"cap = 0\n", "cap must be an integer >= 1, not '0'"),
+    (b"cap = \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    (b"format = xml\n", "format must be human or machine, not 'xml'"),
+])
+def test_bad_config_file_exit_two(project, capsys, tmp_path, config, message):
+    root = project(CLEAN)
+    (tmp_path / "plkit.cfg").write_bytes(config)
+    code, out, err = run(["check", root], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.path.join(root, "plkit.cfg") in err and message in err
+
+
 def test_config_glob(project, capsys):
     root = project({
         "plkit.cfg": "glob=src/**/*.pl\n",

@@ -5,14 +5,13 @@ from plkit.database import (
     OperatorDef,
     OperatorTable,
     PredicateIndicator,
-    default_table,
 )
 from plkit.errors import PrologError
 from plkit.terms import Atom, Compound, Int, Var
 
 
 def test_default_table_seeded():
-    table = default_table()
+    table = OperatorTable()
     assert table.infix(":-").priority == 1200
     assert table.prefix(":-").fixity == "fx"
     assert table.infix(",").priority == 1000
@@ -44,7 +43,7 @@ def test_add_and_remove_operator():
 
 
 def test_operator_validation():
-    table = default_table()
+    table = OperatorTable()
     with pytest.raises(PrologError) as err:
         table.add(OperatorDef("bad", 1300, "xfx"))
     assert err.value.kind == "domain_error"
@@ -56,13 +55,13 @@ def test_operator_validation():
 
 
 def test_infix_postfix_conflict():
-    table = default_table()
+    table = OperatorTable()
     with pytest.raises(PrologError):
         table.add(OperatorDef("+", 400, "xf"))  # '+' is already infix
 
 
 def test_same_name_prefix_and_infix_coexist():
-    table = default_table()
+    table = OperatorTable()
     assert table.prefix("-") is not None
     assert table.infix("-") is not None
     assert len(table.defs("-")) == 2

@@ -892,6 +892,19 @@ def test_natives_called_from_clause_code(goal, outcome, inferences, backtracks):
     assert counted_run(db, goal, messages=True) == (outcome, inferences, backtracks, inferences, 0)
 
 
+@pytest.mark.parametrize("goal, outcome, counts", [
+    ("call(G)", ("instantiation_error", "unbound goal"), (0, 0, 1)),
+    ("G", ("instantiation_error", "unbound goal"), (0, 0, 1)),
+    ("G = 3, call(G)", ("type_error", "goal must be callable: 3"), (0, 0, 0)),
+    ("G = !, G", [({"G": "!"}, 0)], (0, 0, 1)),
+    ("G = [], call(G)", ("existence_error", "unknown predicate []/0"), (1, 0, 2)),
+])
+def test_term_goals(goal, outcome, counts):
+    """Goals that reach the solver as terms, not from clause code: the
+    (inferences, backtracks, deepest) they count, and their outcome."""
+    assert counted_run(Database(), goal, messages=True) == (outcome, *counts, 0)
+
+
 # --- conditional trailing ----------------------------------------------------
 
 
