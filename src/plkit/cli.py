@@ -257,11 +257,14 @@ def cmd_doc(args, out) -> int:
         return EXIT_FAILURE
     model = build_project(root, read_config(root, args)[0])
     out_dir = args.out or os.path.join(root, model.config.doc_out)
+    docs = project_docs(model)
     try:
-        written = generate_html(model, project_docs(model), out_dir)
+        written = generate_html(model, docs, out_dir)
     except OSError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_FAILURE
+    # misplaced and duplicate doc blocks: warnings, so the exit code stays 0
+    print_diagnostics(docs.diagnostics, "human", sys.stderr)
     for path in written:
         out.write(path + "\n")
     return EXIT_OK

@@ -8,6 +8,11 @@ is skipped, never built. `lossless` is the view that covers every
 character: `Token` objects in source order, with one LAYOUT token in each
 gap between two tokens, so that joining their texts gives the source back.
 
+Every offset below `OFFSET_BOUND` is one shared int object, taken from a
+module-level table: a project's model holds each offset value once, not once
+per token of every file. Larger offsets are fresh ints; the bound keeps the
+table small for a program that lexes one long file.
+
 Tokenization itself is context-free; whether an atom token is an operator
 is decided by the reader, against the operator table in force at the
 moment it consumes the token.
@@ -287,6 +292,13 @@ _INTEGER_KIND, _FLOAT_KIND, _QUOTED_KIND, _STRING_KIND = (
 _OPEN_PAREN, _OPEN_PAREN_CT = TokenKind.OPEN_PAREN, TokenKind.OPEN_PAREN_CT
 _INFINITY = float("inf")
 
+# The shared offsets. The table is an immutable tuple, built once and never
+# changed in place, so lexers in several threads read it without a lock. At
+# this bound it costs ~0.3 MB with its ints; a table grown to fit one long
+# file would cost more than sharing its offsets saves.
+OFFSET_BOUND = 1 << 13
+_OFFSETS = tuple(range(OFFSET_BOUND))
+
 
 def tokenize(source: str, file_id: str = "<string>") -> tuple[list[tuple], list[Diagnostic]]:
     """Lex `source` into tuples `(kind, text, start, end, value)`: its
@@ -300,6 +312,7 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[tuple], list[
     append = tokens.append
     match = _MASTER.match
     plain_kinds = _PLAIN_KINDS
+    offsets, bound = _OFFSETS, OFFSET_BOUND
     lines = None  # built for the first diagnostic
     pos = 0  # the end of the last token or comment
     while True:
@@ -309,6 +322,10 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[tuple], list[
             return tokens, diagnostics
         group = m.lastindex
         start, end = m.span(group)
+        if end < bound:
+            start, end = offsets[start], offsets[end]
+        elif start < bound:
+            start = offsets[start]
         kind = plain_kinds[group]
         if kind is not None:
             append((kind, source[start:end], start, end, None))
@@ -346,6 +363,8 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[tuple], list[
             continue
         else:
             kind, end, value, error = _scan_by_hand(source, start)
+            if end < bound:
+                end = offsets[end]
         append((kind, source[start:end], start, end, value))
         if error is not None:
             if lines is None:

@@ -182,9 +182,12 @@ _TRANSPARENT = frozenset(indicator for indicator, native in BUILTIN_INDICATORS.i
 _DCG_NON_CALLS = {(".", 2), ("[]", 0), ("!", 0)}
 
 
-def _walk_goals(body: Term, sink: list[CallSite], dcg: bool = False):
+def _walk_goals(body: Term, sink: list[CallSite],
+                indicators: dict[PredicateIndicator, PredicateIndicator],
+                dcg: bool = False):
     """Append the call sites of `body` to `sink` in source order, looking
-    through control constructs, call/1 and, in a DCG body, {}/1."""
+    through control constructs, call/1 and, in a DCG body, {}/1. Call sites
+    of one predicate share the indicator that `indicators` holds for it."""
     stack = [body]
     while stack:
         goal = stack.pop()
@@ -193,12 +196,12 @@ def _walk_goals(body: Term, sink: list[CallSite], dcg: bool = False):
             continue  # a variable (meta-call), or a number or string terminal
         if ind in _TRANSPARENT:
             stack.extend(reversed(goal.args))
-        elif not dcg:
-            sink.append(CallSite(PredicateIndicator(*ind), goal))
-        elif ind == ("{}", 1):
-            _walk_goals(goal.args[0], sink)  # plain goals: no deeper recursion
-        elif ind not in _DCG_NON_CALLS:
-            sink.append(CallSite(PredicateIndicator(ind[0], ind[1] + 2), goal))
+        elif dcg and ind == ("{}", 1):
+            _walk_goals(goal.args[0], sink, indicators)  # plain goals: no deeper recursion
+        elif not (dcg and ind in _DCG_NON_CALLS):
+            # a nonterminal's predicate has two more arguments than its call
+            indicator = PredicateIndicator(ind[0], ind[1] + 2 if dcg else ind[1])
+            sink.append(CallSite(indicators.setdefault(indicator, indicator), goal))
 
 
 def index_file(sentences: list[Sentence], db: Database, file: str,
@@ -211,6 +214,7 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
     that pass the phase I diagnostics positionally.
     """
     calls: list[CallSite] = []
+    indicators: dict[PredicateIndicator, PredicateIndicator] = {}
     diagnostics = list(phase1_diagnostics)
 
     seen: set[PredicateIndicator] = set()
@@ -239,7 +243,8 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
         prev_indicator = indicator
 
         if sentence.body is not None:
-            _walk_goals(sentence.body, calls, dcg=(sentence.kind == "dcg_rule"))
+            _walk_goals(sentence.body, calls, indicators,
+                        dcg=(sentence.kind == "dcg_rule"))
 
         for var in sentence.singletons:
             if not var.name.startswith("_"):

@@ -371,6 +371,21 @@ def test_doc_out_flag(project, capsys, tmp_path):
     assert os.path.isfile(os.path.join(out_dir, "index.html"))
 
 
+@pytest.mark.parametrize("source, line, code", [
+    ("p(1).\n% Description: too late\np(2).\n", 2, "doc_not_at_first_clause"),
+    ("% Description: about p\n\n% Author: second block\np(1).\n", 3, "duplicate_doc"),
+])
+def test_doc_reports_doc_warnings(project, capsys, source, line, code):
+    root = project({"a.pl": source})
+    status, out, err = run(["doc", root], capsys)
+    assert status == 0
+    written = out.splitlines()
+    assert written and all(os.path.isfile(p) for p in written)
+    [warning] = err.splitlines()
+    assert warning.startswith(f"{os.path.join(root, 'a.pl')}:{line}:1: warning: ")
+    assert warning.endswith(f"[{code}]")
+
+
 def test_repl_subprocess():
     env = dict(os.environ)
     result = subprocess.run(

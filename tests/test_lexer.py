@@ -6,12 +6,15 @@ from test_acceptance import make_corpus
 from plkit.lexer import (
     ATOM_KINDS,
     COMMENT_KINDS,
+    OFFSET_BOUND,
     Token,
     TokenKind,
     lossless,
     tokenize,
 )
 from plkit.spans import LineIndex, SourceSpan
+from plkit.terms import Compound
+from plkit.workspace import build_project
 
 # Kinds of the lossless view that never participate in parsing decisions.
 TRIVIA_KINDS = {TokenKind.LAYOUT, TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT}
@@ -176,6 +179,52 @@ def test_tokens_carry_offsets_and_build_spans_on_request():
     assert cd.span == SourceSpan(cd.lines, 3, 5)
     assert cd.span is not cd.span  # built on each request, never stored
     assert cd.lines is tokens[0].lines and cd.lines.file_id == "f.pl"
+
+
+def test_equal_offsets_are_one_object_across_sources():
+    """Offsets past CPython's small-int cache and below the bound come from
+    one table, whatever the source: plain, hand-scanned and comment tokens."""
+    a = " " * 300 + "'a\\n' + foo(X). % c\n"
+    b = "z" * 299 + " 'b\\t' - bar(Y). % d\n"
+    tokens_a, tokens_b = tokenize(a)[0], tokenize(b)[0][1:]
+    assert len(tokens_a) == len(tokens_b) == 8
+    for tok_a, tok_b in zip(tokens_a, tokens_b):
+        assert 257 <= tok_a[2] < tok_a[3] < OFFSET_BOUND
+        assert tok_a[2] is tok_b[2] and tok_a[3] is tok_b[3], (tok_a, tok_b)
+
+
+@pytest.mark.parametrize("straddler", ["'a\\nb'", "abcdef", "% comment\n"])
+def test_offsets_past_the_bound_stay_exact(straddler):
+    clause = "p('a\\n', \"s\", 0'c, 0x1F) :- q(X), % note\n    X = [1.5|T].\n"
+    source = (" " * (OFFSET_BOUND - 2) + straddler + " x. "
+              + clause * (OFFSET_BOUND // len(clause) + 1))
+    tokens, diagnostics = tokenize(source)
+    assert not diagnostics and len(source) > 2 * OFFSET_BOUND
+    assert any(start < OFFSET_BOUND < end for _, _, start, end, _ in tokens)
+    assert all(source[start:end] == text for _, text, start, end, _ in tokens)
+    view, _ = lossless(source)
+    assert "".join(t.text for t in view) == source
+
+
+def test_a_built_model_holds_at_most_one_object_per_offset(tmp_path):
+    make_corpus(str(tmp_path), 50)
+    model = build_project(str(tmp_path))
+    offsets = {}
+    for index in model.index.files.values():
+        for sentence in index.sentences:
+            found = [sentence.span.start_offset, sentence.span.end_offset]
+            found += [offset for token in sentence.leading_comments
+                      for offset in (token.start, token.end)]
+            stack = [sentence.term]
+            while stack:
+                term = stack.pop()
+                found += (term.start, term.end)
+                if isinstance(term, Compound):
+                    found += (term.functor_start, term.functor_end)
+                    stack.extend(term.args)
+            offsets.update((id(offset), offset) for offset in found)
+    assert max(offsets.values()) < OFFSET_BOUND
+    assert len(offsets) <= OFFSET_BOUND
 
 
 def test_spans_are_one_based():
