@@ -10,10 +10,9 @@ from . import errors
 from .spans import SourceSpan
 from .terms import Term, indicator_of
 
-PREFIX_FIXITIES = ("fy", "fx")
-INFIX_FIXITIES = ("xfx", "xfy", "yfx")
-POSTFIX_FIXITIES = ("xf", "yf")
-ALL_FIXITIES = PREFIX_FIXITIES + INFIX_FIXITIES + POSTFIX_FIXITIES
+# Where each fixity's definition sits in a name's (prefix, infix, postfix)
+# table entry.
+_CLASS_SLOT = {"fy": 0, "fx": 0, "xfx": 1, "xfy": 1, "yfx": 1, "xf": 2, "yf": 2}
 
 
 @dataclass(frozen=True)
@@ -21,26 +20,19 @@ class OperatorDef:
     name: str
     priority: int
     fixity: str
+    # The highest priority each argument may have: an x argument needs
+    # strictly lower priority than the operator, a y argument at most equal.
+    # left_max means something for infix and postfix operators, right_max
+    # for infix and prefix ones.
+    left_max: int = field(init=False, repr=False, compare=False)
+    right_max: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def op_class(self) -> str:
-        if self.fixity in PREFIX_FIXITIES:
-            return "prefix"
-        if self.fixity in INFIX_FIXITIES:
-            return "infix"
-        return "postfix"
-
-    def left_arg_max(self) -> int:
-        # Meaningful for infix/postfix: y allows equal priority, x strictly less.
-        if self.fixity in ("xfy", "xfx", "xf"):
-            return self.priority - 1
-        return self.priority
-
-    def right_arg_max(self) -> int:
-        # Meaningful for infix/prefix.
-        if self.fixity in ("xfy", "fy"):
-            return self.priority
-        return self.priority - 1
+    def __post_init__(self):
+        priority, fixity = self.priority, self.fixity
+        object.__setattr__(self, "left_max", priority - 1
+                           if fixity in ("xfy", "xfx", "xf") else priority)
+        object.__setattr__(self, "right_max", priority
+                           if fixity in ("xfy", "fy") else priority - 1)
 
 
 # op(P, Fixity, Name) seed entries for a fresh table.
@@ -93,19 +85,35 @@ DEFAULT_OPERATORS = [
 PROTECTED_OPERATOR_NAMES = {",", "|"}
 
 
+_ABSENT = (None, None, None)
+
+
+def _default_entries() -> dict[str, tuple]:
+    by_name: dict[str, tuple] = {}
+    for priority, fixity, name in DEFAULT_OPERATORS:
+        entry = list(by_name.get(name, _ABSENT))
+        entry[_CLASS_SLOT[fixity]] = OperatorDef(name, priority, fixity)
+        by_name[name] = tuple(entry)
+    return by_name
+
+
+# Built once and shared by every fresh table; no table mutates an entry.
+_DEFAULT_ENTRIES = _default_entries()
+
+
 class OperatorTable:
     def __init__(self):
-        # name -> {"prefix"|"infix"|"postfix": OperatorDef}; names with no
-        # definition have no entry. The reader reads it directly.
-        self.by_name: dict[str, dict[str, OperatorDef]] = {}
-        for priority, fixity, name in DEFAULT_OPERATORS:
-            definition = OperatorDef(name, priority, fixity)
-            self.by_name.setdefault(name, {})[definition.op_class] = definition
+        # name -> its (prefix, infix, postfix) definitions, None where a
+        # class is absent; names with no definition have no entry. Entries
+        # are shared with the defaults until `add` replaces a name's tuple.
+        # The reader and the printer read it directly.
+        self.by_name: dict[str, tuple] = dict(_DEFAULT_ENTRIES)
 
     def add(self, definition: OperatorDef):
         """Install, replace, or (priority 0) remove a definition."""
         name = definition.name
-        if definition.fixity not in ALL_FIXITIES:
+        slot = _CLASS_SLOT.get(definition.fixity)
+        if slot is None:
             raise errors.domain_error(f"invalid fixity {definition.fixity!r}")
         if not 0 <= definition.priority <= 1200:
             raise errors.domain_error(
@@ -113,34 +121,35 @@ class OperatorTable:
             )
         if name in PROTECTED_OPERATOR_NAMES:
             raise errors.permission_error(f"operator {name!r} may not be modified")
-        entry = self.by_name.setdefault(name, {})
-        cls = definition.op_class
+        entry = list(self.by_name.get(name, _ABSENT))
         if definition.priority == 0:
-            entry.pop(cls, None)
-            if not entry:
-                del self.by_name[name]
-            return
-        if cls == "infix" and "postfix" in entry:
+            entry[slot] = None
+        elif slot == 1 and entry[2] is not None:
             raise errors.permission_error(
                 f"{name!r} already has a postfix definition"
             )
-        if cls == "postfix" and "infix" in entry:
+        elif slot == 2 and entry[1] is not None:
             raise errors.permission_error(
                 f"{name!r} already has an infix definition"
             )
-        entry[cls] = definition
+        else:
+            entry[slot] = definition
+        if any(entry):
+            self.by_name[name] = tuple(entry)
+        else:
+            self.by_name.pop(name, None)
 
     def prefix(self, name: str) -> Optional[OperatorDef]:
-        return self.by_name.get(name, {}).get("prefix")
+        return self.by_name.get(name, _ABSENT)[0]
 
     def infix(self, name: str) -> Optional[OperatorDef]:
-        return self.by_name.get(name, {}).get("infix")
+        return self.by_name.get(name, _ABSENT)[1]
 
     def postfix(self, name: str) -> Optional[OperatorDef]:
-        return self.by_name.get(name, {}).get("postfix")
+        return self.by_name.get(name, _ABSENT)[2]
 
     def defs(self, name: str) -> list[OperatorDef]:
-        return list(self.by_name.get(name, {}).values())
+        return [d for d in self.by_name.get(name, _ABSENT) if d is not None]
 
 
 class PredicateIndicator(NamedTuple):
@@ -160,7 +169,7 @@ def predicate_label(indicator: tuple[str, int], dcg: bool) -> str:
     return f"{name}//{arity - 2}" if dcg else f"{name}/{arity}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Clause:
     head: Term
     body: Term

@@ -122,7 +122,7 @@ def extract_docs(sentences: list[Sentence], file: str) -> tuple[list[DocBlock], 
     blocks: list[DocBlock] = []
     diagnostics: list[Diagnostic] = []
     taken_targets: set = set()
-    defines = [sentence.defines() for sentence in sentences]
+    defines = [sentence.indicator for sentence in sentences]
     # first defining sentence per predicate
     first_def: dict[tuple[str, int], int] = {}
     for i, defined in enumerate(defines):

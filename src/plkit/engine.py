@@ -147,6 +147,9 @@ def _read_text(path: str) -> str:
 
 # --- consulting -----------------------------------------------------------
 
+# The body every fact is stored with; one atom, shared by all of them.
+_TRUE = Atom("true")
+
 
 def consult_sentence(sentence: Sentence, db: Database,
                      loader: Loader) -> list[Diagnostic]:
@@ -155,11 +158,11 @@ def consult_sentence(sentence: Sentence, db: Database,
     try:
         if sentence.kind == "directive":
             return exec_directive(sentence.goal, db, loader)
-        body = Atom("true") if sentence.kind == "fact" else sentence.body
-        # defines() is None for a head that is not callable, which
+        body = _TRUE if sentence.kind == "fact" else sentence.body
+        # the indicator is None for a head that is not callable, which
         # assert_clause rejects
         entry = db.assert_clause(sentence.head, body, sentence.span,
-                                 sentence.defines())
+                                 sentence.indicator)
         if sentence.kind == "dcg_rule":
             entry.properties.add("dcg")
     except PrologError as err:

@@ -127,7 +127,7 @@ class _Printer:
             if gap is not None:
                 if gap is _PREFIX_GAP:
                     entry = self.table.by_name.get(item)
-                    if entry and "prefix" not in entry:
+                    if entry and entry[0] is None:
                         # An infix or postfix operator atom right after a
                         # prefix operator would read as an operator with
                         # the prefix one as its left argument.
@@ -167,17 +167,17 @@ class _Printer:
             op = self.table.infix(name)
             if op is None or atom_needs_quote(name):
                 return None
-            return [_arg(args[0], op.left_arg_max()), _GAP, name, _GAP,
-                    _arg(args[1], op.right_arg_max())], op.priority
+            return [_arg(args[0], op.left_max), _GAP, name, _GAP,
+                    _arg(args[1], op.right_max)], op.priority
         if len(args) != 1:
             return None
         op = self.table.prefix(name)
         if op is not None and not atom_needs_quote(name):
-            return [name, _PREFIX_GAP, _arg(args[0], op.right_arg_max())], \
+            return [name, _PREFIX_GAP, _arg(args[0], op.right_max)], \
                 op.priority
         op = self.table.postfix(name)
         if op is not None and not atom_needs_quote(name):
-            return [_arg(args[0], op.left_arg_max()), _GAP, name], op.priority
+            return [_arg(args[0], op.left_max), _GAP, name], op.priority
         return None
 
     def fmt_canonical(self, term: Compound) -> list:

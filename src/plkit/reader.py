@@ -95,7 +95,16 @@ _KIND, _TEXT, _START, _END = range(4)
 _PREFIX, _INFIX, _ARGS, _LIST, _LIST_TAIL, _PAREN, _CURLY = range(7)
 
 
-@dataclass
+def _rule_head(term: Term) -> Term:
+    """The head of a DCG rule whose left side is `term`: H of a pushback
+    head `H, List` whose List is '[]' or a '.'/2 cell, else `term` itself."""
+    if (isinstance(term, Compound) and term.name == "," and len(term.args) == 2
+            and indicator_of(term.args[1]) in (("[]", 0), (".", 2))):
+        return term.args[0]
+    return term
+
+
+@dataclass(slots=True)
 class Sentence:
     """One term read through its terminating '.'.
 
@@ -104,6 +113,10 @@ class Sentence:
     They are what ISO `read_term/2` gives as `variable_names` and
     `singletons` (ISO/IEC 13211-1 §7.10.3): the anonymous variable `_` is
     in neither, and a name starting with `_` is in both.
+
+    `indicator` is the predicate a clause, fact or DCG rule defines: name/N,
+    or name/N+2 for the rule of a nonterminal name//N. It is None for a
+    directive or a head that is not callable.
     """
 
     kind: str  # clause | directive | dcg_rule | fact
@@ -111,16 +124,19 @@ class Sentence:
     span: SourceSpan  # the term through its terminating '.'
     variables: tuple[Var, ...]
     singletons: tuple[Var, ...]
+    indicator: Optional[PredicateIndicator] = None
     leading_comments: list[Token] = field(default_factory=list)
 
     @property
     def head(self) -> Term:
+        """The head; for a DCG rule with a pushback list, the head before
+        the list."""
         if self.kind == "clause":
             return self.term.args[0]
-        if self.kind in ("fact",):
+        if self.kind == "fact":
             return self.term
         if self.kind == "dcg_rule":
-            return self.term.args[0]
+            return _rule_head(self.term.args[0])
         raise ValueError("directives have no head")
 
     @property
@@ -136,19 +152,6 @@ class Sentence:
         if self.kind != "directive":
             raise ValueError("not a directive")
         return self.term.args[0]
-
-    def defines(self) -> Optional[PredicateIndicator]:
-        """The predicate a clause, fact or DCG rule defines: name/N, or
-        name/N+2 for the rule of a nonterminal name//N. None for a directive
-        or a head that is not callable."""
-        if self.kind == "directive":
-            return None
-        ind = indicator_of(self.head)
-        if ind is None:
-            return None
-        if self.kind == "dcg_rule":
-            return PredicateIndicator(ind[0], ind[1] + 2)
-        return PredicateIndicator(*ind)
 
 
 class ParseFailure(Exception):
@@ -181,12 +184,12 @@ def _operator_follows(toks: list[tuple], i: int, by_name: dict) -> bool:
     if kind not in _OPERATOR_KINDS:
         return False
     entry = by_name.get(text)
-    if not entry or "prefix" in entry:
+    if entry is None or entry[0] is not None:
         return False
     after = toks[i + 1][_KIND]
     if after is OPEN_PAREN_CT:
         return False
-    return "postfix" in entry or after in _OPERAND_START_KINDS
+    return entry[2] is not None or after in _OPERAND_START_KINDS
 
 
 class Reader:
@@ -262,14 +265,20 @@ class Reader:
             self._recover()
             self._take_comments(self.consumed_end)
             return None
-        kind = "fact"
+        kind, head = "fact", term
         if isinstance(term, Compound):
-            if term.name == ":-" and term.arity == 1:
-                kind = "directive"
-            elif term.name == ":-" and term.arity == 2:
-                kind = "clause"
-            elif term.name == "-->" and term.arity == 2:
-                kind = "dcg_rule"
+            name, args = term.name, term.args
+            if name == ":-" and len(args) == 1:
+                kind, head = "directive", None
+            elif name == ":-" and len(args) == 2:
+                kind, head = "clause", args[0]
+            elif name == "-->" and len(args) == 2:
+                kind, head = "dcg_rule", _rule_head(args[0])
+        indicator = indicator_of(head)
+        if indicator is not None:
+            name, arity = indicator
+            indicator = PredicateIndicator(
+                name, arity + 2 if kind == "dcg_rule" else arity)
         comments = [Token(ckind, text, lines, start, end)
                     for ckind, text, start, end, _ in self._take_comments(end_tok[_START])]
         first: dict[str, Var] = {}
@@ -280,7 +289,7 @@ class Reader:
         variables = tuple(first.values())
         singletons = tuple(var for var in variables if var.name not in repeated)
         return Sentence(kind, term, SourceSpan(lines, term.start, end_tok[_END]),
-                        variables, singletons, comments)
+                        variables, singletons, indicator, comments)
 
     def _recover(self):
         """Skip tokens up to and including the next End (or to end of input)."""
@@ -302,6 +311,10 @@ class Reader:
         sentence_vars = self._sentence_vars
         occurrences = self._occurrences
         vids = self._vid_counter
+        # Variables and infix operator terms, the terms made most often, are
+        # written slot by slot: object.__new__ and one store per slot that
+        # their constructor sets, with no __init__ frame.
+        new = object.__new__
         stack: list[tuple] = []
         maxp = max_priority
         i = self.i
@@ -339,27 +352,32 @@ class Reader:
                                     value, lines, start, nend)
                             else:
                                 entry = by_name.get(name)
-                                prefix = entry.get("prefix") if entry else None
+                                prefix = entry[0] if entry is not None else None
                                 if (prefix is not None
                                         and prefix.priority <= maxp
                                         and nkind in _OPERAND_START_KINDS
                                         and not _operator_follows(toks, i, by_name)):
                                     stack.append((_PREFIX, maxp, tok, prefix, i,
                                                   len(occurrences)))
-                                    maxp = prefix.right_arg_max()
+                                    maxp = prefix.right_max
                                     continue
                                 # Operator atoms standing alone are plain atoms.
                                 left = Atom(name, lines, start, end)
                         elif kind is VARIABLE:
+                            left = new(Var)
+                            left.lines = lines
+                            left.start = start
+                            left.end = end
+                            left.name = text
                             if text == "_":
-                                left = Var("_", next(vids), lines, start, end)
+                                left.vid = next(vids)
                             else:
                                 var = sentence_vars.get(text)
                                 if var is None:
-                                    left = sentence_vars[text] = Var(
-                                        text, next(vids), lines, start, end)
+                                    left.vid = next(vids)
+                                    sentence_vars[text] = left
                                 else:
-                                    left = Var(text, var.vid, lines, start, end)
+                                    left.vid = var.vid
                                 occurrences.append(left)
                         elif kind is INTEGER:
                             left = Int(value, lines, start, end)
@@ -404,21 +422,19 @@ class Reader:
                             entry = by_name.get(",")
                         elif kind in _OPERATOR_KINDS:
                             entry = by_name.get(tok[_TEXT])
-                        elif kind is BAR:
-                            entry = by_name.get("|")
                         else:
                             entry = None
                         if entry is not None:
-                            infix = entry.get("infix")
+                            infix = entry[1]
                             if (infix is not None and infix.priority <= maxp
-                                    and lp <= infix.left_arg_max()):
+                                    and lp <= infix.left_max):
                                 stack.append((_INFIX, maxp, tok, infix, left))
                                 i += 1
-                                maxp = infix.right_arg_max()
+                                maxp = infix.right_max
                                 break
-                            postfix = entry.get("postfix")
+                            postfix = entry[2]
                             if (postfix is not None and postfix.priority <= maxp
-                                    and lp <= postfix.left_arg_max()):
+                                    and lp <= postfix.left_max):
                                 i += 1
                                 left = OpApply(postfix, [left], lines, left.start,
                                                tok[_END], tok[_START], tok[_END])
@@ -459,8 +475,16 @@ class Reader:
                             lp = 0
                         elif tag == _INFIX:
                             _, _, op_tok, op, left0 = frame
-                            left = OpApply(op, [left0, left], lines, left0.start,
-                                           left.end, op_tok[_START], op_tok[_END])
+                            right = left
+                            left = new(OpApply)
+                            left.lines = lines
+                            left.start = left0.start
+                            left.end = right.end
+                            left.functor_start = op_tok[_START]
+                            left.functor_end = op_tok[_END]
+                            left.name = op.name
+                            left.args = [left0, right]
+                            left.op = op
                             lp = op.priority
                         elif tag == _LIST or tag == _LIST_TAIL:
                             _, maxp, open_tok, items = frame

@@ -23,10 +23,10 @@ class Term:
     the [start, end) code-point offsets of its text; any other term holds
     `lines` None. Every subclass sets the three in its own `__init__`: the
     reader builds a leaf per token and the solver a compound per list cell.
-    Clause code (`engine._generate`) sets the slots of a Compound, Int or
-    Float that no source holds, and of a RuntimeVar, without the
-    constructor, so a slot added to one of these classes is added there
-    too."""
+    Two places set slots without the constructor, so a slot added to one of
+    these classes is added there too: clause code (`engine._generate`), for
+    a Compound, Int or Float that no source holds and for a RuntimeVar, and
+    the reader (`Reader.parse_term`), for a Var and an infix OpApply."""
 
     __slots__ = ("lines", "start", "end")
 
@@ -237,7 +237,7 @@ def rebuild(term: Term, variable: Callable, compound: Callable):
 def indicator_of(term: Term) -> Optional[tuple[str, int]]:
     """name/arity of a callable term, else None."""
     if isinstance(term, Compound):
-        return term.name, term.arity
+        return term.name, len(term.args)
     if isinstance(term, Atom):
         return term.name, 0
     return None

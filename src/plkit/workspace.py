@@ -183,7 +183,7 @@ _DCG_NON_CALLS = {(".", 2), ("[]", 0), ("!", 0)}
 
 
 def _walk_goals(body: Term, sink: list[CallSite],
-                indicators: dict[PredicateIndicator, PredicateIndicator],
+                indicators: dict[tuple[str, int], PredicateIndicator],
                 dcg: bool = False):
     """Append the call sites of `body` to `sink` in source order, looking
     through control constructs, call/1 and, in a DCG body, {}/1. Call sites
@@ -200,8 +200,11 @@ def _walk_goals(body: Term, sink: list[CallSite],
             _walk_goals(goal.args[0], sink, indicators)  # plain goals: no deeper recursion
         elif not (dcg and ind in _DCG_NON_CALLS):
             # a nonterminal's predicate has two more arguments than its call
-            indicator = PredicateIndicator(ind[0], ind[1] + 2 if dcg else ind[1])
-            sink.append(CallSite(indicators.setdefault(indicator, indicator), goal))
+            key = (ind[0], ind[1] + 2) if dcg else ind
+            indicator = indicators.get(key)
+            if indicator is None:
+                indicator = indicators[key] = PredicateIndicator(*key)
+            sink.append(CallSite(indicator, goal))
 
 
 def index_file(sentences: list[Sentence], db: Database, file: str,
@@ -214,7 +217,7 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
     that pass the phase I diagnostics positionally.
     """
     calls: list[CallSite] = []
-    indicators: dict[PredicateIndicator, PredicateIndicator] = {}
+    indicators: dict[tuple[str, int], PredicateIndicator] = {}
     diagnostics = list(phase1_diagnostics)
 
     seen: set[PredicateIndicator] = set()
@@ -223,7 +226,7 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
         if sentence.kind == "directive":
             prev_indicator = None
             continue
-        indicator = sentence.defines()
+        indicator = sentence.indicator
         if indicator is None:
             continue
         # clause order interruption without a discontiguous declaration

@@ -272,6 +272,24 @@ def test_outline_machine(project, capsys):
     assert all(len(r) == 6 for r in rows)
 
 
+def test_pushback_rule_defines_its_nonterminal(project, capsys):
+    root = project({"pb.pl": "greeting, [x] --> [hello].\nfoo --> greeting.\n"})
+    assert run(["check", root], capsys) == (0, "", "")
+    code, out, _ = run(["outline", os.path.join(root, "pb.pl")], capsys)
+    assert code == 0
+    assert out.splitlines() == ["1:1 DcgNonterminal greeting//0",
+                                "2:1 DcgNonterminal foo//0"]
+
+
+def test_an_operator_is_not_seen_by_a_file_that_does_not_import_it(project, capsys):
+    root = project({"a.pl": ":- op(700, xfx, ===).\nrel(a === b).\n",
+                    "b.pl": "rel2(a === b).\n"})
+    code, out, _ = run(["check", root, "--format", "machine"], capsys)
+    assert code == 1
+    assert out == (f"{os.path.join(root, 'b.pl')}\t1\t8\t1\t11\terror\t"
+                   "unbalanced_delimiter\texpected ')', found '==='\n")
+
+
 def test_hover_definition(project, capsys):
     root = project(CLEAN)
     code, out, _ = run(

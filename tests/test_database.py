@@ -6,6 +6,7 @@ from plkit.database import (
     OperatorTable,
     PredicateIndicator,
 )
+from plkit.engine import Loader, consult_source
 from plkit.errors import PrologError
 from plkit.terms import Atom, Compound, Int, Var
 
@@ -22,16 +23,16 @@ def test_default_table_seeded():
 
 def test_arg_priority_bounds():
     xfx = OperatorDef("=", 700, "xfx")
-    assert xfx.left_arg_max() == 699
-    assert xfx.right_arg_max() == 699
+    assert xfx.left_max == 699
+    assert xfx.right_max == 699
     yfx = OperatorDef("+", 500, "yfx")
-    assert yfx.left_arg_max() == 500
-    assert yfx.right_arg_max() == 499
+    assert yfx.left_max == 500
+    assert yfx.right_max == 499
     xfy = OperatorDef(";", 1100, "xfy")
-    assert xfy.left_arg_max() == 1099
-    assert xfy.right_arg_max() == 1100
+    assert xfy.left_max == 1099
+    assert xfy.right_max == 1100
     fy = OperatorDef("-", 200, "fy")
-    assert fy.right_arg_max() == 200
+    assert fy.right_max == 200
 
 
 def test_add_and_remove_operator():
@@ -65,6 +66,34 @@ def test_same_name_prefix_and_infix_coexist():
     assert table.prefix("-") is not None
     assert table.infix("-") is not None
     assert len(table.defs("-")) == 2
+
+
+def test_op_directive_changes_only_its_own_table():
+    db = Database()
+    source = ":- op(700, xfx, ===).\n:- op(0, fy, -).\n:- op(300, yfx, +).\n"
+    _, diagnostics = consult_source(source, db, Loader(), "<t>")
+    assert diagnostics == []
+    assert db.operators.infix("===").priority == 700
+    # removing the prefix '-' keeps its infix definition
+    assert db.operators.prefix("-") is None
+    assert db.operators.infix("-").priority == 500
+    assert db.operators.infix("+").priority == 300
+    for other in (Database().operators, OperatorTable()):
+        assert other.infix("===") is None
+        assert other.prefix("-").priority == 200
+        assert other.infix("+").priority == 500
+        assert len(other.defs("-")) == 2
+
+
+def test_tables_share_default_entries_until_changed():
+    first, second = OperatorTable(), OperatorTable()
+    assert first.by_name["-"] is second.by_name["-"]
+    first.add(OperatorDef("-", 0, "fy"))
+    assert first.by_name["-"] == (None, second.infix("-"), None)
+    assert second.by_name["-"][0] is not None
+    first.add(OperatorDef("-", 0, "yfx"))
+    assert "-" not in first.by_name
+    assert second.defs("-") == [second.prefix("-"), second.infix("-")]
 
 
 def test_assert_clause_and_lookup():

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -97,6 +98,32 @@ def test_fact_and_directive_and_dcg():
     assert read_one("just_a_fact.").kind == "fact"
     assert read_one(":- dynamic(foo/1).").kind == "directive"
     assert read_one("greeting --> [hello], name.").kind == "dcg_rule"
+
+
+def test_dcg_pushback_head_defines_the_nonterminal():
+    sentence = read_one("greeting, [x] --> [hello].")
+    assert sentence.kind == "dcg_rule"
+    assert to_tuple(sentence.head) == ("atom", "greeting")
+    assert sentence.indicator == ("greeting", 2)
+    assert to_tuple(sentence.term.args[0])[1] == ","  # the term is as read
+    sentence = read_one("p(X), [] --> q(X).")
+    assert to_tuple(sentence.head) == ("compound", "p", [("var", "X")])
+    assert sentence.indicator == ("p", 3)
+
+
+def test_dcg_head_with_a_non_list_after_the_comma_is_the_whole_head():
+    sentence = read_one("a, b --> c.")
+    assert to_tuple(sentence.head) == (
+        "compound", ",", [("atom", "a"), ("atom", "b")])
+    assert sentence.indicator == (",", 4)
+
+
+def test_sentence_indicator():
+    assert read_one("p(a, b).").indicator == ("p", 2)
+    assert read_one("p :- q.").indicator == ("p", 0)
+    assert read_one("s(X) --> [X].").indicator == ("s", 3)
+    assert read_one(":- dynamic(p/1).").indicator is None
+    assert read_one("3 :- true.").indicator is None
 
 
 def test_prefix_operators():
@@ -491,6 +518,40 @@ def test_operator_removal_mid_file():
               ":- op(0, xfx, ===).\nc === d.\n")
     _, diagnostics = consult_source(source, db, Loader(), "<t>")
     assert len(diagnostics) == 1
+
+
+def test_bar_is_no_operator():
+    _, diagnostics = consult_source(":- op(1100, xfy, '|').\n", Database(),
+                                    Loader(), "<t>")
+    assert [d.code for d in diagnostics] == ["permission_error"]
+    sentences, diagnostics = read_source("p(a | b).\nq.\n")
+    assert [d.code for d in diagnostics] == ["unbalanced_delimiter"]
+    assert [s.indicator for s in sentences] == [("q", 0)]
+
+
+def test_read_terms_have_every_slot_set(tmp_path):
+    make_corpus(str(tmp_path), 50)
+    loader = Loader()
+    for name in sorted(os.listdir(tmp_path)):
+        path = str(tmp_path / name)
+        _, sentences, _ = loader.consult_file(path)
+        lines = sentences[0].span.lines
+        assert lines.file_id == path
+        assert lines.text == (tmp_path / name).read_text(encoding="utf-8")
+        for sentence in sentences:
+            assert sentence.span.lines is lines
+            stack = [sentence.term]
+            while stack:
+                term = stack.pop()
+                slots = [slot for cls in type(term).__mro__
+                         for slot in getattr(cls, "__slots__", ())]
+                assert all(hasattr(term, slot) for slot in slots), term
+                assert term.lines is lines
+                offsets = [term.start, term.end]
+                if isinstance(term, Compound):
+                    offsets += (term.functor_start, term.functor_end)
+                    stack.extend(term.args)
+                assert all(type(offset) is int for offset in offsets)
 
 
 def test_read_at_reduced_priority():
