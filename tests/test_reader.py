@@ -531,6 +531,10 @@ def test_bar_is_no_operator():
 
 def test_read_terms_have_every_slot_set(tmp_path):
     make_corpus(str(tmp_path), 50)
+    # every kind of term, the anonymous variable among them
+    (tmp_path / "all.pl").write_text(
+        "t(_, X, 'q', 1.5, \"s\", [a|X], {x}, - 1, -(a), - a, f(g), a = b).\n",
+        encoding="utf-8")
     loader = Loader()
     for name in sorted(os.listdir(tmp_path)):
         path = str(tmp_path / name)
