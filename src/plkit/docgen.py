@@ -20,7 +20,6 @@ from .diagnostics import Diagnostic, Severity
 from .lexer import Token, TokenKind
 from .printer import pretty_print
 from .reader import Sentence
-from .spans import SourceSpan
 from .terms import Atom, Compound, Var, indicator_of, rebuild
 
 RECOGNIZED_TAGS = ("Author:", "Arguments:", "Description:")
@@ -31,7 +30,6 @@ _TAG_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*:)\s*(.*)$")
 @dataclass
 class DocBlock:
     entries: list[tuple[str, str]]
-    raw_span: SourceSpan
     target_kind: str  # "predicate" | "module"
     target: Union[tuple[str, int], str]
     display: str
@@ -169,7 +167,7 @@ def extract_docs(sentences: list[Sentence], file: str) -> tuple[list[DocBlock], 
                 )
                 continue
             taken_targets.add((target_kind, target))
-            blocks.append(DocBlock(entries, span, target_kind, target, display))
+            blocks.append(DocBlock(entries, target_kind, target, display))
     return blocks, diagnostics
 
 

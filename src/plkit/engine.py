@@ -1442,16 +1442,10 @@ class Solver:
         return True
 
     def _build(self, template, slots: list, names: tuple) -> Term:
-        """Instantiate a template of a clause past the size bound: a slot
-        becomes its term, or a fresh variable at its first occurrence.
-        Explicit stack."""
-        kind = type(template)
-        if kind is int:
-            term = slots[template]
-            if term is None:
-                term = slots[template] = RuntimeVar(names[template], self._vid())
-            return term
-        if kind is not tuple:
+        """Instantiate a compound or atomic template of a clause past the
+        size bound, never a bare slot: a slot in it becomes its term, or a
+        fresh variable at its first occurrence. Explicit stack."""
+        if type(template) is not tuple:
             return template
         vid = self._vid
         root = Compound(template[0], list(template[1]))

@@ -97,10 +97,12 @@ _PREFIX, _INFIX, _ARGS, _LIST, _LIST_TAIL, _PAREN, _CURLY = range(7)
 
 def _rule_head(term: Term) -> Term:
     """The head of a DCG rule whose left side is `term`: H of a pushback
-    head `H, List` whose List is '[]' or a '.'/2 cell, else `term` itself."""
-    if (isinstance(term, Compound) and term.name == "," and len(term.args) == 2
-            and indicator_of(term.args[1]) in (("[]", 0), (".", 2))):
-        return term.args[0]
+    head `H, List` whose List is '[]', a '.'/2 cell or a string, else `term`
+    itself."""
+    if isinstance(term, Compound) and term.name == "," and len(term.args) == 2:
+        pushback = term.args[1]
+        if isinstance(pushback, Str) or indicator_of(pushback) in (("[]", 0), (".", 2)):
+            return term.args[0]
     return term
 
 

@@ -43,23 +43,13 @@ class ProjectConfig:
 
 
 @dataclass
-class CallSite:
-    indicator: PredicateIndicator
-    goal: Term  # the calling goal, which holds the offsets
-
-    @property
-    def span(self) -> SourceSpan:
-        return self.goal.span
-
-
-@dataclass
 class FileIndex:
     """One file's model. Its consult's database holds the module, the
     imports and the predicates, with the clauses of the files it includes;
-    phase II adds the call sites and the diagnostics."""
+    phase II adds the file's own warnings to its phase I diagnostics. Link
+    reads the calls from the clause bodies in `sentences`."""
 
     file: str
-    calls: list[CallSite]
     sentences: list[Sentence]
     db: Database
     diagnostics: list[Diagnostic]
@@ -182,12 +172,10 @@ _TRANSPARENT = frozenset(indicator for indicator, native in BUILTIN_INDICATORS.i
 _DCG_NON_CALLS = {(".", 2), ("[]", 0), ("!", 0)}
 
 
-def _walk_goals(body: Term, sink: list[CallSite],
-                indicators: dict[tuple[str, int], PredicateIndicator],
-                dcg: bool = False):
-    """Append the call sites of `body` to `sink` in source order, looking
-    through control constructs, call/1 and, in a DCG body, {}/1. Call sites
-    of one predicate share the indicator that `indicators` holds for it."""
+def _walk_goals(body: Term, dcg: bool = False):
+    """Yield the calls of `body` in source order as ((name, arity), goal),
+    looking through control constructs, call/1 and, in a DCG body, {}/1. A
+    nonterminal's key is its predicate's, which has two more arguments."""
     stack = [body]
     while stack:
         goal = stack.pop()
@@ -197,27 +185,20 @@ def _walk_goals(body: Term, sink: list[CallSite],
         if ind in _TRANSPARENT:
             stack.extend(reversed(goal.args))
         elif dcg and ind == ("{}", 1):
-            _walk_goals(goal.args[0], sink, indicators)  # plain goals: no deeper recursion
+            yield from _walk_goals(goal.args[0])  # plain goals: no deeper recursion
         elif not (dcg and ind in _DCG_NON_CALLS):
-            # a nonterminal's predicate has two more arguments than its call
-            key = (ind[0], ind[1] + 2) if dcg else ind
-            indicator = indicators.get(key)
-            if indicator is None:
-                indicator = indicators[key] = PredicateIndicator(*key)
-            sink.append(CallSite(indicator, goal))
+            yield ((ind[0], ind[1] + 2) if dcg else ind), goal
 
 
 def index_file(sentences: list[Sentence], db: Database, file: str,
                tokens: object = None,
                phase1_diagnostics: list[Diagnostic] = ()) -> FileIndex:
     """Phase II: decorate one file's sentences, consulted into `db`, into a
-    FileIndex.
+    FileIndex that adds the singleton and discontiguous clause warnings.
 
     `tokens` is unused, as the model keeps no tokens; it stays for callers
     that pass the phase I diagnostics positionally.
     """
-    calls: list[CallSite] = []
-    indicators: dict[tuple[str, int], PredicateIndicator] = {}
     diagnostics = list(phase1_diagnostics)
 
     seen: set[PredicateIndicator] = set()
@@ -245,10 +226,6 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
         seen.add(indicator)
         prev_indicator = indicator
 
-        if sentence.body is not None:
-            _walk_goals(sentence.body, calls, indicators,
-                        dcg=(sentence.kind == "dcg_rule"))
-
         for var in sentence.singletons:
             if not var.name.startswith("_"):
                 diagnostics.append(
@@ -260,7 +237,7 @@ def index_file(sentences: list[Sentence], db: Database, file: str,
                     )
                 )
 
-    return FileIndex(file, calls, sentences, db, diagnostics)
+    return FileIndex(file, sentences, db, diagnostics)
 
 
 # --- phase III + IV -------------------------------------------------------
@@ -287,11 +264,12 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
         path = record.resolved_file
         target_index = indices.get(path) if path else None
         if target_index is None and path and loader is not None:
-            # a file outside `indices`, indexed once per link call
+            # a file outside `indices`, read once per link call and not
+            # checked: its index is the loader's cached consult
             if path not in outside:
                 cached = loader.consult_file(path)
                 outside[path] = (None if cached is None
-                                 else index_file(cached[1], cached[0], path))
+                                 else FileIndex(path, cached[1], cached[0], cached[2]))
             target_index = outside[path]
         if target_index is None:
             diagnostics.append(
@@ -327,42 +305,40 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
     # declared-but-undefined dynamic predicates are legitimate call targets
     local = {ind for ind, entry in index.db.predicates.items()
              if entry.clauses or "dynamic" in entry.properties}
-    for call in index.calls:
-        ind = call.indicator
-        if ind in local or ind in BUILTIN_INDICATORS or ind in visible:
-            continue
-        related = []
-        neighbors = sorted(
-            arity
-            for (name, arity) in local.union(visible, exporters)
-            if name == call.indicator.name and arity != call.indicator.arity
-        )
-        message = f"undefined predicate {call.indicator}"
-        span = call.span
-        if neighbors:
-            related = [(span,
-                        f"did you mean {call.indicator.name}/{neighbors[0]}?")]
-        diagnostics.append(
-            Diagnostic(
-                Severity.ERROR,
-                "undefined_predicate",
-                message,
-                span,
-                related=related,
-                data={"name": call.indicator.name,
-                      "arity": call.indicator.arity,
-                      "file": index.file},
+    for sentence in index.sentences:
+        body = sentence.body
+        if body is None or sentence.indicator is None:
+            continue  # a fact, a directive, or a head that is not callable
+        for key, goal in _walk_goals(body, sentence.kind == "dcg_rule"):
+            if key in local or key in BUILTIN_INDICATORS or key in visible:
+                continue
+            name, arity = key
+            span = goal.span
+            related = []
+            neighbors = sorted(other for known, other in local.union(visible, exporters)
+                               if known == name and other != arity)
+            if neighbors:
+                related = [(span, f"did you mean {name}/{neighbors[0]}?")]
+            diagnostics.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    "undefined_predicate",
+                    f"undefined predicate {name}/{arity}",
+                    span,
+                    related=related,
+                    data={"name": name, "arity": arity, "file": index.file},
+                )
             )
-        )
     return visible, diagnostics
 
 
 def link(indices: dict[str, FileIndex],
          loader: Optional[Loader] = None) -> tuple[GlobalIndex, list[Diagnostic]]:
-    """Phase III: resolve calls and imports across all file indices. This
-    is the one place imports are resolved: check reports what it finds, and
-    completion offers the predicates it makes visible. An import target
-    outside `indices` is indexed once per call and kept in the result's
+    """Phase III: resolve calls and imports across all file indices, walking
+    each file's clause and DCG bodies for its calls. This is the one place
+    imports are resolved: check reports what it finds, and completion offers
+    the predicates it makes visible. An import target outside `indices` is
+    read from the loader once per call and kept in the result's
     `libraries`; no FileIndex is changed."""
     diagnostics: list[Diagnostic] = []
     exporters: dict[tuple[str, int], list[str]] = {}
@@ -459,9 +435,9 @@ def _build_project(root: str, config: Optional[ProjectConfig]) -> ProjectModel:
             indices[path] = index_file(sentences, db, path,
                                        phase1_diagnostics=phase1)
         except Exception as err:  # the per-file backstop, as in consult_file
-            # An index with the file's database but no calls, so that
-            # link does not index it again.
-            indices[path] = FileIndex(path, [], sentences, db,
+            # An index with the file's database and sentences, whose
+            # calls link still checks.
+            indices[path] = FileIndex(path, sentences, db,
                                       [*phase1, internal_error(path, err)])
     index, link_diags = link(indices, loader)
     # A file that others include is consulted once more for each includer,

@@ -273,12 +273,13 @@ def test_outline_machine(project, capsys):
 
 
 def test_pushback_rule_defines_its_nonterminal(project, capsys):
-    root = project({"pb.pl": "greeting, [x] --> [hello].\nfoo --> greeting.\n"})
-    assert run(["check", root], capsys) == (0, "", "")
-    code, out, _ = run(["outline", os.path.join(root, "pb.pl")], capsys)
-    assert code == 0
-    assert out.splitlines() == ["1:1 DcgNonterminal greeting//0",
-                                "2:1 DcgNonterminal foo//0"]
+    for pushback in ("[x]", '"x"'):
+        root = project({"pb.pl": f"greeting, {pushback} --> [hello].\nfoo --> greeting.\n"})
+        assert run(["check", root], capsys) == (0, "", ""), pushback
+        code, out, _ = run(["outline", os.path.join(root, "pb.pl")], capsys)
+        assert code == 0
+        assert out.splitlines() == ["1:1 DcgNonterminal greeting//0",
+                                    "2:1 DcgNonterminal foo//0"], pushback
 
 
 def test_an_operator_is_not_seen_by_a_file_that_does_not_import_it(project, capsys):

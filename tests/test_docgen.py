@@ -166,6 +166,16 @@ def test_anchor_names_url_escaped(project):
     assert "%20" in match.group(1)
 
 
+def test_module_doc_block_on_the_file_page(project):
+    _, _, out_dir, _ = build_docs(project, {
+        "geo.pl": "% Author: Maria\n% Description: Geometry helpers.\n"
+                  ":- module(geo, []).\n"})
+    page = read(os.path.join(out_dir, "geo.html"))
+    assert ('<p>Module: <code>geo</code></p>\n<dl><dt class="tag">Author:</dt>'
+            '<dd>Maria</dd><dt class="tag">Description:</dt>'
+            '<dd>Geometry helpers.</dd></dl>') in page
+
+
 def test_import_cross_links(project):
     _, _, out_dir, _ = build_docs(project, {
         "a.pl": ":- module(a, []).\n:- use_module(b).\n",

@@ -337,6 +337,10 @@ def test_functor_both_directions():
     assert to_tuple(r["T"])[:2] == ("compound", "point")
     r = solutions("functor(T, foo, 0)", db)[0]
     assert r["T"].name == "foo"
+    r = solutions("functor(foo, N, A)", db)[0]
+    assert (r["N"].name, r["A"].value) == ("foo", 0)
+    r = solutions("functor(3, N, A)", db)[0]
+    assert (r["N"].value, r["A"].value) == (3, 0)
 
 
 def test_arg_and_univ():
@@ -350,6 +354,11 @@ def test_arg_and_univ():
           [("atom", "a"),
            ("compound", ".", [("atom", "b"), ("atom", "[]")])])])
     assert solutions("T =.. [g, 1]", db)[0]["T"].name == "g"
+    assert to_tuple(solutions("foo =.. L", db)[0]["L"]) == (
+        "compound", ".", [("atom", "foo"), ("atom", "[]")])
+    assert to_tuple(solutions("3 =.. L", db)[0]["L"]) == (
+        "compound", ".", [("int", 3), ("atom", "[]")])
+    assert to_tuple(solutions("X =.. [a]", db)[0]["X"]) == ("atom", "a")
     for goal, kind in [("T =.. [g|_]", "instantiation_error"),
                        ("T =.. foo", "type_error"),
                        ("T =.. [g|b]", "type_error")]:
@@ -366,6 +375,11 @@ def test_control_constructs():
     # if-then-else commits to the first condition solution
     assert solutions("(p(X) -> true ; fail)", db)[0]["X"].value == 1
     assert solutions("(p(9) -> X = yes ; X = no)", db)[0]["X"].name == "no"
+    # if-then without else fails when its condition fails, and else
+    # commits to the first condition solution
+    assert solutions("( true -> X = 1 )", db)[0]["X"].value == 1
+    assert solutions("( fail -> X = 1 )", db) == []
+    assert [r["X"].value for r in solutions("( p(X) -> true )", db)] == [1]
 
 
 def test_call():

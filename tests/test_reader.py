@@ -109,6 +109,9 @@ def test_dcg_pushback_head_defines_the_nonterminal():
     sentence = read_one("p(X), [] --> q(X).")
     assert to_tuple(sentence.head) == ("compound", "p", [("var", "X")])
     assert sentence.indicator == ("p", 3)
+    sentence = read_one('greeting, "x" --> [hello].')
+    assert to_tuple(sentence.head) == ("atom", "greeting")
+    assert sentence.indicator == ("greeting", 2)
 
 
 def test_dcg_head_with_a_non_list_after_the_comma_is_the_whole_head():

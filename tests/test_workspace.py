@@ -115,9 +115,8 @@ def test_undefined_predicate_error(project):
 def test_did_you_mean_arity_neighbor(project):
     model, _ = build(project, {
         "a.pl": "p(1, 2).\nq :- p(1).\n"})
-    diags = by_code(model, "undefined_predicate")
-    assert len(diags) == 1
-    assert any("p/2" in message for _, message in diags[0].related)
+    (diag,) = by_code(model, "undefined_predicate")
+    assert diag.related == [(diag.span, "did you mean p/2?")]
 
 
 def test_import_makes_predicate_visible(project):
@@ -274,6 +273,41 @@ def test_a_nonterminal_is_no_plain_predicate(project):
         file, offset = at(model, root, "a.pl", needle)
         info = hover(file, offset, "definition", model)
         assert info is not None and info.text == "g defined at a.pl:1"
+
+
+def span_of(diagnostic):
+    span = diagnostic.span
+    return span.start_line, span.start_col, span.end_line, span.end_col
+
+
+def test_an_undefined_call_in_dcg_braces_is_reported_at_the_call(project):
+    model, root = build(project, {
+        "d.pl": "g --> [x], { nothere(1) }, h.\nh --> [].\n"})
+    assert [(d.code, d.message, span_of(d), d.data) for d in model.diagnostics] == [
+        ("undefined_predicate", "undefined predicate nothere/1", (1, 14, 1, 24),
+         {"name": "nothere", "arity": 1, "file": fpath(root, "d.pl")})]
+
+
+def test_undefined_calls_under_control_constructs_are_each_reported_once(project):
+    model, _ = build(project, {
+        "a.pl": "p(X) :- ( u1 ; u2 -> u3 ), \\+ u4(X), call(u5), call(X).\n"})
+    diags = by_code(model, "undefined_predicate")
+    assert [d.message for d in diags] == [
+        f"undefined predicate {ind}" for ind in ("u1/0", "u2/0", "u3/0", "u4/1", "u5/0")]
+    assert [span_of(d)[1] for d in diags] == [11, 16, 22, 31, 43]
+
+
+def test_link_reports_the_calls_of_a_file_whose_indexing_failed(project, monkeypatch):
+    original = workspace.index_file
+
+    def failing(sentences, db, file, *rest, **kwargs):
+        if file.endswith("bad.pl"):
+            raise RuntimeError("index defect")
+        return original(sentences, db, file, *rest, **kwargs)
+
+    monkeypatch.setattr(workspace, "index_file", failing)
+    model, _ = build(project, {"bad.pl": "p :- nothere.\n"})
+    assert [d.code for d in model.diagnostics] == ["internal_error", "undefined_predicate"]
 
 
 def test_diagnostics_deterministic_under_file_order(project, monkeypatch):
@@ -481,7 +515,7 @@ def test_built_model_is_acyclic(tmp_path):
             gc.enable()
 
 
-def test_built_model_builds_spans_only_for_sentences_and_calls(tmp_path):
+def test_built_model_builds_spans_only_for_sentences_imports_and_diagnostics(tmp_path):
     def live_spans():
         return sum(1 for obj in gc.get_objects() if type(obj) is SourceSpan)
 
@@ -491,9 +525,9 @@ def test_built_model_builds_spans_only_for_sentences_and_calls(tmp_path):
     model = build_project(str(tmp_path))
     files = model.index.files.values()
     sentences = sum(len(index.sentences) for index in files)
-    calls = sum(len(index.calls) for index in files)
-    assert sentences > 0 and calls > 0
-    assert live_spans() - before <= sentences + calls
+    imports = sum(len(index.db.imports) for index in files)
+    assert sentences > 0 and imports > 0 and model.diagnostics
+    assert live_spans() - before <= sentences + imports + len(model.diagnostics)
 
 
 # --- completion -----------------------------------------------------------
@@ -548,7 +582,7 @@ def test_hover_on_library_import(project):
         assert info is not None and info.text == text, needle
 
 
-def test_library_import_target_is_indexed_once(project, monkeypatch):
+def test_library_import_target_is_read_once_and_not_indexed(project, monkeypatch):
     files = []
     original = workspace.index_file
 
@@ -557,8 +591,27 @@ def test_library_import_target_is_indexed_once(project, monkeypatch):
         return original(sentences, db, file, *args, **kwargs)
 
     monkeypatch.setattr(workspace, "index_file", counted)
-    build(project, LIBRARY_PROJECT, **LIBRARY_CONFIG)
-    assert sorted(files) == ["a.pl", "b.pl", "c.pl", "util.pl"]
+    model, root = build(project, LIBRARY_PROJECT, **LIBRARY_CONFIG)
+    assert sorted(files) == ["a.pl", "b.pl", "c.pl"]
+    # its index is the loader's one cached consult, shared by all importers
+    util = fpath(root, "lib/util.pl")
+    db, sentences, _ = model.loader.consult_file(util)
+    library = model.index.libraries[util]
+    assert library.db is db and library.sentences is sentences
+
+
+def test_complete_module_names_in_a_use_module_directive(project):
+    model, root = build(project, {
+        "a.pl": ":- use_module(ge).\n",
+        "geo.pl": ":- module(geo, []).\n",
+        "gems.pl": ":- module(gems, []).\n",
+        "plain.pl": "get(1).\n"})
+    items = complete_at(model, root, "a.pl", "use_module(ge")
+    assert [(i.label, i.synopsis) for i in items if i.kind == "Module"] == [
+        ("gems", "module in gems.pl"), ("geo", "module in geo.pl")]
+    # outside the directive no module is offered
+    items = complete_at(model, root, "plain.pl", "ge")
+    assert not [i for i in items if i.kind == "Module"]
 
 
 def test_complete_builtin_member(project):
