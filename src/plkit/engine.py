@@ -182,7 +182,8 @@ def consult_tokens(source: str, tokens: list[tuple], lex_diags: list[Diagnostic]
                    ) -> tuple[list[Sentence], list[Diagnostic]]:
     """Phase I over the tokens of `source`: read sentences, consulting
     each before the next is parsed so directives reshape the grammar
-    mid-file."""
+    mid-file. The list `tokens` is consumed: the reader clears the tokens
+    of the sentences it has read."""
     reader = Reader(source, tokens, db, file_id)
     # The reader appends its parse errors here too, so they interleave with
     # the consult diagnostics in source order.
@@ -403,8 +404,11 @@ def _load_into(goal: Compound, db: Database, loader: Loader,
     db.loaded_files.add(path)
     try:
         source = _read_text(path)
-    except OSError as err:
-        return [_warn(target.span, "file_not_found", str(err))]
+    except (OSError, UnicodeDecodeError) as err:
+        # resolve found the file; an error here leaves the includer's own
+        # sentences to be read
+        return [_error(target.span, "unreadable_file",
+                       f"cannot read {pretty_print(target)}: {err}")]
     loader.include_chain.append(path)
     try:
         _, diagnostics = consult_source(source, db, loader, path)

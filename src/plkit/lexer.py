@@ -11,7 +11,14 @@ gap between two tokens, so that joining their texts gives the source back.
 Every offset below `OFFSET_BOUND` is one shared int object, taken from a
 module-level table: a project's model holds each offset value once, not once
 per token of every file. Larger offsets are fresh ints; the bound keeps the
-table small for a program that lexes one long file.
+table small for a program that lexes one long file. Past the bound, a token
+or comment with no layout before it takes the previous one's end, the same
+int object, as its start.
+
+The reader consumes the token list it is given: it clears the tokens of
+the sentences it has read once more than `reader.CLEAR_EVERY` (2048) have
+gathered, so a consult holds at most that many plus one sentence's beyond
+those still unread.
 
 Tokenization itself is context-free; whether an atom token is an operator
 is decided by the reader, against the operator table in force at the
@@ -326,6 +333,8 @@ def tokenize(source: str, file_id: str = "<string>") -> tuple[list[tuple], list[
             start, end = offsets[start], offsets[end]
         elif start < bound:
             start = offsets[start]
+        elif start == pos:  # no layout before it: share the previous end
+            start = pos
         kind = plain_kinds[group]
         if kind is not None:
             append((kind, source[start:end], start, end, None))

@@ -215,13 +215,35 @@ def _sequence(opening: str, items: list, tail, closing: str) -> list:
     return pieces
 
 
+# str() refuses an int of more digits than sys.get_int_max_str_digits(),
+# which is never below 640; an int of at most this many bits has fewer.
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of `n`, of any size, without changing the
+    interpreter's digit limit: a long `n` is split by a power of ten, about
+    half its digits, and each part converted the same way."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    # n has about 0.3 digits per bit, so k splits them about in half
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _fmt_atomic(term: Term) -> str:
     if isinstance(term, Var):
         return term.name
     if isinstance(term, Atom):
         return atom_text(term.name)
     if isinstance(term, Int):
-        return str(term.value)
+        try:
+            return str(term.value)
+        except ValueError:  # more digits than str() converts
+            return _decimal(term.value)
     if isinstance(term, Float):
         return repr(term.value)
     if isinstance(term, Str):

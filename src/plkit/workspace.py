@@ -251,13 +251,15 @@ def _file_exports(index: FileIndex) -> set[tuple[str, int]]:
 
 
 def _link_file(index: FileIndex, indices: dict[str, FileIndex],
-               exporters: dict[tuple[str, int], list[str]],
+               exported_arities: dict[str, list[int]],
                outside: dict[str, Optional[FileIndex]],
                loader: Optional[Loader],
                ) -> tuple[dict[tuple[str, int], str], list[Diagnostic]]:
     """Resolve one file's imports and calls: the predicates its imports
     make visible, each with its exporting file (the first import wins), and
-    the file's link diagnostics."""
+    the file's link diagnostics. An undefined call's "did you mean" names
+    the smallest other arity under its name that the file defines or sees,
+    or that some file exports (`exported_arities`)."""
     diagnostics: list[Diagnostic] = []
     visible: dict[tuple[str, int], str] = {}
     for record in index.db.imports:
@@ -305,6 +307,8 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
     # declared-but-undefined dynamic predicates are legitimate call targets
     local = {ind for ind, entry in index.db.predicates.items()
              if entry.clauses or "dynamic" in entry.properties}
+    # name -> arities of local and visible, built at the first undefined call
+    own_arities: Optional[dict[str, list[int]]] = None
     for sentence in index.sentences:
         body = sentence.body
         if body is None or sentence.indicator is None:
@@ -315,10 +319,15 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
             name, arity = key
             span = goal.span
             related = []
-            neighbors = sorted(other for known, other in local.union(visible, exporters)
-                               if known == name and other != arity)
+            if own_arities is None:
+                own_arities = {}
+                for known, other in (*local, *visible):
+                    own_arities.setdefault(known, []).append(other)
+            neighbors = [other for other in (*own_arities.get(name, ()),
+                                             *exported_arities.get(name, ()))
+                         if other != arity]
             if neighbors:
-                related = [(span, f"did you mean {name}/{neighbors[0]}?")]
+                related = [(span, f"did you mean {name}/{min(neighbors)}?")]
             diagnostics.append(
                 Diagnostic(
                     Severity.ERROR,
@@ -345,13 +354,16 @@ def link(indices: dict[str, FileIndex],
     for path in sorted(indices):
         for key in sorted(_file_exports(indices[path])):
             exporters.setdefault(key, []).append(path)
+    exported_arities: dict[str, list[int]] = {}
+    for name, arity in exporters:
+        exported_arities.setdefault(name, []).append(arity)
 
     visible: dict[str, dict[tuple[str, int], str]] = {}
     outside: dict[str, Optional[FileIndex]] = {}
     for path in sorted(indices):
         try:
             visible[path], file_diags = _link_file(indices[path], indices,
-                                                   exporters, outside, loader)
+                                                   exported_arities, outside, loader)
             diagnostics.extend(file_diags)
         except Exception as err:  # the per-file backstop, as in consult_file
             diagnostics.append(internal_error(path, err))

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -120,10 +121,36 @@ def test_unknown_directive_warns():
     assert diagnostics[0].code == "unknown_directive"
 
 
+# One directive per check that rejects a directive's argument (an
+# unresolved use_module/1 is test_use_module_unresolved_warns): the code of
+# each diagnostic and the text of the term it is reported on.
+_REJECTED_DIRECTIVES = [
+    (":- 1.", [("malformed_directive", "1")]),
+    (":- op(foo, xfx, ===).", [("malformed_directive", "foo")]),
+    (":- op(700, 1, ===).", [("malformed_directive", "1")]),
+    (":- op(700, xfx, [===, 2]).", [("malformed_directive", "2")]),
+    (":- module(1, []).", [("malformed_directive", "1")]),
+    (":- module(m, foo).", [("malformed_directive", "foo")]),
+    (":- module(m, [foo]).", [("malformed_directive", "foo")]),
+    (":- use_module(no_such_file, foo).", [("malformed_directive", "foo")]),
+    (":- use_module(no_such_file, [foo]).",
+     [("malformed_directive", "foo"), ("file_not_found", "no_such_file")]),
+    (":- dynamic(foo).", [("malformed_directive", "foo")]),
+    (":- include(no_such_file).", [("file_not_found", "no_such_file")]),
+    (":- ensure_loaded(no_such_file).", [("file_not_found", "no_such_file")]),
+    (":- set_prolog_flag(1, codes).", [("malformed_directive", "1")]),
+]
+
+
 def test_malformed_directive_errors():
-    _, _, diagnostics = load(":- op(foo, xfx, ===).\n")
-    assert any(d.code == "malformed_directive" and d.severity == Severity.ERROR
-               for d in diagnostics)
+    severity = {"malformed_directive": Severity.ERROR,
+                "file_not_found": Severity.WARNING}
+    for text, expected in _REJECTED_DIRECTIVES:
+        _, sentences, diagnostics = load(text + "\n")
+        assert [(d.code, text[d.span.start_offset:d.span.end_offset])
+                for d in diagnostics] == expected, text
+        assert all(d.severity is severity[d.code] for d in diagnostics), text
+        assert [s.kind for s in sentences] == ["directive"], text
 
 
 def test_set_prolog_flag():
@@ -194,6 +221,30 @@ def test_ensure_loaded_is_idempotent(tmp_path):
     assert str(other) in db.loaded_files
 
 
+def test_a_consult_holds_one_sentences_tokens_beyond_those_unread():
+    """The reader consumes its token list: consulting a fact file peaks
+    below the tokens' own size plus half of what the consult keeps, where
+    a reader that held every token until the end would peak at their sum."""
+    source = "".join(f"row({k}, {k * 7919 % 10 ** 6}, w{k}).\n" for k in range(3000))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tokens = tokenize(source, "rows.pl")
+        token_size = tracemalloc.get_traced_memory()[0] - base
+        del tokens
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = consult_source(source, Database(), Loader(), "rows.pl")
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(result[0]) == 3000 and not result[1]
+    assert peak - base < token_size + (live - base) / 2
+
+
 # --- solver ---------------------------------------------------------------
 
 
@@ -201,6 +252,17 @@ def test_fact_query():
     db, _, _ = load("likes(mary, wine).\nlikes(john, beer).\n")
     results = solutions("likes(mary, X)", db)
     assert [to_tuple(r["X"]) for r in results] == [("atom", "wine")]
+
+
+def test_an_integer_past_the_str_digit_limit_prints():
+    db, _, _ = load("p(0, X, X).\n"
+                    "p(N, A, X) :- N > 0, M is N - 1, B is A * 10, p(M, B, X).\n")
+    (answer,) = solutions("p(5000, 1, X)", db)
+    assert pretty_print(answer["X"]) == "1" + "0" * 5000
+    with pytest.raises(PrologError) as caught:
+        solutions("p(5000, 1, X), call(X)", db)
+    assert caught.value.kind == "type_error"
+    assert caught.value.message.endswith(": 1" + "0" * 5000)
 
 
 def test_rule_chaining_and_multiple_solutions():

@@ -206,6 +206,18 @@ def test_offsets_past_the_bound_stay_exact(straddler):
     assert "".join(t.text for t in view) == source
 
 
+def test_past_the_bound_a_token_after_no_layout_shares_the_previous_end():
+    source = " " * OFFSET_BOUND + "foo('a\\n',[1|T]).%c\nbar(0'x). baz."
+    tokens, diagnostics = tokenize(source)
+    assert not diagnostics
+    tokens.sort(key=lambda tok: tok[2])
+    adjacent = [(prev, tok) for prev, tok in zip(tokens, tokens[1:])
+                if tok[2] == prev[3]]
+    assert len(adjacent) == len(tokens) - 3  # all but foo, bar and baz
+    for prev, tok in adjacent:
+        assert tok[2] is prev[3], (prev, tok)
+
+
 def test_a_built_model_holds_at_most_one_object_per_offset(tmp_path):
     make_corpus(str(tmp_path), 50)
     model = build_project(str(tmp_path))

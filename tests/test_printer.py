@@ -1,3 +1,6 @@
+import decimal
+import random
+
 from conftest import read_term
 from plkit.database import Database
 from plkit.printer import atom_needs_quote, pretty_print, sentence_text
@@ -41,6 +44,17 @@ def test_numbers_and_strings():
     assert pp(Int(-7)) == "-7"
     assert pp(Float(2.5)) == "2.5"
     assert pp(Str('say "hi"')) == '"say \\"hi\\""'
+
+
+def test_integers_of_any_size_print_in_decimal():
+    """str() refuses an int of more than 4300 digits by default; the
+    printer splits it instead. `decimal` converts without that limit."""
+    rng = random.Random(7)
+    for digits in (1, 600, 640, 4300, 4301, 5001, 20000):
+        low = 10 ** (digits - 1)
+        for n in (low, 10 * low - 1, rng.randrange(low, 10 * low), 10 * low // 3):
+            for value in (n, -n):
+                assert pp(Int(value)) == str(decimal.Decimal(value)), (digits, value < 0)
 
 
 def test_operator_notation_restored():

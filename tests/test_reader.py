@@ -7,7 +7,7 @@ from plkit.database import Database, OperatorDef
 from plkit.engine import Loader, consult_source
 from plkit.lexer import tokenize
 from plkit.printer import pretty_print
-from plkit.reader import Reader
+from plkit.reader import CLEAR_EVERY, Reader
 from plkit.terms import Atom, Compound, Int, OpApply, Var
 from term_gen import TermGen, to_tuple
 from test_acceptance import make_corpus
@@ -422,6 +422,22 @@ def test_consumed_end_is_past_the_sentence_read_or_skipped():
     assert reader.consumed_end == 14
     reader.read_sentence()
     assert reader.consumed_end == 17 and reader.at_eof()
+
+
+def test_the_reader_clears_the_tokens_it_has_read():
+    # a sentence read, 5 tokens, and one skipped by error recovery, 3
+    source = "p(1). f(. " * CLEAR_EVERY
+    tokens, _ = tokenize(source, "<t>")
+    reader = Reader(source, tokens, Database(), "<t>")
+    assert reader.toks is tokens  # consumed, not copied
+    while not reader.at_eof():
+        reader.read_sentence()
+        assert tokens[reader.i - 1] is not None  # consumed_end reads it
+        behind = reader.i - 2 - CLEAR_EVERY
+        assert behind < 0 or tokens[behind] is None
+    assert reader.consumed_end == len(source) - 1
+    assert len(reader.diagnostics) == CLEAR_EVERY
+    assert sum(tok is not None for tok in tokens) <= CLEAR_EVERY + 2
 
 
 @pytest.mark.parametrize("buffer, end", [

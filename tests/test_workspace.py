@@ -113,10 +113,21 @@ def test_undefined_predicate_error(project):
 
 
 def test_did_you_mean_arity_neighbor(project):
-    model, _ = build(project, {
-        "a.pl": "p(1, 2).\nq :- p(1).\n"})
-    (diag,) = by_code(model, "undefined_predicate")
-    assert diag.related == [(diag.span, "did you mean p/2?")]
+    cases = [
+        ({"a.pl": "p(1, 2).\nq :- p(1).\n"}, "p/2"),
+        # the only neighbour is exported by a file that a.pl does not import
+        ({"a.pl": "q :- p(1).\n", "b.pl": ":- module(b, [p/3]).\np(1, 2, 3).\n"},
+         "p/3"),
+        # defined, imported and exported elsewhere: the smallest other arity
+        ({"a.pl": ":- use_module(b).\np(1, 2, 3).\nq :- p(1).\n",
+          "b.pl": ":- module(b, [p/4]).\np(1, 2, 3, 4).\n",
+          "c.pl": "p(1).\np(1, 2).\n"}, "p/2"),
+    ]
+    for n, (files, neighbor) in enumerate(cases):
+        root = project({f"{n}/{name}": text for name, text in files.items()})
+        model = build_project(os.path.join(root, str(n)))
+        (diag,) = by_code(model, "undefined_predicate")
+        assert diag.related == [(diag.span, f"did you mean {neighbor}?")], n
 
 
 def test_import_makes_predicate_visible(project):
@@ -242,6 +253,26 @@ def test_an_include_cycle_is_a_diagnostic_on_the_directive(project, files):
         start = source.index(":- include(") + len(":- include(")
         assert (d.span.start_offset, d.span.end_offset) == (start, start + 1)
         assert d.severity == Severity.ERROR
+
+
+@pytest.mark.parametrize("directive", ["include", "ensure_loaded"])
+def test_a_loaded_file_that_is_not_utf8_keeps_the_loading_files_sentences(
+        project, tmp_path, directive):
+    root = project({"main.pl": f":- {directive}(bad).\nfoo(1).\nbar :- foo(1), baz.\n"})
+    (tmp_path / "bad.pl").write_bytes(b"x(\xff).\n")
+    model = build_project(root)
+    main = fpath(root, "main.pl")
+    found = sorted((os.path.basename(d.span.file_id), d.code) for d in model.diagnostics)
+    assert found == [("bad.pl", "internal_error"), ("main.pl", "undefined_predicate"),
+                     ("main.pl", "unreadable_file")]
+    (unreadable,) = by_code(model, "unreadable_file")
+    assert unreadable.severity == Severity.ERROR
+    start = model.sources[main].index("bad")
+    assert (unreadable.span.file_id, unreadable.span.start_offset,
+            unreadable.span.end_offset) == (main, start, start + 3)
+    assert "baz/0" in by_code(model, "undefined_predicate")[0].message
+    assert [s.indicator for s in model.index.files[main].sentences][1:] == [
+        ("foo", 1), ("bar", 0)]
 
 
 def test_ensure_loaded_of_the_file_being_consulted_is_no_cycle(project):
