@@ -221,7 +221,7 @@ def test_ensure_loaded_is_idempotent(tmp_path):
     assert str(other) in db.loaded_files
 
 
-def test_a_consult_holds_one_sentences_tokens_beyond_those_unread():
+def test_a_consult_frees_tokens_as_it_reads():
     """The reader consumes its token list: consulting a fact file peaks
     below the tokens' own size plus half of what the consult keeps, where
     a reader that held every token until the end would peak at their sum."""
