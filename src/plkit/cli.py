@@ -82,24 +82,21 @@ def print_diagnostics(diagnostics: list[Diagnostic], fmt: str, out) -> bool:
     return failed
 
 
-def _to_offset(source: str, line: int, col: int):
-    if line < 1 or col < 1:
-        return None
-    lines = source.split("\n")
-    if line > len(lines):
-        return None
-    if col > len(lines[line - 1]) + 1:
-        return None
-    return sum(len(l) + 1 for l in lines[: line - 1]) + col - 1
+def _root_command_model(args) -> tuple[ProjectModel, str] | int:
+    """The project model and the output format of a command on a project
+    root, or the exit code of a root that is not a directory."""
+    if not os.path.isdir(args.root):
+        sys.stderr.write(f"error: {args.root!r} is not a directory\n")
+        return EXIT_FAILURE
+    config, fmt = read_config(args.root, args)
+    return build_project(args.root, config), fmt
 
 
 def cmd_check(args, out) -> int:
-    root = args.root
-    if not os.path.isdir(root):
-        sys.stderr.write(f"error: {root!r} is not a directory\n")
-        return EXIT_FAILURE
-    config, fmt = read_config(root, args)
-    model = build_project(root, config)
+    result = _root_command_model(args)
+    if isinstance(result, int):
+        return result
+    model, fmt = result
     failed = print_diagnostics(model.diagnostics, fmt, out)
     has_errors = failed or any(d.severity == Severity.ERROR
                                for d in model.diagnostics)
@@ -122,6 +119,23 @@ def _file_command_model(args) -> tuple[ProjectModel, str, str] | int:
     return model, file, fmt
 
 
+def _position_command_model(args) -> tuple[ProjectModel, str, int, str] | int:
+    """The project model, the file, the offset of the 1-based line:col and
+    the output format of a command at a position in one file, or the exit
+    code of a bad file or position."""
+    result = _file_command_model(args)
+    if isinstance(result, int):
+        return result
+    model, file, fmt = result
+    lines = model.sources[file].split("\n")
+    if not (1 <= args.line <= len(lines)
+            and 1 <= args.col <= len(lines[args.line - 1]) + 1):
+        sys.stderr.write("error: position out of range\n")
+        return EXIT_FAILURE
+    offset = sum(len(l) + 1 for l in lines[: args.line - 1]) + args.col - 1
+    return model, file, offset, fmt
+
+
 def cmd_outline(args, out) -> int:
     result = _file_command_model(args)
     if isinstance(result, int):
@@ -139,15 +153,10 @@ def cmd_outline(args, out) -> int:
 
 
 def cmd_hover(args, out) -> int:
-    result = _file_command_model(args)
+    result = _position_command_model(args)
     if isinstance(result, int):
         return result
-    model, file, fmt = result
-    source = model.sources[file]
-    offset = _to_offset(source, args.line, args.col)
-    if offset is None:
-        sys.stderr.write("error: position out of range\n")
-        return EXIT_FAILURE
+    model, file, offset, fmt = result
     info = hover(file, offset, args.mode, model)
     if info is None:
         return EXIT_OK
@@ -160,15 +169,10 @@ def cmd_hover(args, out) -> int:
 
 
 def cmd_complete(args, out) -> int:
-    result = _file_command_model(args)
+    result = _position_command_model(args)
     if isinstance(result, int):
         return result
-    model, file, fmt = result
-    source = model.sources[file]
-    offset = _to_offset(source, args.line, args.col)
-    if offset is None:
-        sys.stderr.write("error: position out of range\n")
-        return EXIT_FAILURE
+    model, file, offset, fmt = result
     for item in complete(file, offset, model):
         if fmt == "machine":
             out.write("\t".join([item.label, item.kind,
@@ -199,12 +203,10 @@ def _match_selector(diag: Diagnostic, selector: str) -> bool:
 
 
 def cmd_fix(args, out) -> int:
-    root = args.root
-    if not os.path.isdir(root):
-        sys.stderr.write(f"error: {root!r} is not a directory\n")
-        return EXIT_FAILURE
-    config, _ = read_config(root, args)
-    model = build_project(root, config)
+    result = _root_command_model(args)
+    if isinstance(result, int):
+        return result
+    model, _ = result
     matches = [d for d in model.diagnostics if _match_selector(d, args.selector)]
     if len(matches) != 1:
         sys.stderr.write(
@@ -236,14 +238,14 @@ def cmd_fix(args, out) -> int:
         chosen = fixes[args.index]
     try:
         updated = apply_fix(chosen, model.sources)
-    except StaleFixError as err:
+        for file, _, _ in chosen.edits:
+            with open(file, "w", encoding="utf-8") as fh:
+                fh.write(updated[file])
+    except (StaleFixError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_FAILURE
-    for file, _, _ in chosen.edits:
-        with open(file, "w", encoding="utf-8") as fh:
-            fh.write(updated[file])
     before = sum(1 for d in model.diagnostics if d.severity == Severity.ERROR)
-    rebuilt = build_project(root, config)
+    rebuilt = build_project(args.root, model.config)
     after = sum(1 for d in rebuilt.diagnostics if d.severity == Severity.ERROR)
     out.write(f"applied: {chosen.title}\n")
     out.write(f"errors: {before} -> {after}\n")
@@ -251,12 +253,11 @@ def cmd_fix(args, out) -> int:
 
 
 def cmd_doc(args, out) -> int:
-    root = args.root
-    if not os.path.isdir(root):
-        sys.stderr.write(f"error: {root!r} is not a directory\n")
-        return EXIT_FAILURE
-    model = build_project(root, read_config(root, args)[0])
-    out_dir = args.out or os.path.join(root, model.config.doc_out)
+    result = _root_command_model(args)
+    if isinstance(result, int):
+        return result
+    model, _ = result
+    out_dir = args.out or os.path.join(args.root, model.config.doc_out)
     docs = project_docs(model)
     try:
         written = generate_html(model, docs, out_dir)

@@ -73,36 +73,38 @@ class Loader:
         # `:- include` has consulted into its database, innermost last.
         self.include_chain: list[str] = []
 
-    def resolve(self, target: Term, base_dir: str) -> Optional[str]:
-        names: list[str] = []
-        search: list[str] = []
+    def resolve(self, goal: Compound, diagnostics: list[Diagnostic]) -> Optional[str]:
+        """The file that the target of the loading directive `goal` names:
+        library(Name) in the library paths, any other name in the
+        directive's directory and then in them. When there is none, a
+        `file_not_found` warning on the target goes on `diagnostics`."""
+        target = goal.args[0]
         if isinstance(target, Compound) and target.name == "library" and target.arity == 1:
-            inner = target.args[0]
-            if not isinstance(inner, (Atom, Str)):
-                return None
-            name = inner.name if isinstance(inner, Atom) else inner.value
-            names = [name, name + ".pl"]
-            search = list(self.library_paths)
-        elif isinstance(target, (Atom, Str)):
-            name = target.name if isinstance(target, Atom) else target.value
-            names = [name, name + ".pl"] if not name.endswith(".pl") else [name]
-            search = [base_dir] + list(self.library_paths)
+            inner, search = target.args[0], self.library_paths
         else:
-            return None
-        for directory in search:
-            for candidate in names:
-                path = os.path.normpath(os.path.join(directory, candidate))
-                if os.path.isfile(path):
-                    return path
+            base_dir = os.path.dirname(goal.span.file_id) if goal.span else ""
+            inner, search = target, (base_dir or ".", *self.library_paths)
+        if isinstance(inner, (Atom, Str)):
+            name = inner.name if isinstance(inner, Atom) else inner.value
+            names = [name] if inner is target and name.endswith(".pl") else [name, name + ".pl"]
+            for directory in search:
+                for candidate in names:
+                    path = os.path.normpath(os.path.join(directory, candidate))
+                    if os.path.isfile(path):
+                        return path
+        diagnostics.append(_warn(target.span, "file_not_found",
+                                 f"cannot resolve {pretty_print(target)}"))
         return None
 
     def consult_file(self, path: str):
-        """Parse `path` into its own database; cached and cycle-safe.
+        """Parse `path` into (its own database, sentences, diagnostics);
+        cached and cycle-safe: None for a file still loading.
 
-        An OSError from reading the file propagates. Any other exception
-        raised while reading, lexing or consulting it (a file that is not
-        UTF-8, or a defect in plkit) becomes an `internal_error` diagnostic
-        on the file, so that one file cannot stop the analysis of the others.
+        A file that cannot be read or is not UTF-8 gives an empty database
+        and one `unreadable_file` error on its start. Any exception raised
+        while consulting it is a defect in plkit, and becomes an
+        `internal_error` diagnostic on the file, so that one file cannot
+        stop the analysis of the others.
         """
         path = os.path.abspath(path)
         if path in self._cache:
@@ -113,12 +115,13 @@ class Loader:
         outer_chain, self.include_chain = self.include_chain, [path]
         try:
             db = Database()
+            sentences: list[Sentence] = []
             try:
-                source = _read_text(path)
-                self._sources[path] = source
-                sentences, diagnostics = consult_source(source, db, self, path)
-            except OSError:
-                raise
+                source, diagnostics = _read_source(path, file_start(path),
+                                                   os.path.basename(path))
+                if not diagnostics:
+                    self._sources[path] = source
+                    sentences, diagnostics = consult_source(source, db, self, path)
             except Exception as err:  # the per-file backstop
                 sentences, diagnostics = [], [internal_error(path, err)]
             result = (db, sentences, diagnostics)
@@ -140,9 +143,16 @@ def internal_error(path: str, err: Exception) -> Diagnostic:
                   f"internal error ({type(err).__name__} at {where}): {err}")
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _read_source(path: str, span: SourceSpan,
+                name: str) -> tuple[str, list[Diagnostic]]:
+    """The text of the source file `path` and no diagnostics, or "" and one
+    `unreadable_file` error on `span`, naming the file `name`, when it
+    cannot be read or is not UTF-8. The one place a source file is read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read(), []
+    except (OSError, UnicodeDecodeError) as err:
+        return "", [_error(span, "unreadable_file", f"cannot read {name}: {err}")]
 
 
 # --- consulting -----------------------------------------------------------
@@ -339,11 +349,8 @@ def _dir_use_module(goal: Compound, db: Database, loader: Loader) -> list[Diagno
             indicators.append(indicator)
     record = ImportRecord(target, indicators, goal.span)
     db.imports.append(record)
-    base_dir = os.path.dirname(goal.span.file_id) if goal.span else "."
-    path = loader.resolve(target, base_dir or ".")
+    path = loader.resolve(goal, diagnostics)
     if path is None:
-        diagnostics.append(_warn(target.span, "file_not_found",
-                                 f"cannot resolve {pretty_print(target)}"))
         return diagnostics
     record.resolved_file = path
     loaded = loader.consult_file(path)
@@ -389,11 +396,10 @@ def _dir_ensure_loaded(goal: Compound, db: Database, loader: Loader) -> list[Dia
 def _load_into(goal: Compound, db: Database, loader: Loader,
                once_only: bool) -> list[Diagnostic]:
     target = goal.args[0]
-    base_dir = os.path.dirname(goal.span.file_id) if goal.span else "."
-    path = loader.resolve(target, base_dir or ".")
+    diagnostics: list[Diagnostic] = []
+    path = loader.resolve(goal, diagnostics)
     if path is None:
-        return [_warn(target.span, "file_not_found",
-                      f"cannot resolve {pretty_print(target)}")]
+        return diagnostics
     if once_only and path in db.loaded_files:
         return []
     if path in loader.include_chain:  # already being consulted into db
@@ -402,13 +408,10 @@ def _load_into(goal: Compound, db: Database, loader: Loader,
         return [_error(target.span, "include_cycle",
                        f"{pretty_print(target)} is already being included")]
     db.loaded_files.add(path)
-    try:
-        source = _read_text(path)
-    except (OSError, UnicodeDecodeError) as err:
-        # resolve found the file; an error here leaves the includer's own
-        # sentences to be read
-        return [_error(target.span, "unreadable_file",
-                       f"cannot read {pretty_print(target)}: {err}")]
+    # a file that cannot be read leaves the includer's own sentences to read
+    source, unreadable = _read_source(path, target.span, pretty_print(target))
+    if unreadable:
+        return unreadable
     loader.include_chain.append(path)
     try:
         _, diagnostics = consult_source(source, db, loader, path)
@@ -528,8 +531,11 @@ class _Compiled:
 
 # A clause keeps the template walker unless its shape has fewer nodes than
 # _CODE_NODES and it nests a compound holding a variable less deep than
-# _CODE_DEPTH: its code nests a block per head level and two brackets per
-# level of a term it builds, and Python's parser refuses 100 of either.
+# _CODE_DEPTH. The head binds: its code nests an indented block per level of
+# a head argument, and Python refuses 100 levels of indentation. A term the
+# code builds is written compound by compound into flat temporaries, so a
+# body term nests no code; its depth is bounded only by the generator's own
+# recursion (`term`, `match`, `_evaluable`) and so by Python's.
 _CODE_NODES = 400
 _CODE_DEPTH = 24
 # a clause shape -> its generated code, made on the first clause of the shape

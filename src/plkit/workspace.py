@@ -24,7 +24,7 @@ from .engine import BUILTIN_INDICATORS, Loader, Solver, internal_error
 from .lexer import ATOM_KINDS, tokenize
 from .printer import atom_text, pretty_print
 from .reader import Sentence
-from .spans import LineIndex, SourceSpan, file_start
+from .spans import LineIndex, SourceSpan
 from .terms import Atom, Compound, OpApply, Term, indicator_of
 
 
@@ -252,7 +252,7 @@ def _file_exports(index: FileIndex) -> set[tuple[str, int]]:
 
 def _link_file(index: FileIndex, indices: dict[str, FileIndex],
                exported_arities: dict[str, list[int]],
-               outside: dict[str, Optional[FileIndex]],
+               outside: dict[str, FileIndex],
                loader: Optional[Loader],
                ) -> tuple[dict[tuple[str, int], str], list[Diagnostic]]:
     """Resolve one file's imports and calls: the predicates its imports
@@ -266,13 +266,12 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
         path = record.resolved_file
         target_index = indices.get(path) if path else None
         if target_index is None and path and loader is not None:
-            # a file outside `indices`, read once per link call and not
+            # a file outside `indices`, indexed once per link call and not
             # checked: its index is the loader's cached consult
-            if path not in outside:
-                cached = loader.consult_file(path)
-                outside[path] = (None if cached is None
-                                 else FileIndex(path, cached[1], cached[0], cached[2]))
-            target_index = outside[path]
+            target_index = outside.get(path)
+            if target_index is None:
+                db, sentences, phase1 = loader.consult_file(path)
+                target_index = outside[path] = FileIndex(path, sentences, db, phase1)
         if target_index is None:
             diagnostics.append(
                 Diagnostic(
@@ -347,8 +346,9 @@ def link(indices: dict[str, FileIndex],
     each file's clause and DCG bodies for its calls. This is the one place
     imports are resolved: check reports what it finds, and completion offers
     the predicates it makes visible. An import target outside `indices` is
-    read from the loader once per call and kept in the result's
-    `libraries`; no FileIndex is changed."""
+    indexed once per call from the loader's cached consult, which a finished
+    load holds for every target, and kept in the result's `libraries`; no
+    FileIndex is changed."""
     diagnostics: list[Diagnostic] = []
     exporters: dict[tuple[str, int], list[str]] = {}
     for path in sorted(indices):
@@ -359,7 +359,7 @@ def link(indices: dict[str, FileIndex],
         exported_arities.setdefault(name, []).append(arity)
 
     visible: dict[str, dict[tuple[str, int], str]] = {}
-    outside: dict[str, Optional[FileIndex]] = {}
+    outside: dict[str, FileIndex] = {}
     for path in sorted(indices):
         try:
             visible[path], file_diags = _link_file(indices[path], indices,
@@ -367,8 +367,7 @@ def link(indices: dict[str, FileIndex],
             diagnostics.extend(file_diags)
         except Exception as err:  # the per-file backstop, as in consult_file
             diagnostics.append(internal_error(path, err))
-    libraries = {path: found for path, found in outside.items() if found is not None}
-    return GlobalIndex(dict(indices), exporters, visible, libraries), diagnostics
+    return GlobalIndex(dict(indices), exporters, visible, outside), diagnostics
 
 
 def discover_files(root: str, config: ProjectConfig) -> list[str]:
@@ -430,17 +429,10 @@ def _build_project(root: str, config: Optional[ProjectConfig]) -> ProjectModel:
     files = discover_files(root, config)
     indices: dict[str, FileIndex] = {}
     sources: dict[str, str] = {}
-    extra: list[Diagnostic] = []
     for path in files:
-        try:
-            # the loader caches, so files pulled in early as import targets
-            # are read, tokenized, and consulted exactly once
-            consulted = loader.consult_file(path)
-        except OSError as err:
-            extra.append(Diagnostic(Severity.ERROR, "unreadable_file",
-                                    str(err), file_start(path)))
-            continue
-        db, sentences, phase1 = consulted
+        # the loader caches, so files pulled in early as import targets are
+        # read, tokenized, and consulted exactly once
+        db, sentences, phase1 = loader.consult_file(path)
         path = os.path.abspath(path)
         sources[path] = loader.source_of(path) or ""
         try:
@@ -456,7 +448,7 @@ def _build_project(root: str, config: Optional[ProjectConfig]) -> ProjectModel:
     # which gives its phase I diagnostics again: each is reported once.
     unique = {(*sort_key(d), d.severity): d
               for fi in indices.values() for d in fi.diagnostics}
-    diagnostics = sorted([*unique.values(), *link_diags, *extra], key=sort_key)
+    diagnostics = sorted([*unique.values(), *link_diags], key=sort_key)
     return ProjectModel(
         root=os.path.abspath(root),
         config=config,

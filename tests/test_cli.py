@@ -216,8 +216,9 @@ def test_check_reports_non_utf8_file(project, capsys, tmp_path):
     assert code == 1
     lines = sorted(line.split("\t") for line in out.splitlines())
     assert [(f[0].rsplit(os.sep, 1)[-1], f[6]) for f in lines] == [
-        ("a.pl", "undefined_predicate"), ("bad.pl", "internal_error")]
-    assert "UnicodeDecodeError" in lines[1][7]
+        ("a.pl", "undefined_predicate"), ("bad.pl", "unreadable_file")]
+    assert lines[1][1:3] == ["1", "1"]
+    assert "codec can't decode byte 0xff" in lines[1][7]
 
 
 def test_check_missing_root_exit_two(project, capsys):
@@ -345,6 +346,23 @@ def test_fix_list_then_apply(project, capsys):
 
     code, _, _ = run(["check", root], capsys)
     assert code == 0
+
+
+def test_fix_apply_reports_a_file_it_cannot_write(project, capsys, monkeypatch):
+    root = project({
+        "a.pl": "main :- f(1).\n",
+        "b.pl": ":- module(b, [f/1]).\nf(1).\n",
+    })
+
+    def read_only(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", read_only, raising=False)
+    code, out, err = run(["fix", root, "undefined_predicate", "--apply"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 13] Permission denied: {os.path.join(root, 'a.pl')!r}\n"
 
 
 def test_fix_selector_must_be_unique(project, capsys):

@@ -221,6 +221,21 @@ def test_ensure_loaded_is_idempotent(tmp_path):
     assert str(other) in db.loaded_files
 
 
+@pytest.mark.parametrize("content", [None, b"p(\xff).\n"], ids=["missing", "not_utf8"])
+def test_an_unreadable_file_is_a_cached_consult(tmp_path, content):
+    path = tmp_path / "bad.pl"
+    if content is not None:
+        path.write_bytes(content)
+    loader = Loader()
+    first = loader.consult_file(str(path))
+    db, sentences, diagnostics = first
+    assert (db.predicates, sentences) == ({}, [])
+    assert [(d.code, d.span.start_offset, d.span.end_offset) for d in diagnostics] == [
+        ("unreadable_file", 0, 0)]
+    assert diagnostics[0].message.startswith("cannot read bad.pl: ")
+    assert loader.consult_file(str(path)) is first
+
+
 def test_a_consult_frees_tokens_as_it_reads():
     """The reader consumes its token list: consulting a fact file peaks
     below the tokens' own size plus half of what the consult keeps, where

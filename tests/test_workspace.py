@@ -4,7 +4,7 @@ import os
 import pytest
 from test_acceptance import make_corpus
 
-from plkit import workspace
+from plkit import engine, workspace
 from plkit.diagnostics import Severity
 from plkit.lexer import ATOM_KINDS, Token, lossless
 from plkit.spans import SourceSpan
@@ -263,9 +263,9 @@ def test_a_loaded_file_that_is_not_utf8_keeps_the_loading_files_sentences(
     model = build_project(root)
     main = fpath(root, "main.pl")
     found = sorted((os.path.basename(d.span.file_id), d.code) for d in model.diagnostics)
-    assert found == [("bad.pl", "internal_error"), ("main.pl", "undefined_predicate"),
+    assert found == [("bad.pl", "unreadable_file"), ("main.pl", "undefined_predicate"),
                      ("main.pl", "unreadable_file")]
-    (unreadable,) = by_code(model, "unreadable_file")
+    (unreadable,) = [d for d in by_code(model, "unreadable_file") if d.span.file_id == main]
     assert unreadable.severity == Severity.ERROR
     start = model.sources[main].index("bad")
     assert (unreadable.span.file_id, unreadable.span.start_offset,
@@ -273,6 +273,38 @@ def test_a_loaded_file_that_is_not_utf8_keeps_the_loading_files_sentences(
     assert "baz/0" in by_code(model, "undefined_predicate")[0].message
     assert [s.indicator for s in model.index.files[main].sentences][1:] == [
         ("foo", 1), ("bar", 0)]
+
+
+def test_a_project_file_that_is_not_utf8_is_unreadable_on_its_start(project, tmp_path):
+    root = project({"ok.pl": "p.\n"})
+    (tmp_path / "bad.pl").write_bytes(b"p(\xff).\n")
+    model = build_project(root)
+    (diagnostic,) = model.diagnostics
+    assert (diagnostic.code, diagnostic.severity) == ("unreadable_file", Severity.ERROR)
+    assert span_of(diagnostic) == (1, 1, 1, 1)
+    assert diagnostic.span.file_id == fpath(root, "bad.pl")
+    assert diagnostic.message == ("cannot read bad.pl: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 2: invalid start byte")
+
+
+def test_an_unreadable_import_target_leaves_the_importer_its_own_diagnostics(
+        project, monkeypatch):
+    root = project({"a.pl": ":- use_module(b).\np(X).\n",
+                    "b.pl": ":- module(b, [q/0]).\nq.\n"})
+    a, b = fpath(root, "a.pl"), fpath(root, "b.pl")
+
+    def denied(file, *args, **kwargs):
+        if file == b:
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "open", denied, raising=False)
+    model = build_project(root)
+    assert a in model.index.files
+    assert [(d.span.file_id, span_of(d)[:2], d.code) for d in model.diagnostics] == [
+        (a, (2, 3), "singleton_variable"), (b, (1, 1), "unreadable_file")]
+    assert model.diagnostics[1].message == (
+        f"cannot read b.pl: [Errno 13] Permission denied: {b!r}")
 
 
 def test_ensure_loaded_of_the_file_being_consulted_is_no_cycle(project):
