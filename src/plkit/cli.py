@@ -30,8 +30,9 @@ EXIT_ERRORS = 1
 EXIT_FAILURE = 2
 
 
-class ConfigError(Exception):
-    """A plkit.cfg that cannot be read or holds a bad value."""
+class CommandError(Exception):
+    """A command that cannot run as asked: a bad argument or plkit.cfg, or
+    a file it cannot write. `main` prints the message after `error: `."""
 
 
 def read_config(root: str, args) -> tuple[ProjectConfig, str]:
@@ -48,13 +49,13 @@ def read_config(root: str, args) -> tuple[ProjectConfig, str]:
                         key, _, value = line.partition("=")
                         values.setdefault(key.strip(), []).append(value.strip())
         except (OSError, UnicodeDecodeError) as err:
-            raise ConfigError(f"cannot read {path}: {err}") from None
+            raise CommandError(f"cannot read {path}: {err}") from None
     cap = values.get("cap", ["50"])[0]
     if not cap.isdecimal() or int(cap) < 1:
-        raise ConfigError(f"{path}: cap must be an integer >= 1, not {cap!r}")
+        raise CommandError(f"{path}: cap must be an integer >= 1, not {cap!r}")
     fmt = args.format or values.get("format", ["human"])[0]
     if fmt not in ("human", "machine"):
-        raise ConfigError(f"{path}: format must be human or machine, not {fmt!r}")
+        raise CommandError(f"{path}: format must be human or machine, not {fmt!r}")
     config = ProjectConfig(globs=tuple(args.glob or values.get("glob", ())) or ("**/*.pl",),
                            library_paths=tuple(args.lib or values.get("lib", ())),
                            completion_cap=int(cap),
@@ -82,65 +83,53 @@ def print_diagnostics(diagnostics: list[Diagnostic], fmt: str, out) -> bool:
     return failed
 
 
-def _root_command_model(args) -> tuple[ProjectModel, str] | int:
+def _root_command_model(args) -> tuple[ProjectModel, str]:
     """The project model and the output format of a command on a project
-    root, or the exit code of a root that is not a directory."""
+    root."""
     if not os.path.isdir(args.root):
-        sys.stderr.write(f"error: {args.root!r} is not a directory\n")
-        return EXIT_FAILURE
+        raise CommandError(f"{args.root!r} is not a directory")
     config, fmt = read_config(args.root, args)
     return build_project(args.root, config), fmt
 
 
 def cmd_check(args, out) -> int:
-    result = _root_command_model(args)
-    if isinstance(result, int):
-        return result
-    model, fmt = result
+    model, fmt = _root_command_model(args)
     failed = print_diagnostics(model.diagnostics, fmt, out)
     has_errors = failed or any(d.severity == Severity.ERROR
                                for d in model.diagnostics)
     return EXIT_ERRORS if has_errors else EXIT_OK
 
 
-def _file_command_model(args) -> tuple[ProjectModel, str, str] | int:
+def _file_command_model(args) -> tuple[ProjectModel, str, str]:
     """The project model, the file and the output format of a command on
-    one file, or the exit code of a bad file."""
+    one file of the project."""
     file = os.path.abspath(args.file)
     if not os.path.isfile(file):
-        sys.stderr.write(f"error: {file!r} is not a file\n")
-        return EXIT_FAILURE
+        raise CommandError(f"{file!r} is not a file")
     root = os.path.abspath(args.root) if args.root else os.path.dirname(file)
+    if not os.path.isdir(root):
+        raise CommandError(f"project root {root!r} is not a directory")
     config, fmt = read_config(root, args)
     model = build_project(root, config)
     if model.file_index(file) is None:
-        sys.stderr.write(f"error: {file!r} is not part of the project\n")
-        return EXIT_FAILURE
+        raise CommandError(f"{file!r} is not part of the project")
     return model, file, fmt
 
 
-def _position_command_model(args) -> tuple[ProjectModel, str, int, str] | int:
+def _position_command_model(args) -> tuple[ProjectModel, str, int, str]:
     """The project model, the file, the offset of the 1-based line:col and
-    the output format of a command at a position in one file, or the exit
-    code of a bad file or position."""
-    result = _file_command_model(args)
-    if isinstance(result, int):
-        return result
-    model, file, fmt = result
+    the output format of a command at a position in one file."""
+    model, file, fmt = _file_command_model(args)
     lines = model.sources[file].split("\n")
     if not (1 <= args.line <= len(lines)
             and 1 <= args.col <= len(lines[args.line - 1]) + 1):
-        sys.stderr.write("error: position out of range\n")
-        return EXIT_FAILURE
+        raise CommandError("position out of range")
     offset = sum(len(l) + 1 for l in lines[: args.line - 1]) + args.col - 1
     return model, file, offset, fmt
 
 
 def cmd_outline(args, out) -> int:
-    result = _file_command_model(args)
-    if isinstance(result, int):
-        return result
-    model, file, fmt = result
+    model, file, fmt = _file_command_model(args)
     for item in outline(file, model):
         s = item.target_span
         if fmt == "machine":
@@ -153,10 +142,7 @@ def cmd_outline(args, out) -> int:
 
 
 def cmd_hover(args, out) -> int:
-    result = _position_command_model(args)
-    if isinstance(result, int):
-        return result
-    model, file, offset, fmt = result
+    model, file, offset, fmt = _position_command_model(args)
     info = hover(file, offset, args.mode, model)
     if info is None:
         return EXIT_OK
@@ -169,10 +155,7 @@ def cmd_hover(args, out) -> int:
 
 
 def cmd_complete(args, out) -> int:
-    result = _position_command_model(args)
-    if isinstance(result, int):
-        return result
-    model, file, offset, fmt = result
+    model, file, offset, fmt = _position_command_model(args)
     for item in complete(file, offset, model):
         if fmt == "machine":
             out.write("\t".join([item.label, item.kind,
@@ -203,18 +186,12 @@ def _match_selector(diag: Diagnostic, selector: str) -> bool:
 
 
 def cmd_fix(args, out) -> int:
-    result = _root_command_model(args)
-    if isinstance(result, int):
-        return result
-    model, _ = result
+    model, _ = _root_command_model(args)
     matches = [d for d in model.diagnostics if _match_selector(d, args.selector)]
     if len(matches) != 1:
-        sys.stderr.write(
-            f"error: selector matches {len(matches)} diagnostics (need exactly 1)\n"
-        )
-        for diag in matches:
-            sys.stderr.write("  " + diag.human_line() + "\n")
-        return EXIT_FAILURE
+        raise CommandError("\n  ".join(
+            [f"selector matches {len(matches)} diagnostics (need exactly 1)",
+             *(diag.human_line() for diag in matches)]))
     diagnostic = matches[0]
     fixes = quick_fixes(diagnostic, model)
     if not fixes:
@@ -224,26 +201,21 @@ def cmd_fix(args, out) -> int:
         for i, fix in enumerate(fixes):
             out.write(f"[{i}] {fix.title}\n")
         return EXIT_OK
-    if args.index is None:
-        if len(fixes) > 1:
-            sys.stderr.write("error: multiple fixes, pick one with --index\n")
-            for i, fix in enumerate(fixes):
-                sys.stderr.write(f"  [{i}] {fix.title}\n")
-            return EXIT_FAILURE
-        chosen = fixes[0]
-    else:
-        if not 0 <= args.index < len(fixes):
-            sys.stderr.write(f"error: fix index {args.index} out of range\n")
-            return EXIT_FAILURE
-        chosen = fixes[args.index]
+    if args.index is None and len(fixes) > 1:
+        raise CommandError("\n  ".join(
+            ["multiple fixes, pick one with --index",
+             *(f"[{i}] {fix.title}" for i, fix in enumerate(fixes))]))
+    index = args.index or 0
+    if not 0 <= index < len(fixes):
+        raise CommandError(f"fix index {args.index} out of range")
+    chosen = fixes[index]
     try:
         updated = apply_fix(chosen, model.sources)
         for file, _, _ in chosen.edits:
             with open(file, "w", encoding="utf-8") as fh:
                 fh.write(updated[file])
     except (StaleFixError, OSError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_FAILURE
+        raise CommandError(err) from None
     before = sum(1 for d in model.diagnostics if d.severity == Severity.ERROR)
     rebuilt = build_project(args.root, model.config)
     after = sum(1 for d in rebuilt.diagnostics if d.severity == Severity.ERROR)
@@ -253,17 +225,13 @@ def cmd_fix(args, out) -> int:
 
 
 def cmd_doc(args, out) -> int:
-    result = _root_command_model(args)
-    if isinstance(result, int):
-        return result
-    model, _ = result
+    model, _ = _root_command_model(args)
     out_dir = args.out or os.path.join(args.root, model.config.doc_out)
     docs = project_docs(model)
     try:
         written = generate_html(model, docs, out_dir)
     except OSError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_FAILURE
+        raise CommandError(err) from None
     # misplaced and duplicate doc blocks: warnings, so the exit code stays 0
     print_diagnostics(docs.diagnostics, "human", sys.stderr)
     for path in written:
@@ -345,7 +313,7 @@ def main(argv=None) -> int:
         # collector is paused, so the collector never walks it.
         with collector_paused():
             return args.func(args, sys.stdout)
-    except (FileNotFoundError, ConfigError) as err:
+    except CommandError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_FAILURE
 

@@ -238,24 +238,31 @@ def _proper_list(term: Term) -> Optional[list[Term]]:
 def _parse_indicator(term: Term) -> Optional[PredicateIndicator]:
     if (
         isinstance(term, Compound)
-        and term.name == "/"
+        and term.name in ("/", "//")
         and term.arity == 2
         and isinstance(term.args[0], Atom)
         and isinstance(term.args[1], Int)
         and term.args[1].value >= 0
     ):
-        return PredicateIndicator(term.args[0].name, term.args[1].value)
-    # name//arity: DCG nonterminal, resolvable at arity+2
-    if (
-        isinstance(term, Compound)
-        and term.name == "//"
-        and term.arity == 2
-        and isinstance(term.args[0], Atom)
-        and isinstance(term.args[1], Int)
-        and term.args[1].value >= 0
-    ):
-        return PredicateIndicator(term.args[0].name, term.args[1].value + 2)
+        # name//arity: DCG nonterminal, resolvable at arity+2
+        extra = 2 if term.name == "//" else 0
+        return PredicateIndicator(term.args[0].name, term.args[1].value + extra)
     return None
+
+
+def _indicators(items: list[Term], what: str,
+                diagnostics: list[Diagnostic]) -> list[PredicateIndicator]:
+    """The predicate indicators among a directive's `items`; each other item
+    adds a `malformed_directive` error, "WHAT must be name/arity"."""
+    indicators = []
+    for item in items:
+        indicator = _parse_indicator(item)
+        if indicator is None:
+            diagnostics.append(_error(item.span, "malformed_directive",
+                                      f"{what} must be name/arity"))
+        else:
+            indicators.append(indicator)
+    return indicators
 
 
 def _error(span: SourceSpan, code: str, message: str) -> Diagnostic:
@@ -317,16 +324,8 @@ def _dir_module(goal: Compound, db: Database, loader: Loader) -> list[Diagnostic
     if exports is None:
         return [_error(exports_t.span, "malformed_directive",
                        "module exports must be a list")]
-    module = ModuleInfo(name)
     diagnostics: list[Diagnostic] = []
-    for item in exports:
-        indicator = _parse_indicator(item)
-        if indicator is None:
-            diagnostics.append(_error(item.span, "malformed_directive",
-                                      "export must be name/arity"))
-            continue
-        module.exports.add(indicator)
-    db.module = module
+    db.module = ModuleInfo(name, set(_indicators(exports, "export", diagnostics)))
     return diagnostics
 
 
@@ -339,14 +338,7 @@ def _dir_use_module(goal: Compound, db: Database, loader: Loader) -> list[Diagno
         if items is None:
             return [_error(goal.args[1].span, "malformed_directive",
                            "import list must be a list")]
-        indicators = []
-        for item in items:
-            indicator = _parse_indicator(item)
-            if indicator is None:
-                diagnostics.append(_error(item.span, "malformed_directive",
-                                          "import must be name/arity"))
-                continue
-            indicators.append(indicator)
+        indicators = _indicators(items, "import", diagnostics)
     record = ImportRecord(target, indicators, goal.span)
     db.imports.append(record)
     path = loader.resolve(goal, diagnostics)
@@ -373,24 +365,11 @@ def _dir_declare(prop: str):
         items = _proper_list(goal.args[0])
         if items is None:
             items = _comma_list(goal.args[0])
-        for item in items:
-            indicator = _parse_indicator(item)
-            if indicator is None:
-                diagnostics.append(_error(item.span, "malformed_directive",
-                                          f"{prop} argument must be name/arity"))
-                continue
+        for indicator in _indicators(items, f"{prop} argument", diagnostics):
             db.declare(indicator, prop)
         return diagnostics
 
     return handler
-
-
-def _dir_include(goal: Compound, db: Database, loader: Loader) -> list[Diagnostic]:
-    return _load_into(goal, db, loader, once_only=False)
-
-
-def _dir_ensure_loaded(goal: Compound, db: Database, loader: Loader) -> list[Diagnostic]:
-    return _load_into(goal, db, loader, once_only=True)
 
 
 def _load_into(goal: Compound, db: Database, loader: Loader,
@@ -436,8 +415,8 @@ _DIRECTIVES = {
     ("use_module", 2): _dir_use_module,
     ("dynamic", 1): _dir_declare("dynamic"),
     ("discontiguous", 1): _dir_declare("discontiguous"),
-    ("include", 1): _dir_include,
-    ("ensure_loaded", 1): _dir_ensure_loaded,
+    ("include", 1): lambda goal, db, loader: _load_into(goal, db, loader, False),
+    ("ensure_loaded", 1): lambda goal, db, loader: _load_into(goal, db, loader, True),
     ("set_prolog_flag", 2): _dir_set_flag,
 }
 
@@ -1791,8 +1770,10 @@ def repl(db: Database, inp, out, loader: Optional[Loader] = None,
             continue
         reader = Reader(buffer, tokens, db, "<repl>")
         sentence = reader.read_sentence()
-        buffer = buffer[reader.consumed_end:]
-        for diag in lex_diags + reader.diagnostics:
+        end = reader.consumed_end
+        buffer = buffer[end:]
+        # a later sentence's lexical errors are printed with that sentence
+        for diag in [d for d in lex_diags if d.span.start_offset < end] + reader.diagnostics:
             out.write(f"syntax error: {diag.message}\n")
         if sentence is None:
             continue
@@ -1809,7 +1790,7 @@ def repl(db: Database, inp, out, loader: Optional[Loader] = None,
                 cont = inp.readline()
                 if cont.strip() != ";":
                     if cont and cont.strip():
-                        buffer = cont + buffer
+                        buffer += cont  # typed after the rest of the buffer
                     break
             else:
                 out.write("false\n")

@@ -282,6 +282,19 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
                 )
             )
             continue
+        # a target whose own text could not be read: a consult with no
+        # sentence and an unreadable_file error
+        unreadable = None if target_index.sentences else next(
+            (d for d in target_index.diagnostics if d.code == "unreadable_file"), None)
+        if unreadable is not None:
+            # its exports are unknown, so what the import lists is visible;
+            # check reports no file outside the project, so the import does
+            if path not in indices:
+                diagnostics.append(Diagnostic(Severity.ERROR, "unreadable_file",
+                                              unreadable.message, record.span))
+            for indicator in record.indicators or ():
+                visible.setdefault(indicator, target_index.file)
+            continue
         available = _file_exports(target_index)
         wanted = available if record.indicators is None else record.indicators
         for indicator in wanted:

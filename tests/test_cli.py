@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import os
@@ -227,6 +228,105 @@ def test_check_missing_root_exit_two(project, capsys):
     assert "error" in err
 
 
+TWO_EXPORTERS = {
+    "a.pl": "main :- f(1).\n",
+    "b.pl": ":- module(b, [f/1]).\nf(1).\n",
+    "c.pl": ":- module(c, [f/1]).\nf(2).\n",
+}
+
+
+def _read_only(monkeypatch):
+    def read_only(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", read_only, raising=False)
+
+
+def _stale_fixes(monkeypatch):
+    fixes = cli.quick_fixes
+
+    def stale(diagnostic, model):
+        return [dataclasses.replace(fix, base_digests=dict.fromkeys(fix.base_digests, "0"))
+                for fix in fixes(diagnostic, model)]
+
+    monkeypatch.setattr(cli, "quick_fixes", stale)
+
+
+def _in(root, name):
+    return os.path.join(root, name)
+
+
+# (files, argv, stderr after "error: ", set-up), with {root} standing for the
+# project directory; each is a usage or environment failure: exit 2
+EXIT_TWO = {
+    "root is not a directory": (
+        CLEAN, ["check", "{root}/none"], lambda r: f"{_in(r, 'none')!r} is not a directory", None),
+    "file is not a file": (
+        CLEAN, ["outline", "{root}/none.pl"], lambda r: f"{_in(r, 'none.pl')!r} is not a file", None),
+    "file is not part of the project": (
+        {**CLEAN, "notes.txt": "p.\n"}, ["outline", "{root}/notes.txt"],
+        lambda r: f"{_in(r, 'notes.txt')!r} is not part of the project", None),
+    "--root is not a directory": (
+        CLEAN, ["hover", "{root}/a.pl", "1", "1", "--root", "{root}/none"],
+        lambda r: f"project root {_in(r, 'none')!r} is not a directory", None),
+    "line out of range": (
+        CLEAN, ["hover", "{root}/a.pl", "99", "1"], lambda r: "position out of range", None),
+    "column out of range": (
+        CLEAN, ["complete", "{root}/a.pl", "3", "99"], lambda r: "position out of range", None),
+    "selector matches no diagnostic": (
+        CLEAN, ["fix", "{root}", "undefined_predicate"],
+        lambda r: "selector matches 0 diagnostics (need exactly 1)", None),
+    "selector matches two diagnostics": (
+        {"a.pl": "m1 :- ghost(1).\n", "c.pl": "m2 :- ghost(2).\n"},
+        ["fix", "{root}", "undefined_predicate"],
+        lambda r: "selector matches 2 diagnostics (need exactly 1)\n"
+                  f"  {_in(r, 'a.pl')}:1:7: error: undefined predicate ghost/1 [undefined_predicate]\n"
+                  f"  {_in(r, 'c.pl')}:1:7: error: undefined predicate ghost/1 [undefined_predicate]",
+        None),
+    "several fixes and no --index": (
+        TWO_EXPORTERS, ["fix", "{root}", "undefined_predicate", "--apply"],
+        lambda r: "multiple fixes, pick one with --index\n"
+                  "  [0] Import f/1 from b.pl\n  [1] Import f/1 from c.pl", None),
+    "fix index out of range": (
+        TWO_EXPORTERS, ["fix", "{root}", "undefined_predicate", "--apply", "--index", "2"],
+        lambda r: "fix index 2 out of range", None),
+    "fix cannot write its file": (
+        TWO_EXPORTERS, ["fix", "{root}", "undefined_predicate", "--apply", "--index", "0"],
+        lambda r: f"[Errno 13] Permission denied: {_in(r, 'a.pl')!r}", _read_only),
+    "fix has gone stale": (
+        TWO_EXPORTERS, ["fix", "{root}", "undefined_predicate", "--apply", "--index", "1"],
+        lambda r: f"{_in(r, 'a.pl')} changed since the fix was computed", _stale_fixes),
+    "doc cannot write its output directory": (
+        {**CLEAN, "site": "a file\n"}, ["doc", "{root}", "--out", "{root}/site"],
+        lambda r: f"[Errno 17] File exists: {_in(r, 'site')!r}", None),
+    "plkit.cfg is not UTF-8": (
+        {**CLEAN, "plkit.cfg": "cap = \udcff\n"}, ["check", "{root}"],
+        lambda r: f"cannot read {_in(r, 'plkit.cfg')}: 'utf-8' codec can't decode "
+                  "byte 0xff in position 6: invalid start byte", None),
+    "plkit.cfg has a bad cap": (
+        {**CLEAN, "plkit.cfg": "cap = 0\n"}, ["check", "{root}"],
+        lambda r: f"{_in(r, 'plkit.cfg')}: cap must be an integer >= 1, not '0'", None),
+    "plkit.cfg has a bad format": (
+        {**CLEAN, "plkit.cfg": "format = xml\n"}, ["outline", "{root}/a.pl"],
+        lambda r: f"{_in(r, 'plkit.cfg')}: format must be human or machine, not 'xml'", None),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_TWO)
+def test_a_usage_failure_is_one_error_line_and_exit_two(capsys, tmp_path, monkeypatch,
+                                                        case):
+    files, argv, message, set_up = EXIT_TWO[case]
+    for name, content in files.items():  # "\udcff" writes the byte 0xff
+        (tmp_path / name).write_bytes(content.encode("utf-8", "surrogateescape"))
+    root = str(tmp_path)
+    if set_up is not None:
+        set_up(monkeypatch)
+    code, out, err = run([arg.replace("{root}", root) for arg in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message(root)}\n")
+
+
 def test_machine_format_from_config_file(project, capsys):
     root = project(dict(BROKEN, **{"plkit.cfg": "format=machine\n"}))
     _, out, _ = run(["check", root], capsys)
@@ -353,13 +453,7 @@ def test_fix_apply_reports_a_file_it_cannot_write(project, capsys, monkeypatch):
         "a.pl": "main :- f(1).\n",
         "b.pl": ":- module(b, [f/1]).\nf(1).\n",
     })
-
-    def read_only(file, mode="r", *args, **kwargs):
-        if "w" in mode:
-            raise PermissionError(13, "Permission denied", file)
-        return open(file, mode, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "open", read_only, raising=False)
+    _read_only(monkeypatch)
     code, out, err = run(["fix", root, "undefined_predicate", "--apply"], capsys)
     assert code == 2 and out == ""
     assert err == f"error: [Errno 13] Permission denied: {os.path.join(root, 'a.pl')!r}\n"

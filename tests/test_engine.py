@@ -1359,6 +1359,19 @@ def test_repl_two_goals_on_one_line():
     assert "Y = 2" in output
 
 
+def test_repl_answers_sentences_in_the_order_they_were_typed():
+    # Z = 3 is read while X = 1 waits for a ';', after Y = 2 was typed
+    assert run_repl("X = 1. Y = 2.\nZ = 3.\n") == (
+        "?- X = 1\ntrue\nY = 2\ntrue\nZ = 3\ntrue\n?- ")
+
+
+def test_repl_prints_a_lexical_error_once_with_its_own_sentence():
+    assert run_repl("X = 1. Y = \x01 .\n") == (
+        "?- X = 1\ntrue\n"
+        "syntax error: invalid character '\\x01'\n"
+        "syntax error: unexpected '\\x01' where a term was expected\n?- ")
+
+
 def test_repl_goal_split_over_two_lines():
     output = run_repl("X =\n 1.\n")
     assert "X = 1" in output

@@ -307,6 +307,31 @@ def test_an_unreadable_import_target_leaves_the_importer_its_own_diagnostics(
         f"cannot read b.pl: [Errno 13] Permission denied: {b!r}")
 
 
+def test_an_unreadable_import_target_makes_the_listed_predicates_visible(project):
+    # its exports are unknown: b.pl's own error is the only one
+    root = project({"a.pl": ":- use_module(b, [q/0]).\nmain :- q.\n"})
+    with open(fpath(root, "b.pl"), "wb") as fh:
+        fh.write(b":- module(b, [q/0]).\nq :- x(\xff).\n")
+    model = build_project(root)
+    assert [(d.span.file_id, span_of(d)[:2], d.code) for d in model.diagnostics] == [
+        (fpath(root, "b.pl"), (1, 1), "unreadable_file")]
+
+
+def test_an_unreadable_library_is_reported_on_its_import(tmp_path):
+    (tmp_path / "proj").mkdir()
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "proj" / "a.pl").write_text(
+        ":- use_module(library(util)).\nmain :- id(1).\n", encoding="utf-8")
+    (tmp_path / "lib" / "util.pl").write_bytes(b":- module(util, [id/1]).\nid(\xff).\n")
+    model = build_project(str(tmp_path / "proj"), ProjectConfig(library_paths=("../lib",)))
+    a = str(tmp_path / "proj" / "a.pl")
+    assert [(d.span.file_id, span_of(d)[:2], d.code) for d in model.diagnostics] == [
+        (a, (1, 4), "unreadable_file"), (a, (2, 9), "undefined_predicate")]
+    assert model.diagnostics[0].message == (
+        "cannot read util.pl: 'utf-8' codec can't decode byte 0xff in position 28: "
+        "invalid start byte")
+
+
 def test_ensure_loaded_of_the_file_being_consulted_is_no_cycle(project):
     # re-entry is the cycle; ensure_loaded of a file being consulted is not
     model, _ = build(project, {"a.pl": ":- ensure_loaded(a).\np.\n"})
