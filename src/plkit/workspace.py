@@ -44,10 +44,10 @@ class ProjectConfig:
 
 @dataclass
 class FileIndex:
-    """One file's model. Its consult's database holds the module, the
-    imports and the predicates, with the clauses of the files it includes;
-    phase II adds the file's own warnings to its phase I diagnostics. Link
-    reads the calls from the clause bodies in `sentences`."""
+    """One file's model: the loader's consult of it. Its database holds the
+    module, the imports and the predicates, with the clauses of the files
+    it includes; its diagnostics are phase I's. Link walks `sentences` for
+    the file's singleton, discontiguous and call diagnostics."""
 
     file: str
     sentences: list[Sentence]
@@ -163,7 +163,7 @@ class StaleFixError(Exception):
     pass
 
 
-# --- phase I + II ---------------------------------------------------------
+# --- phase II -------------------------------------------------------------
 
 # Goals whose arguments are goals in turn: the control constructs but cut
 _TRANSPARENT = frozenset(indicator for indicator, native in BUILTIN_INDICATORS.items()
@@ -193,51 +193,14 @@ def _walk_goals(body: Term, dcg: bool = False):
 def index_file(sentences: list[Sentence], db: Database, file: str,
                tokens: object = None,
                phase1_diagnostics: list[Diagnostic] = ()) -> FileIndex:
-    """Phase II: decorate one file's sentences, consulted into `db`, into a
-    FileIndex that adds the singleton and discontiguous clause warnings.
+    """Phase II: the one way to make a FileIndex, from one file's sentences
+    consulted into `db` and its phase I diagnostics. Link gives the file's
+    singleton, discontiguous and call diagnostics.
 
     `tokens` is unused, as the model keeps no tokens; it stays for callers
     that pass the phase I diagnostics positionally.
     """
-    diagnostics = list(phase1_diagnostics)
-
-    seen: set[PredicateIndicator] = set()
-    prev_indicator: Optional[PredicateIndicator] = None
-    for sentence in sentences:
-        if sentence.kind == "directive":
-            prev_indicator = None
-            continue
-        indicator = sentence.indicator
-        if indicator is None:
-            continue
-        # clause order interruption without a discontiguous declaration
-        if indicator in seen and prev_indicator not in (None, indicator):
-            entry = db.predicates[indicator]
-            if "discontiguous" not in entry.properties:
-                diagnostics.append(
-                    Diagnostic(
-                        Severity.WARNING,
-                        "discontiguous_clauses",
-                        f"clauses of {entry.display_label} are not together "
-                        "(missing discontiguous declaration?)",
-                        sentence.span,
-                    )
-                )
-        seen.add(indicator)
-        prev_indicator = indicator
-
-        for var in sentence.singletons:
-            if not var.name.startswith("_"):
-                diagnostics.append(
-                    Diagnostic(
-                        Severity.WARNING,
-                        "singleton_variable",
-                        f"singleton variable {var.name}",
-                        var.span,
-                    )
-                )
-
-    return FileIndex(file, sentences, db, diagnostics)
+    return FileIndex(file, sentences, db, list(phase1_diagnostics))
 
 
 # --- phase III + IV -------------------------------------------------------
@@ -253,25 +216,27 @@ def _file_exports(index: FileIndex) -> set[tuple[str, int]]:
 def _link_file(index: FileIndex, indices: dict[str, FileIndex],
                exported_arities: dict[str, list[int]],
                outside: dict[str, FileIndex],
-               loader: Optional[Loader],
+               loader: Loader,
                ) -> tuple[dict[tuple[str, int], str], list[Diagnostic]]:
     """Resolve one file's imports and calls: the predicates its imports
     make visible, each with its exporting file (the first import wins), and
-    the file's link diagnostics. An undefined call's "did you mean" names
-    the smallest other arity under its name that the file defines or sees,
-    or that some file exports (`exported_arities`)."""
+    the file's diagnostics past phase I, its singleton and discontiguous
+    warnings included. An undefined call's "did you mean" names the smallest
+    other arity under its name that the file defines or sees, or that some
+    file exports (`exported_arities`)."""
     diagnostics: list[Diagnostic] = []
     visible: dict[tuple[str, int], str] = {}
     for record in index.db.imports:
         path = record.resolved_file
         target_index = indices.get(path) if path else None
-        if target_index is None and path and loader is not None:
+        if target_index is None and path:
             # a file outside `indices`, indexed once per link call and not
             # checked: its index is the loader's cached consult
             target_index = outside.get(path)
             if target_index is None:
                 db, sentences, phase1 = loader.consult_file(path)
-                target_index = outside[path] = FileIndex(path, sentences, db, phase1)
+                target_index = outside[path] = index_file(
+                    sentences, db, path, phase1_diagnostics=phase1)
         if target_index is None:
             diagnostics.append(
                 Diagnostic(
@@ -321,10 +286,32 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
              if entry.clauses or "dynamic" in entry.properties}
     # name -> arities of local and visible, built at the first undefined call
     own_arities: Optional[dict[str, list[int]]] = None
+    seen: set[PredicateIndicator] = set()
+    prev_indicator: Optional[PredicateIndicator] = None
     for sentence in index.sentences:
+        if sentence.kind == "directive":
+            prev_indicator = None
+            continue
+        indicator = sentence.indicator
+        if indicator is None:
+            continue  # a head that is not callable
+        # clause order interruption without a discontiguous declaration
+        if indicator in seen and prev_indicator not in (None, indicator):
+            entry = index.db.predicates[indicator]
+            if "discontiguous" not in entry.properties:
+                diagnostics.append(Diagnostic(
+                    Severity.WARNING, "discontiguous_clauses",
+                    f"clauses of {entry.display_label} are not together "
+                    "(missing discontiguous declaration?)", sentence.span))
+        seen.add(indicator)
+        prev_indicator = indicator
+        for var in sentence.singletons:
+            if not var.name.startswith("_"):
+                diagnostics.append(Diagnostic(Severity.WARNING, "singleton_variable",
+                                              f"singleton variable {var.name}", var.span))
         body = sentence.body
-        if body is None or sentence.indicator is None:
-            continue  # a fact, a directive, or a head that is not callable
+        if body is None:
+            continue  # a fact
         for key, goal in _walk_goals(body, sentence.kind == "dcg_rule"):
             if key in local or key in BUILTIN_INDICATORS or key in visible:
                 continue
@@ -354,11 +341,12 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
 
 
 def link(indices: dict[str, FileIndex],
-         loader: Optional[Loader] = None) -> tuple[GlobalIndex, list[Diagnostic]]:
-    """Phase III: resolve calls and imports across all file indices, walking
-    each file's clause and DCG bodies for its calls. This is the one place
-    imports are resolved: check reports what it finds, and completion offers
-    the predicates it makes visible. An import target outside `indices` is
+         loader: Loader) -> tuple[GlobalIndex, list[Diagnostic]]:
+    """Phase III: resolve imports and calls across all file indices, in one
+    walk over each file's sentences that also gives its singleton variable
+    and discontiguous clause warnings. This is the one place imports are
+    resolved: check reports what it finds, and completion offers the
+    predicates it makes visible. An import target outside `indices` is
     indexed once per call from the loader's cached consult, which a finished
     load holds for every target, and kept in the result's `libraries`; no
     FileIndex is changed."""

@@ -172,6 +172,28 @@ def test_check_reports_internal_error_while_linking(project, capsys, monkeypatch
     assert "RuntimeError" in lines[1][7] and "link defect" in lines[1][7]
 
 
+def test_check_of_an_import_cycle_is_the_same_in_both_load_orders(project, capsys,
+                                                                   monkeypatch):
+    import plkit.workspace
+
+    # each file imports the other, so the second one loaded finds the first
+    # still loading
+    root = project({
+        "a.pl": ":- module(a, [p/0]).\n:- use_module(b).\np :- q(1).\n",
+        "b.pl": ":- module(b, [q/1]).\n:- use_module(a).\nq(X) :- p, nothere(X).\n"})
+    paths = [os.path.join(root, "a.pl"), os.path.join(root, "b.pl")]
+    outputs = []
+    for order in (paths, paths[::-1]):
+        monkeypatch.setattr(plkit.workspace, "discover_files",
+                            lambda root, config, order=order: order)
+        code, out, _ = run(["check", root, "--format=machine"], capsys)
+        assert code == 1
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert [line.split("\t")[6:] for line in outputs[0].splitlines()] == [
+        ["undefined_predicate", "undefined predicate nothere/1"]]
+
+
 def test_check_reports_internal_error_while_emitting(project, capsys, monkeypatch):
     from plkit.diagnostics import Diagnostic
 

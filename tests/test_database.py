@@ -61,6 +61,16 @@ def test_infix_postfix_conflict():
         table.add(OperatorDef("+", 400, "xf"))  # '+' is already infix
 
 
+def test_infix_after_postfix_conflict():
+    source = ":- op(200, xf, done).\n:- op(700, xfx, done).\n"
+    db = Database()
+    _, diagnostics = consult_source(source, db, Loader(), "<t>")
+    assert [(d.code, d.message) for d in diagnostics] == [
+        ("permission_error", "'done' already has a postfix definition")]
+    assert db.operators.postfix("done").priority == 200
+    assert db.operators.infix("done") is None
+
+
 def test_same_name_prefix_and_infix_coexist():
     table = OperatorTable()
     assert table.prefix("-") is not None

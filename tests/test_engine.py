@@ -418,6 +418,9 @@ def test_functor_both_directions():
     assert (r["N"].name, r["A"].value) == ("foo", 0)
     r = solutions("functor(3, N, A)", db)[0]
     assert (r["N"].value, r["A"].value) == (3, 0)
+    with pytest.raises(PrologError) as err:
+        solutions("functor(T, 1, 2)", db)
+    assert err.value.kind == "type_error"
 
 
 def test_arg_and_univ():

@@ -3,6 +3,7 @@ import random
 
 from conftest import read_term
 from plkit.database import Database
+from plkit.engine import Loader, consult_source
 from plkit.printer import atom_needs_quote, pretty_print, sentence_text
 from plkit.terms import Atom, Compound, Float, Int, Str, Var, make_list, struct_eq
 from term_gen import TermGen
@@ -87,6 +88,10 @@ def test_list_sugar():
     assert pp(make_list([Int(1), Int(2), Int(3)])) == "[1,2,3]"
     assert pp(make_list([Int(1)], Var("T", 1))) == "[1|T]"
     assert pp(Atom("[]")) == "[]"
+    # a compound tail is written after the bar, not as list sugar
+    tail = make_list([Atom("a")], Compound("f", [Atom("x")]))
+    assert pp(tail) == "[a|f(x)]"
+    assert struct_eq(roundtrip(tail), tail)
 
 
 def test_curly_sugar():
@@ -158,6 +163,16 @@ def test_respects_dynamic_operator_table():
     fresh = Database()
     assert pretty_print(term, fresh) == "===(a,b)"
     assert struct_eq(read_term("===(a,b)", fresh), term)
+
+
+def test_postfix_operator_printed_and_read_back():
+    db = Database()
+    _, diagnostics = consult_source(":- op(200, xf, done).\n", db, Loader(), "<t>")
+    assert diagnostics == []
+    term = read_term("p(a done)", db)
+    text = pretty_print(term, db)
+    assert text == "p(a done)"
+    assert struct_eq(read_term(text, db), term)
 
 
 def test_sentence_text_terminator():

@@ -548,6 +548,13 @@ def test_bar_is_no_operator():
     assert [s.indicator for s in sentences] == [("q", 0)]
 
 
+def test_curly_term_closed_by_a_parenthesis():
+    sentences, diagnostics = read_source("r({a).\nq.\n")
+    assert [(d.code, d.message) for d in diagnostics] == [
+        ("unbalanced_delimiter", "expected '}', found ')'")]
+    assert [s.indicator for s in sentences] == [("q", 0)]
+
+
 def test_read_terms_have_every_slot_set(tmp_path):
     make_corpus(str(tmp_path), 50)
     # every kind of term, the anonymous variable among them

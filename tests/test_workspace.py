@@ -412,6 +412,17 @@ def test_diagnostics_deterministic_under_file_order(project, monkeypatch):
             == [d.machine_line() for d in second.diagnostics])
 
 
+def test_an_imported_operator_that_clashes_with_the_importers_is_dropped(project):
+    model, root = build(project, {
+        "a.pl": ":- op(200, xf, done).\n:- use_module(b).\np(a done).\n",
+        "b.pl": ":- module(b, []).\n:- op(700, xfx, done).\nq(a done b).\n"})
+    # no diagnostic: the importer keeps its postfix `done`
+    assert model.diagnostics == []
+    operators = model.file_index(fpath(root, "a.pl")).db.operators
+    assert operators.postfix("done").priority == 200
+    assert operators.infix("done") is None
+
+
 # --- outline --------------------------------------------------------------
 
 
@@ -670,7 +681,7 @@ def test_hover_on_library_import(project):
         assert info is not None and info.text == text, needle
 
 
-def test_library_import_target_is_read_once_and_not_indexed(project, monkeypatch):
+def test_library_import_target_is_read_once_and_not_checked(project, monkeypatch):
     files = []
     original = workspace.index_file
 
@@ -679,8 +690,13 @@ def test_library_import_target_is_read_once_and_not_indexed(project, monkeypatch
         return original(sentences, db, file, *args, **kwargs)
 
     monkeypatch.setattr(workspace, "index_file", counted)
-    model, root = build(project, LIBRARY_PROJECT, **LIBRARY_CONFIG)
-    assert sorted(files) == ["a.pl", "b.pl", "c.pl"]
+    # the singleton in the library is not reported
+    model, root = build(project, {
+        **LIBRARY_PROJECT, "lib/util.pl": ":- module(util, [helper/1]).\nhelper(X).\n"},
+        **LIBRARY_CONFIG)
+    assert not model.diagnostics
+    # indexed once for its three importers
+    assert sorted(files) == ["a.pl", "b.pl", "c.pl", "util.pl"]
     # its index is the loader's one cached consult, shared by all importers
     util = fpath(root, "lib/util.pl")
     db, sentences, _ = model.loader.consult_file(util)
