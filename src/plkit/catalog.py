@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 
 _DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "builtin_catalog.txt")
 
 
-@dataclass
 class CatalogEntry:
-    synopsis: str
-    arguments: list[str]
+    __slots__ = ("synopsis", "arguments")
+
+    def __init__(self, synopsis: str, arguments: list[str]):
+        self.synopsis = synopsis
+        self.arguments = arguments
 
 
 def parse_catalog(text: str) -> dict[tuple[str, int], CatalogEntry]:

@@ -3,7 +3,6 @@ operator table, predicate database, module info, and flags."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import errors
@@ -15,24 +14,19 @@ from .terms import Term, indicator_of
 _CLASS_SLOT = {"fy": 0, "fx": 0, "xfx": 1, "xfy": 1, "yfx": 1, "xf": 2, "yf": 2}
 
 
-@dataclass(frozen=True)
 class OperatorDef:
-    name: str
-    priority: int
-    fixity: str
-    # The highest priority each argument may have: an x argument needs
-    # strictly lower priority than the operator, a y argument at most equal.
-    # left_max means something for infix and postfix operators, right_max
-    # for infix and prefix ones.
-    left_max: int = field(init=False, repr=False, compare=False)
-    right_max: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "priority", "fixity", "left_max", "right_max")
 
-    def __post_init__(self):
-        priority, fixity = self.priority, self.fixity
-        object.__setattr__(self, "left_max", priority - 1
-                           if fixity in ("xfy", "xfx", "xf") else priority)
-        object.__setattr__(self, "right_max", priority
-                           if fixity in ("xfy", "fy") else priority - 1)
+    def __init__(self, name: str, priority: int, fixity: str):
+        self.name = name
+        self.priority = priority
+        self.fixity = fixity
+        # The highest priority each argument may have: an x argument needs
+        # strictly lower priority than the operator, a y argument at most
+        # equal. left_max means something for infix and postfix operators,
+        # right_max for infix and prefix ones.
+        self.left_max = priority - 1 if fixity in ("xfy", "xfx", "xf") else priority
+        self.right_max = priority if fixity in ("xfy", "fy") else priority - 1
 
 
 # op(P, Fixity, Name) seed entries for a fresh table.
@@ -169,21 +163,27 @@ def predicate_label(indicator: tuple[str, int], dcg: bool) -> str:
     return f"{name}//{arity - 2}" if dcg else f"{name}/{arity}"
 
 
-@dataclass(slots=True)
 class Clause:
-    head: Term
-    body: Term
-    span: Optional[SourceSpan] = None
+    __slots__ = ("head", "body", "span")
+
+    def __init__(self, head: Term, body: Term, span: Optional[SourceSpan] = None):
+        self.head = head
+        self.body = body
+        self.span = span
 
 
-@dataclass
 class PredicateEntry:
-    indicator: PredicateIndicator
-    clauses: list[Clause] = field(default_factory=list)
-    properties: set[str] = field(default_factory=set)
-    # The solver's compiled form of `clauses`, built on the first call and
-    # dropped whenever a clause is added.
-    compiled: object = field(default=None, repr=False, compare=False)
+    __slots__ = ("indicator", "clauses", "properties", "compiled")
+
+    def __init__(self, indicator: PredicateIndicator,
+                 clauses: Optional[list[Clause]] = None,
+                 properties: Optional[set[str]] = None, compiled: object = None):
+        self.indicator = indicator
+        self.clauses = [] if clauses is None else clauses
+        self.properties = set() if properties is None else properties
+        # The solver's compiled form of `clauses`, built on the first call
+        # and dropped whenever a clause is added.
+        self.compiled = compiled
 
     @property
     def dcg(self) -> bool:
@@ -195,18 +195,26 @@ class PredicateEntry:
         return predicate_label(self.indicator, self.dcg)
 
 
-@dataclass
 class ImportRecord:
-    target: Term  # use_module argument as written
-    indicators: Optional[list[PredicateIndicator]]  # None = all
-    span: Optional[SourceSpan] = None
-    resolved_file: Optional[str] = None
+    __slots__ = ("target", "indicators", "span", "resolved_file")
+
+    def __init__(self, target: Term,
+                 indicators: Optional[list[PredicateIndicator]],
+                 span: Optional[SourceSpan] = None,
+                 resolved_file: Optional[str] = None):
+        self.target = target  # use_module argument as written
+        self.indicators = indicators  # None = all
+        self.span = span
+        self.resolved_file = resolved_file
 
 
-@dataclass
 class ModuleInfo:
-    name: str
-    exports: set[PredicateIndicator] = field(default_factory=set)
+    __slots__ = ("name", "exports")
+
+    def __init__(self, name: str,
+                 exports: Optional[set[PredicateIndicator]] = None):
+        self.name = name
+        self.exports = set() if exports is None else exports
 
 
 class Database:

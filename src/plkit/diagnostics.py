@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .spans import SourceSpan
 
@@ -14,15 +13,21 @@ class Severity(enum.Enum):
     INFO = "info"
 
 
-@dataclass
 class Diagnostic:
-    severity: Severity
-    code: str
-    message: str
-    span: SourceSpan
-    related: list[tuple[SourceSpan, str]] = field(default_factory=list)
-    # Structured payload for downstream consumers (quick fixes); not serialized.
-    data: dict = field(default_factory=dict)
+    __slots__ = ("severity", "code", "message", "span", "related", "data")
+
+    def __init__(self, severity: Severity, code: str, message: str,
+                 span: SourceSpan,
+                 related: list[tuple[SourceSpan, str]] | None = None,
+                 data: dict | None = None):
+        self.severity = severity
+        self.code = code
+        self.message = message
+        self.span = span
+        self.related = [] if related is None else related
+        # Structured payload for downstream consumers (quick fixes); not
+        # serialized.
+        self.data = {} if data is None else data
 
     def machine_line(self) -> str:
         """Tab-separated record: file, start_line, start_col, end_line,

@@ -12,7 +12,6 @@ import html
 import os
 import re
 import urllib.parse
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .database import PredicateEntry, predicate_label
@@ -27,12 +26,15 @@ RECOGNIZED_TAGS = ("Author:", "Arguments:", "Description:")
 _TAG_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*:)\s*(.*)$")
 
 
-@dataclass
 class DocBlock:
-    entries: list[tuple[str, str]]
-    target_kind: str  # "predicate" | "module"
-    target: Union[tuple[str, int], str]
-    display: str
+    __slots__ = ("entries", "target_kind", "target", "display")
+
+    def __init__(self, entries: list[tuple[str, str]], target_kind: str,
+                 target: Union[tuple[str, int], str], display: str):
+        self.entries = entries
+        self.target_kind = target_kind  # "predicate" | "module"
+        self.target = target
+        self.display = display
 
     def entry(self, tag: str) -> Optional[str]:
         for t, body in self.entries:
@@ -41,16 +43,21 @@ class DocBlock:
         return None
 
 
-@dataclass
 class FileDocs:
-    file: str
-    blocks: list[DocBlock] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("file", "blocks", "diagnostics")
+
+    def __init__(self, file: str, blocks: Optional[list[DocBlock]] = None,
+                 diagnostics: Optional[list[Diagnostic]] = None):
+        self.file = file
+        self.blocks = [] if blocks is None else blocks
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
-@dataclass
 class ProjectDocs:
-    per_file: dict[str, FileDocs]
+    __slots__ = ("per_file",)
+
+    def __init__(self, per_file: dict[str, FileDocs]):
+        self.per_file = per_file
 
     @property
     def blocks(self) -> list[DocBlock]:

@@ -6,8 +6,6 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-import traceback
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import errors, lexer
@@ -22,7 +20,7 @@ from .database import (
 from .diagnostics import Diagnostic, Severity
 from .errors import PrologError
 from .lexer import TokenKind
-from .printer import pretty_print
+from .printer import indicator_text, pretty_print
 from .reader import Reader, Sentence
 from .spans import SourceSpan, file_start
 from .terms import (
@@ -37,7 +35,6 @@ from .terms import (
     rebuild,
 )
 
-@dataclass
 class SolveLimits:
     """Bounds on one solve() call. `max_depth` is the number of user or
     prelude predicate calls nested on the current branch (a countdown from n
@@ -45,12 +42,18 @@ class SolveLimits:
     past it raises resource_error. `max_solutions` caps the solutions
     solve() yields."""
 
-    max_depth: int = 10_000
-    max_solutions: int = 10_000
+    __slots__ = ("max_depth", "max_solutions")
 
-    def __post_init__(self):
-        if self.max_depth < 1 or self.max_solutions < 1:
+    def __init__(self, max_depth: int = 10_000, max_solutions: int = 10_000):
+        if max_depth < 1 or max_solutions < 1:
             raise ValueError("limits must be >= 1")
+        self.max_depth = max_depth
+        self.max_solutions = max_solutions
+
+
+# ISO's max_arity flag: functor/3 and =../2 build no compound with more
+# arguments, and raise representation_error(max_arity) instead.
+MAX_ARITY = 65_535
 
 
 # --- file loading ---------------------------------------------------------
@@ -137,6 +140,8 @@ class Loader:
 
 def internal_error(path: str, err: Exception) -> Diagnostic:
     """Report `err` on the start of `path`, with where it was raised."""
+    import traceback
+
     frame, line = list(traceback.walk_tb(err.__traceback__))[-1]
     where = f"{os.path.basename(frame.f_code.co_filename)}:{line}"
     return _error(file_start(path), "internal_error",
@@ -282,7 +287,7 @@ def exec_directive(goal: Term, db: Database, loader: Loader) -> list[Diagnostic]
     handler = _DIRECTIVES.get((name, arity))
     if handler is None:
         return [_warn(goal.span, "unknown_directive",
-                      f"unknown directive {name}/{arity}")]
+                      f"unknown directive {indicator_text(name, arity)}")]
     return handler(goal, db, loader)
 
 
@@ -1324,13 +1329,13 @@ class Solver:
             entry = home.lookup(key)
         if entry is None:
             raise errors.existence_error(
-                f"unknown predicate {PredicateIndicator(*key)}")
+                f"unknown predicate {indicator_text(*key)}")
         compiled = entry.compiled
         if compiled is None:
             if entry.dcg:
                 # a DCG rule is stored untranslated: its body is no goal
                 raise errors.existence_error(
-                    f"unknown predicate {entry.indicator}")
+                    f"unknown predicate {indicator_text(*entry.indicator)}")
             compiled = entry.compiled = _Compiled(entry)
         position = 0
         for arg in args:
@@ -1579,6 +1584,9 @@ class Solver:
                 raise errors.instantiation_error("functor/3: underinstantiated")
             if not isinstance(arity_t, Int) or arity_t.value < 0:
                 raise errors.type_error("functor/3: bad arity")
+            if arity_t.value > MAX_ARITY:
+                raise errors.representation_error(
+                    f"functor/3: arity over max_arity {MAX_ARITY}")
             if arity_t.value == 0:
                 return self.unify(t, name_t)
             if not isinstance(name_t, Atom):
@@ -1639,6 +1647,9 @@ class Solver:
             raise errors.type_error("=../2: not a list")
         if not elems:
             raise errors.domain_error("=../2: empty list")
+        if len(elems) > MAX_ARITY + 1:
+            raise errors.representation_error(
+                f"=../2: arity over max_arity {MAX_ARITY}")
         if len(elems) == 1:
             built = elems[0]
         else:

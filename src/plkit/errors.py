@@ -34,3 +34,7 @@ def instantiation_error(message: str) -> PrologError:
 
 def resource_error(message: str) -> PrologError:
     return PrologError("resource_error", message)
+
+
+def representation_error(message: str) -> PrologError:
+    return PrologError("representation_error", message)

@@ -59,6 +59,12 @@ def atom_text(name: str) -> str:
     return quote_atom(name) if atom_needs_quote(name) else name
 
 
+def indicator_text(name: str, arity: int) -> str:
+    """name/arity as a message writes it, the name quoted where it needs
+    quotes."""
+    return f"{atom_text(name)}/{arity}"
+
+
 def _string_text(value: str) -> str:
     body = "".join(
         {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}.get(c, c)

@@ -23,7 +23,6 @@ an infix and a postfix operator (OperatorTable.add refuses it).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .database import Database, PredicateIndicator
@@ -112,7 +111,6 @@ def _rule_head(term: Term) -> Term:
     return term
 
 
-@dataclass(slots=True)
 class Sentence:
     """One term read through its terminating '.'.
 
@@ -127,13 +125,20 @@ class Sentence:
     directive or a head that is not callable.
     """
 
-    kind: str  # clause | directive | dcg_rule | fact
-    term: Term
-    span: SourceSpan  # the term through its terminating '.'
-    variables: tuple[Var, ...]
-    singletons: tuple[Var, ...]
-    indicator: Optional[PredicateIndicator] = None
-    leading_comments: list[Token] = field(default_factory=list)
+    __slots__ = ("kind", "term", "span", "variables", "singletons",
+                 "indicator", "leading_comments")
+
+    def __init__(self, kind: str, term: Term, span: SourceSpan,
+                 variables: tuple[Var, ...], singletons: tuple[Var, ...],
+                 indicator: Optional[PredicateIndicator] = None,
+                 leading_comments: Optional[list[Token]] = None):
+        self.kind = kind  # clause | directive | dcg_rule | fact
+        self.term = term
+        self.span = span  # the term through its terminating '.'
+        self.variables = variables
+        self.singletons = singletons
+        self.indicator = indicator
+        self.leading_comments = [] if leading_comments is None else leading_comments
 
     @property
     def head(self) -> Term:

@@ -7,9 +7,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import glob as globmod
-import hashlib
 import os
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .catalog import load_default_catalog
@@ -22,37 +20,42 @@ from .database import (
 from .diagnostics import Diagnostic, Severity, sort_key
 from .engine import BUILTIN_INDICATORS, Loader, Solver, internal_error
 from .lexer import ATOM_KINDS, tokenize
-from .printer import atom_text, pretty_print
+from .printer import atom_text, indicator_text, pretty_print
 from .reader import Sentence
 from .spans import LineIndex, SourceSpan
 from .terms import Atom, Compound, OpApply, Term, indicator_of
 
 
-@dataclass
 class ProjectConfig:
-    globs: tuple[str, ...] = ("**/*.pl",)
-    library_paths: tuple[str, ...] = ()
-    completion_cap: int = 50
-    doc_out: str = "prologdoc"
+    __slots__ = ("globs", "library_paths", "completion_cap", "doc_out")
 
-    def __post_init__(self):
-        if not self.globs:
+    def __init__(self, globs: tuple[str, ...] = ("**/*.pl",),
+                 library_paths: tuple[str, ...] = (), completion_cap: int = 50,
+                 doc_out: str = "prologdoc"):
+        if not globs:
             raise ValueError("at least one source glob is required")
-        if self.completion_cap < 1:
+        if completion_cap < 1:
             raise ValueError("completion cap must be >= 1")
+        self.globs = globs
+        self.library_paths = library_paths
+        self.completion_cap = completion_cap
+        self.doc_out = doc_out
 
 
-@dataclass
 class FileIndex:
     """One file's model: the loader's consult of it. Its database holds the
     module, the imports and the predicates, with the clauses of the files
     it includes; its diagnostics are phase I's. Link walks `sentences` for
     the file's singleton, discontiguous and call diagnostics."""
 
-    file: str
-    sentences: list[Sentence]
-    db: Database
-    diagnostics: list[Diagnostic]
+    __slots__ = ("file", "sentences", "db", "diagnostics")
+
+    def __init__(self, file: str, sentences: list[Sentence], db: Database,
+                 diagnostics: list[Diagnostic]):
+        self.file = file
+        self.sentences = sentences
+        self.db = db
+        self.diagnostics = diagnostics
 
     def definition(self, name: str, arity: int) -> Optional[PredicateEntry]:
         """The predicate name/arity when a clause defines it; else the DCG
@@ -79,17 +82,22 @@ class FileIndex:
         return sorted(own, key=lambda e: self.first_clause(e).span.start_offset)
 
 
-@dataclass
 class GlobalIndex:
-    files: dict[str, FileIndex]
-    # (name, arity) -> exporting file paths, sorted
-    exporters: dict[tuple[str, int], list[str]]
-    # file -> the predicates its imports make visible, (name, arity) ->
-    # exporting file; the first import wins
-    visible: dict[str, dict[tuple[str, int], str]]
-    # import targets outside `files`, such as library files, by path; check
-    # reports nothing about them
-    libraries: dict[str, FileIndex]
+    __slots__ = ("files", "exporters", "visible", "libraries")
+
+    def __init__(self, files: dict[str, FileIndex],
+                 exporters: dict[tuple[str, int], list[str]],
+                 visible: dict[str, dict[tuple[str, int], str]],
+                 libraries: dict[str, FileIndex]):
+        self.files = files
+        # (name, arity) -> exporting file paths, sorted
+        self.exporters = exporters
+        # file -> the predicates its imports make visible, (name, arity) ->
+        # exporting file; the first import wins
+        self.visible = visible
+        # import targets outside `files`, such as library files, by path;
+        # check reports nothing about them
+        self.libraries = libraries
 
     def lookup(self, path: str) -> Optional[FileIndex]:
         """The index of project file or import target `path`."""
@@ -97,49 +105,66 @@ class GlobalIndex:
         return found if found is not None else self.libraries.get(path)
 
 
-@dataclass
 class OutlineItem:
-    kind: str  # ExportedPredicate | PrivatePredicate | DcgNonterminal | ImportDirective | Module
-    label: str
-    target_span: SourceSpan
-    children: list["OutlineItem"] = field(default_factory=list)
+    __slots__ = ("kind", "label", "target_span", "children")
+
+    def __init__(self, kind: str, label: str, target_span: SourceSpan,
+                 children: Optional[list[OutlineItem]] = None):
+        # ExportedPredicate | PrivatePredicate | DcgNonterminal |
+        # ImportDirective | Module
+        self.kind = kind
+        self.label = label
+        self.target_span = target_span
+        self.children = [] if children is None else children
 
 
-@dataclass
 class HoverInfo:
-    text: str
-    span: SourceSpan
+    __slots__ = ("text", "span")
+
+    def __init__(self, text: str, span: SourceSpan):
+        self.text = text
+        self.span = span
 
 
-@dataclass
 class CompletionItem:
-    label: str
-    kind: str  # Predicate | Module | Dcg | Variable | Keyword
-    synopsis: str
-    insert_text: str
+    __slots__ = ("label", "kind", "synopsis", "insert_text")
+
+    def __init__(self, label: str, kind: str, synopsis: str, insert_text: str):
+        self.label = label
+        self.kind = kind  # Predicate | Module | Dcg | Variable | Keyword
+        self.synopsis = synopsis
+        self.insert_text = insert_text
 
 
-@dataclass
 class QuickFix:
-    title: str
-    edits: list[tuple[str, SourceSpan, str]]  # (file, span, replacement)
-    fixes_diagnostic: tuple[str, SourceSpan]
-    # content digests of every touched file at fix creation time
-    base_digests: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("title", "edits", "fixes_diagnostic", "base_digests")
+
+    def __init__(self, title: str, edits: list[tuple[str, SourceSpan, str]],
+                 fixes_diagnostic: tuple[str, SourceSpan],
+                 base_digests: Optional[dict[str, str]] = None):
+        self.title = title
+        self.edits = edits  # (file, span, replacement)
+        self.fixes_diagnostic = fixes_diagnostic
+        # content digests of every touched file at fix creation time
+        self.base_digests = {} if base_digests is None else base_digests
 
 
-@dataclass
 class ProjectModel:
-    root: str
-    config: ProjectConfig
-    index: GlobalIndex
-    diagnostics: list[Diagnostic]
-    sources: dict[str, str]
-    loader: Loader
-    # doc hover text by predicate (name, arity) or module (name, 0), built
-    # on the first doc hover
-    _doc_texts: Optional[dict] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    __slots__ = ("root", "config", "index", "diagnostics", "sources", "loader",
+                 "_doc_texts")
+
+    def __init__(self, root: str, config: ProjectConfig, index: GlobalIndex,
+                 diagnostics: list[Diagnostic], sources: dict[str, str],
+                 loader: Loader):
+        self.root = root
+        self.config = config
+        self.index = index
+        self.diagnostics = diagnostics
+        self.sources = sources
+        self.loader = loader
+        # doc hover text by predicate (name, arity) or module (name, 0),
+        # built on the first doc hover
+        self._doc_texts: Optional[dict] = None
 
     def file_index(self, file: str) -> Optional[FileIndex]:
         return self.index.files.get(os.path.abspath(file))
@@ -270,7 +295,7 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
                 Diagnostic(
                     Severity.ERROR,
                     "not_exported",
-                    f"{indicator} is not exported by "
+                    f"{indicator_text(*indicator)} is not exported by "
                     f"{os.path.basename(target_index.file)}",
                     record.span,
                     data={
@@ -326,12 +351,12 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
                                              *exported_arities.get(name, ()))
                          if other != arity]
             if neighbors:
-                related = [(span, f"did you mean {name}/{min(neighbors)}?")]
+                related = [(span, f"did you mean {indicator_text(name, min(neighbors))}?")]
             diagnostics.append(
                 Diagnostic(
                     Severity.ERROR,
                     "undefined_predicate",
-                    f"undefined predicate {name}/{arity}",
+                    f"undefined predicate {indicator_text(name, arity)}",
                     span,
                     related=related,
                     data={"name": name, "arity": arity, "file": index.file},
@@ -712,6 +737,8 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
 
 
 def _digest(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -754,13 +781,14 @@ def _fixes_undefined(diagnostic: Diagnostic, model: ProjectModel) -> list[QuickF
             rel = rel[:-3]
         target_atom = atom_text(rel.replace(os.sep, "/"))
         insert_at = _directive_insert_offset(index)
-        directive = f":- use_module({target_atom}, [{atom_text(name)}/{arity}]).\n"
+        directive = f":- use_module({target_atom}, [{indicator_text(name, arity)}]).\n"
         if insert_at > 0:
             directive = "\n" + directive
         span = _point_span(index.file, insert_at, source)
         fixes.append(
             QuickFix(
-                title=f"Import {name}/{arity} from {os.path.basename(exporter)}",
+                title=f"Import {indicator_text(name, arity)} from "
+                      f"{os.path.basename(exporter)}",
                 edits=[(index.file, span, directive)],
                 fixes_diagnostic=(diagnostic.code, diagnostic.span),
                 base_digests={index.file: _digest(source)},
@@ -790,12 +818,13 @@ def _fixes_not_exported(diagnostic: Diagnostic, model: ProjectModel) -> list[Qui
         if extended.endswith("]"):
             inner = extended[:-1].rstrip()
             sep = "" if inner.endswith("[") else ", "
-            new_text = f"{inner}{sep}{atom_text(name)}/{arity}]"
+            new_text = f"{inner}{sep}{indicator_text(name, arity)}]"
         else:
             return []
         return [
             QuickFix(
-                title=f"Export {name}/{arity} from {os.path.basename(exporter)}",
+                title=f"Export {indicator_text(name, arity)} from "
+                      f"{os.path.basename(exporter)}",
                 edits=[(target.file, span, new_text)],
                 fixes_diagnostic=(diagnostic.code, diagnostic.span),
                 base_digests={target.file: _digest(source)},

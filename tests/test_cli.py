@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import io
 import os
@@ -9,6 +8,7 @@ import pytest
 
 from plkit import cli
 from plkit.cli import main
+from plkit.workspace import QuickFix
 
 CLEAN = {
     "a.pl": ":- module(a, [main/0]).\n:- use_module(b, [f/1]).\nmain :- f(1).\n",
@@ -232,6 +232,23 @@ def test_long_list_fact_does_not_crash(tmp_path):
         assert expected in result.stdout, argv
 
 
+def test_importing_the_cli_generates_no_code_and_loads_no_digest_module():
+    """A fresh `import plkit.cli` builds its records without dataclasses
+    (and so without inspect and the modules inspect loads), and leaves
+    hashlib and traceback to the fix and internal-error paths."""
+    code = ("import sys\nbefore = set(sys.modules)\nimport plkit.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr[-300:]
+    added = set(result.stdout.split())
+    assert "plkit.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "hashlib", "traceback"}
+
+
 def test_check_reports_non_utf8_file(project, capsys, tmp_path):
     root = project({"user.pl": ":- use_module(bad).\nok.\n", **BROKEN})
     (tmp_path / "bad.pl").write_bytes(b"p(\xff).\n")
@@ -270,7 +287,8 @@ def _stale_fixes(monkeypatch):
     fixes = cli.quick_fixes
 
     def stale(diagnostic, model):
-        return [dataclasses.replace(fix, base_digests=dict.fromkeys(fix.base_digests, "0"))
+        return [QuickFix(fix.title, fix.edits, fix.fixes_diagnostic,
+                         dict.fromkeys(fix.base_digests, "0"))
                 for fix in fixes(diagnostic, model)]
 
     monkeypatch.setattr(cli, "quick_fixes", stale)

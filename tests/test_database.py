@@ -2,13 +2,36 @@ import pytest
 
 from plkit.database import (
     Database,
+    ModuleInfo,
     OperatorDef,
     OperatorTable,
+    PredicateEntry,
     PredicateIndicator,
 )
+from plkit.diagnostics import Diagnostic, Severity
+from plkit.docgen import FileDocs
 from plkit.engine import Loader, consult_source
 from plkit.errors import PrologError
+from plkit.reader import Sentence
+from plkit.spans import file_start
 from plkit.terms import Atom, Compound, Int, Var
+from plkit.workspace import OutlineItem, QuickFix
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: PredicateEntry(PredicateIndicator("p", 0)), ("clauses", "properties")),
+    (lambda: ModuleInfo("m"), ("exports",)),
+    (lambda: Diagnostic(Severity.ERROR, "c", "m", file_start("f")), ("related", "data")),
+    (lambda: Sentence("fact", Atom("a"), file_start("f"), (), ()), ("leading_comments",)),
+    (lambda: FileDocs("f"), ("blocks", "diagnostics")),
+    (lambda: OutlineItem("Module", "m", file_start("f")), ("children",)),
+    (lambda: QuickFix("t", [], ("c", file_start("f"))), ("base_digests",)),
+])
+def test_a_record_gets_its_own_empty_container_for_each_default(make, fields):
+    one, two = make(), make()
+    for field in fields:
+        assert getattr(one, field) is not getattr(two, field), field
+        assert len(getattr(one, field)) == 0, field
 
 
 def test_default_table_seeded():

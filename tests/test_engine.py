@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -119,6 +120,24 @@ def test_unknown_directive_warns():
     assert len(diagnostics) == 1
     assert diagnostics[0].severity == Severity.WARNING
     assert diagnostics[0].code == "unknown_directive"
+
+
+def test_names_that_need_quotes_are_quoted_in_engine_messages():
+    _, _, diagnostics = load(":- 'no such'(1).\n:- nope(1).\n")
+    assert [d.message for d in diagnostics] == [
+        "unknown directive 'no such'/1", "unknown directive nope/1"]
+    db, _, _ = load("p :- 'Foo'(1).\nq :- 'hello world'.\n'a b' --> [t].\n")
+    for goal, indicator in (("p", "'Foo'/1"), ("q", "'hello world'/0"),
+                            ("'x y'(1)", "'x y'/1"), ("'a b'(S, R)", "'a b'/2")):
+        with pytest.raises(PrologError) as err:
+            solutions(goal, db)
+        assert err.value.message == f"unknown predicate {indicator}", goal
+
+
+def test_solve_limits_reject_a_bound_below_one():
+    for limits in ({"max_depth": 0}, {"max_solutions": 0}):
+        with pytest.raises(ValueError):
+            SolveLimits(**limits)
 
 
 # One directive per check that rejects a directive's argument (an
@@ -421,6 +440,27 @@ def test_functor_both_directions():
     with pytest.raises(PrologError) as err:
         solutions("functor(T, 1, 2)", db)
     assert err.value.kind == "type_error"
+
+
+def test_functor_and_univ_build_no_compound_past_max_arity():
+    db = Database()
+    start = time.perf_counter()
+    with pytest.raises(PrologError) as err:
+        solutions("functor(T, f, 100000000)", db)
+    assert time.perf_counter() - start < 0.1
+    assert (err.value.kind, err.value.message) == (
+        "representation_error", "functor/3: arity over max_arity 65535")
+    (r,) = solutions(f"functor(T, f, {engine.MAX_ARITY})", db)
+    assert r["T"].arity == engine.MAX_ARITY
+    # U's list holds g, x and T's arguments: one argument too many for
+    # T of max_arity, and exactly max_arity for T of one fewer
+    univ = "functor(T, f, {}), T =.. [_|L], U =.. [g, x|L]"
+    with pytest.raises(PrologError) as err:
+        solutions(univ.format(engine.MAX_ARITY), db)
+    assert (err.value.kind, err.value.message) == (
+        "representation_error", "=../2: arity over max_arity 65535")
+    (r,) = solutions(univ.format(engine.MAX_ARITY - 1), db)
+    assert r["U"].arity == engine.MAX_ARITY
 
 
 def test_arg_and_univ():
@@ -967,6 +1007,8 @@ n10 :- n5(1, f(a), a).
     ("n4(T, foo, 2)", [({"T": "foo(_,_)"}, 0)], 1, 0),
     ("n4(T, N, 2)", ("instantiation_error", "functor/3: underinstantiated"), 1, 0),
     ("n4(T, foo, -1)", ("type_error", "functor/3: bad arity"), 1, 0),
+    ("n4(T, foo, 65536)",
+     ("representation_error", "functor/3: arity over max_arity 65535"), 1, 0),
     ("n5(2, f(a, b), A)", [({"A": "b"}, 0)], 1, 0),
     ("n5(N, f(a), A)", ("instantiation_error", "arg/3: underinstantiated"), 1, 0),
     ("n5(a, f(a), A)", ("type_error", "arg/3: bad arguments"), 1, 0),

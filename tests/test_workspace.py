@@ -151,6 +151,33 @@ def test_not_exported_error(project):
     assert "g/1" in diags[0].message
 
 
+def test_names_that_need_quotes_are_quoted_in_messages_and_fix_titles(project):
+    model, root = build(project, {
+        "a.pl": ":- use_module(b, ['Bar'/0]).\n"
+                "p :- 'hello world'.\nq :- 'Foo'(1).\nr :- 'x y'(1, 2).\n",
+        "b.pl": ":- module(b, ['x y'/1]).\n'x y'(1).\n'Bar'.\n",
+        "c.pl": ":- module(c, ['Foo'/1]).\n'Foo'(1).\n"})
+    undefined = by_code(model, "undefined_predicate")
+    assert [d.message for d in undefined] == [
+        "undefined predicate 'hello world'/0", "undefined predicate 'Foo'/1",
+        "undefined predicate 'x y'/2"]
+    assert undefined[2].related == [(undefined[2].span, "did you mean 'x y'/1?")]
+    (fix,) = quick_fixes(undefined[1], model)
+    assert fix.title == "Import 'Foo'/1 from c.pl"
+    assert fix.edits[0][2] == "\n:- use_module(c, ['Foo'/1]).\n"
+    (not_exported,) = by_code(model, "not_exported")
+    assert not_exported.message == "'Bar'/0 is not exported by b.pl"
+    (fix,) = quick_fixes(not_exported, model)
+    assert fix.title == "Export 'Bar'/0 from b.pl"
+    assert fix.edits[0][2] == "['x y'/1, 'Bar'/0]"
+
+
+def test_project_config_rejects_no_globs_and_a_cap_below_one():
+    for config in ({"globs": ()}, {"completion_cap": 0}):
+        with pytest.raises(ValueError):
+            ProjectConfig(**config)
+
+
 def test_unresolved_import_warning(project):
     model, _ = build(project, {
         "a.pl": ":- module(a, []).\n:- use_module(phantom).\n"})
