@@ -16,6 +16,7 @@ from .database import (
     Database,
     PredicateEntry,
     PredicateIndicator,
+    predicate_label,
 )
 from .diagnostics import Diagnostic, Severity, sort_key
 from .engine import BUILTIN_INDICATORS, Loader, Solver, internal_error
@@ -324,9 +325,11 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
         if indicator in seen and prev_indicator not in (None, indicator):
             entry = index.db.predicates[indicator]
             if "discontiguous" not in entry.properties:
+                label = predicate_label((atom_text(indicator.name), indicator.arity),
+                                        entry.dcg)
                 diagnostics.append(Diagnostic(
                     Severity.WARNING, "discontiguous_clauses",
-                    f"clauses of {entry.display_label} are not together "
+                    f"clauses of {label} are not together "
                     "(missing discontiguous declaration?)", sentence.span))
         seen.add(indicator)
         prev_indicator = indicator

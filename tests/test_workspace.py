@@ -156,7 +156,12 @@ def test_names_that_need_quotes_are_quoted_in_messages_and_fix_titles(project):
         "a.pl": ":- use_module(b, ['Bar'/0]).\n"
                 "p :- 'hello world'.\nq :- 'Foo'(1).\nr :- 'x y'(1, 2).\n",
         "b.pl": ":- module(b, ['x y'/1]).\n'x y'(1).\n'Bar'.\n",
-        "c.pl": ":- module(c, ['Foo'/1]).\n'Foo'(1).\n"})
+        "c.pl": ":- module(c, ['Foo'/1]).\n'Foo'(1).\n",
+        "d.pl": "'a b'(1).\nz.\n'a b'(2).\n's t' --> [].\nz.\n's t' --> [x].\n"})
+    assert [d.message for d in by_code(model, "discontiguous_clauses")] == [
+        "clauses of 'a b'/1 are not together (missing discontiguous declaration?)",
+        "clauses of z/0 are not together (missing discontiguous declaration?)",
+        "clauses of 's t'//0 are not together (missing discontiguous declaration?)"]
     undefined = by_code(model, "undefined_predicate")
     assert [d.message for d in undefined] == [
         "undefined predicate 'hello world'/0", "undefined predicate 'Foo'/1",
