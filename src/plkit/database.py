@@ -6,6 +6,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import errors
+from .lexer import indicator_text
 from .spans import SourceSpan
 from .terms import Term, indicator_of
 
@@ -152,16 +153,6 @@ class PredicateIndicator(NamedTuple):
     name: str
     arity: int
 
-    def __str__(self):
-        return f"{self.name}/{self.arity}"
-
-
-def predicate_label(indicator: tuple[str, int], dcg: bool) -> str:
-    """name/N, or name//N-2 for a DCG nonterminal, whose rules with N-2
-    written arguments define the predicate name/N."""
-    name, arity = indicator
-    return f"{name}//{arity - 2}" if dcg else f"{name}/{arity}"
-
 
 class Clause:
     __slots__ = ("head", "body", "span")
@@ -192,7 +183,7 @@ class PredicateEntry:
 
     @property
     def display_label(self) -> str:
-        return predicate_label(self.indicator, self.dcg)
+        return indicator_text(*self.indicator, self.dcg)
 
 
 class ImportRecord:

@@ -14,9 +14,9 @@ import re
 import urllib.parse
 from typing import Optional, Union
 
-from .database import PredicateEntry, predicate_label
+from .database import PredicateEntry
 from .diagnostics import Diagnostic, Severity
-from .lexer import Token, TokenKind
+from .lexer import Token, TokenKind, indicator_text
 from .printer import pretty_print
 from .reader import Sentence
 from .terms import Atom, Compound, Var, indicator_of, rebuild
@@ -153,7 +153,7 @@ def extract_docs(sentences: list[Sentence], file: str) -> tuple[list[DocBlock], 
                 continue
             else:
                 key = defines[i]
-                display = predicate_label(key, sentence.kind == "dcg_rule")
+                display = indicator_text(*key, sentence.kind == "dcg_rule")
                 if first_def.get(key) != i:
                     diagnostics.append(
                         Diagnostic(

@@ -19,8 +19,8 @@ from .database import (
 )
 from .diagnostics import Diagnostic, Severity
 from .errors import PrologError
-from .lexer import TokenKind
-from .printer import indicator_text, pretty_print
+from .lexer import TokenKind, indicator_text
+from .printer import pretty_print
 from .reader import Reader, Sentence
 from .spans import SourceSpan, file_start
 from .terms import (

@@ -30,6 +30,9 @@ comments, names, variables, decimal numbers, symbol atoms, punctuation and
 quoted text without backslashes. Hand-written code handles escapes, `0'`
 character codes, radix numbers, unterminated tokens, invalid characters and
 tokens that start with a non-ASCII character.
+
+`atom_text` and `indicator_text` write an atom and a predicate indicator
+back as source text, quoted where the spelling needs quotes.
 """
 
 from __future__ import annotations
@@ -401,3 +404,49 @@ def lossless(source: str, file_id: str = "<string>") -> tuple[list[Token], list[
             view.append(Token(kind, text, lines, start, end, value))
         pos = end
     return view, diagnostics
+
+
+# --- writing atoms back ----------------------------------------------------
+
+_NAME_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+
+_QUOTE_ESCAPES = {
+    "\\": "\\\\",
+    "'": "\\'",
+    "\n": "\\n",
+    "\t": "\\t",
+    "\r": "\\r",
+    "\a": "\\a",
+    "\b": "\\b",
+    "\f": "\\f",
+    "\v": "\\v",
+    "\0": "\\0",
+}
+
+
+def atom_needs_quote(name: str) -> bool:
+    if _NAME_ATOM_RE.match(name):
+        return False
+    if name in ("[]", "{}", "!", ";"):
+        return False
+    if name and all(c in SYMBOL_CHARS for c in name) and name != ".":
+        return False
+    return True
+
+
+def quote_atom(name: str) -> str:
+    body = "".join(_QUOTE_ESCAPES.get(c, c) for c in name)
+    return f"'{body}'"
+
+
+def atom_text(name: str) -> str:
+    return quote_atom(name) if atom_needs_quote(name) else name
+
+
+def indicator_text(name: str, arity: int, dcg: bool = False) -> str:
+    """name/arity with the name quoted where it needs quotes, or
+    name//arity-2 for a DCG nonterminal, whose rules with arity-2 written
+    arguments define the predicate name/arity."""
+    if dcg:
+        return f"{atom_text(name)}//{arity - 2}"
+    return f"{atom_text(name)}/{arity}"

@@ -9,10 +9,8 @@ fuse during lexing.
 
 from __future__ import annotations
 
-import re
-
 from .database import Database, OperatorTable
-from .lexer import SYMBOL_CHARS
+from .lexer import SYMBOL_CHARS, atom_needs_quote, atom_text
 from .terms import (
     Atom,
     Compound,
@@ -24,52 +22,11 @@ from .terms import (
     list_parts,
 )
 
-_NAME_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-
-_QUOTE_ESCAPES = {
-    "\\": "\\\\",
-    "'": "\\'",
-    "\n": "\\n",
-    "\t": "\\t",
-    "\r": "\\r",
-    "\a": "\\a",
-    "\b": "\\b",
-    "\f": "\\f",
-    "\v": "\\v",
-    "\0": "\\0",
-}
-
-
-def atom_needs_quote(name: str) -> bool:
-    if _NAME_ATOM_RE.match(name):
-        return False
-    if name in ("[]", "{}", "!", ";"):
-        return False
-    if name and all(c in SYMBOL_CHARS for c in name) and name != ".":
-        return False
-    return True
-
-
-def quote_atom(name: str) -> str:
-    body = "".join(_QUOTE_ESCAPES.get(c, c) for c in name)
-    return f"'{body}'"
-
-
-def atom_text(name: str) -> str:
-    return quote_atom(name) if atom_needs_quote(name) else name
-
-
-def indicator_text(name: str, arity: int) -> str:
-    """name/arity as a message writes it, the name quoted where it needs
-    quotes."""
-    return f"{atom_text(name)}/{arity}"
+_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 
 
 def _string_text(value: str) -> str:
-    body = "".join(
-        {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}.get(c, c)
-        for c in value
-    )
+    body = "".join(_STRING_ESCAPES.get(c, c) for c in value)
     return f'"{body}"'
 
 

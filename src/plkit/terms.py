@@ -15,7 +15,6 @@ from .spans import SourceSpan
 
 LIST_FUNCTOR = "."
 NIL = "[]"
-CURLY_FUNCTOR = "{}"
 
 
 class Term:

@@ -16,12 +16,11 @@ from .database import (
     Database,
     PredicateEntry,
     PredicateIndicator,
-    predicate_label,
 )
 from .diagnostics import Diagnostic, Severity, sort_key
 from .engine import BUILTIN_INDICATORS, Loader, Solver, internal_error
-from .lexer import ATOM_KINDS, tokenize
-from .printer import atom_text, indicator_text, pretty_print
+from .lexer import ATOM_KINDS, atom_text, indicator_text, tokenize
+from .printer import pretty_print
 from .reader import Sentence
 from .spans import LineIndex, SourceSpan
 from .terms import Atom, Compound, OpApply, Term, indicator_of
@@ -325,11 +324,9 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
         if indicator in seen and prev_indicator not in (None, indicator):
             entry = index.db.predicates[indicator]
             if "discontiguous" not in entry.properties:
-                label = predicate_label((atom_text(indicator.name), indicator.arity),
-                                        entry.dcg)
                 diagnostics.append(Diagnostic(
                     Severity.WARNING, "discontiguous_clauses",
-                    f"clauses of {label} are not together "
+                    f"clauses of {indicator_text(*indicator, entry.dcg)} are not together "
                     "(missing discontiguous declaration?)", sentence.span))
         seen.add(indicator)
         prev_indicator = indicator
@@ -637,7 +634,7 @@ def _builtin_doc(name: str, arity: int) -> Optional[str]:
     entry = load_default_catalog().get((name, arity))
     if entry is None:
         return None
-    return "\n".join([f"{name}/{arity}: {entry.synopsis}", *entry.arguments])
+    return "\n".join([f"{indicator_text(name, arity)}: {entry.synopsis}", *entry.arguments])
 
 
 def _hover_import(target: Term, index: FileIndex, model: ProjectModel,
@@ -648,7 +645,7 @@ def _hover_import(target: Term, index: FileIndex, model: ProjectModel,
         if record.resolved_file:
             target_index = model.index.lookup(record.resolved_file)
             if target_index is not None:
-                exports = sorted(f"{n}/{a}" for n, a in _file_exports(target_index))
+                exports = sorted(indicator_text(*ind) for ind in _file_exports(target_index))
                 label = pretty_print(record.target)
                 return HoverInfo(
                     f"{label} exports: " + (", ".join(exports) or "(nothing)"),
@@ -690,10 +687,14 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
     prefix = _prefix_at(source, offset)
     items: list[tuple[tuple, CompletionItem]] = []
 
-    def add(name: str, label: str, kind: str, synopsis: str, locality: int):
-        if prefix and not name.startswith(prefix):
+    def add(name: str, arity: Optional[int], kind: str, synopsis: str, locality: int,
+            dcg: bool = False):
+        """A candidate if `name` starts with `prefix`: labelled name/arity,
+        or `name` alone where `arity` is None."""
+        if not name.startswith(prefix):
             return
         rank = 0 if name == prefix else 1
+        label = name if arity is None else indicator_text(name, arity, dcg)
         insert = name if kind == "Variable" else atom_text(name)
         items.append(((rank, locality, label),
                       CompletionItem(label, kind, synopsis, insert)))
@@ -702,7 +703,7 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
         sentence = _sentence_at(index, offset)
         if sentence is not None:
             for var in sentence.variables:
-                add(var.name, var.name, "Variable", "clause variable", 0)
+                add(var.name, None, "Variable", "clause variable", 0)
     else:
         sentence = _sentence_at(index, offset)
         in_import = (
@@ -714,23 +715,22 @@ def complete(file: str, offset: int, model: ProjectModel) -> list[CompletionItem
             for path in sorted(model.index.files):
                 module = model.index.files[path].db.module
                 if module is not None:
-                    add(module.name, module.name, "Module",
+                    add(module.name, None, "Module",
                         f"module in {os.path.basename(path)}", 1)
         for entry in index.db.predicates.values():
             if entry.clauses:
-                add(entry.indicator.name, entry.display_label,
-                    "Dcg" if entry.dcg else "Predicate",
-                    pretty_print(entry.clauses[0].head), 0)
+                add(*entry.indicator, "Dcg" if entry.dcg else "Predicate",
+                    pretty_print(entry.clauses[0].head), 0, entry.dcg)
         visible = model.index.visible.get(index.file, {})
         for (name, arity), origin in sorted(visible.items()):
             other = model.index.lookup(origin)
             found = other.definition(name, arity) if other is not None else None
             synopsis = (pretty_print(found.clauses[0].head) if found is not None
-                        else f"{name}/{arity} from {os.path.basename(origin)}")
-            add(name, f"{name}/{arity}", "Predicate", synopsis, 1)
+                        else f"{indicator_text(name, arity)} from {os.path.basename(origin)}")
+            add(name, arity, "Predicate", synopsis, 1)
         catalog = load_default_catalog()
         for name, arity in BUILTIN_INDICATORS:
-            add(name, f"{name}/{arity}", "Keyword", catalog[name, arity].synopsis, 2)
+            add(name, arity, "Keyword", catalog[name, arity].synopsis, 2)
 
     items.sort(key=lambda pair: pair[0])
     return [item for _, item in items[: model.config.completion_cap]]

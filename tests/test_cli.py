@@ -1,8 +1,10 @@
 import gc
-import io
+import html
 import os
+import re
 import subprocess
 import sys
+from typing import NamedTuple, Union
 
 import pytest
 
@@ -213,6 +215,13 @@ def test_check_reports_internal_error_while_emitting(project, capsys, monkeypatc
     assert "RuntimeError" in out and "emit defect" in out
 
 
+# The environment of `python -m plkit.cli` in a subprocess: plkit is
+# imported from this checkout, whatever the working directory.
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
+     *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def test_long_list_fact_does_not_crash(tmp_path):
     """check, outline and hover over one fact holding a 50,000-element
     list: no Python recursion, so no traceback."""
@@ -225,8 +234,7 @@ def test_long_list_fact_does_not_crash(tmp_path):
                            (["outline", file], "p/1"),
                            (["hover", file, "1", str(col)], "true/0")):
         result = subprocess.run([sys.executable, "-m", "plkit.cli", *argv],
-                                capture_output=True, text=True,
-                                env=dict(os.environ), timeout=120)
+                                capture_output=True, text=True, env=_ENV, timeout=120)
         assert result.returncode == 0, (argv, result.stderr[-300:])
         assert "Traceback" not in result.stderr, argv
         assert expected in result.stdout, argv
@@ -238,11 +246,8 @@ def test_importing_the_cli_generates_no_code_and_loads_no_digest_module():
     hashlib and traceback to the fix and internal-error paths."""
     code = ("import sys\nbefore = set(sys.modules)\nimport plkit.cli\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env, timeout=60)
+                            text=True, env=_ENV, timeout=60)
     assert result.returncode == 0, result.stderr[-300:]
     added = set(result.stdout.split())
     assert "plkit.cli" in added
@@ -365,6 +370,140 @@ def test_a_usage_failure_is_one_error_line_and_exit_two(capsys, tmp_path, monkey
         set_up(monkeypatch)
     code, out, err = run([arg.replace("{root}", root) for arg in argv], capsys)
     assert (code, out, err) == (2, "", f"error: {message(root)}\n")
+
+
+class Transcript(NamedTuple):
+    """One run of `python -m plkit.cli` in a fresh directory {root} holding
+    `files`: given `argv` and `stdin`, it exits with `status` and prints
+    `stdout` and `stderr`. An expected output is its exact text, or a dict
+    from full-line regular expressions to the number of lines each matches.
+    {root} in an expected output stands for the directory."""
+
+    files: dict[str, str]
+    argv: list[str]
+    stdin: str = ""
+    status: int = 0
+    stdout: Union[str, dict[str, int]] = ""
+    stderr: Union[str, dict[str, int]] = ""
+    timeout: float = 60
+
+
+# The command line's end-to-end behaviour; CI runs the installed `plkit`
+# console script, the same `cli.main`, only once.
+TRANSCRIPTS = {
+    "check of a clean project with an include": Transcript(
+        {"main.pl": ":- include(part).\nmain :- part(1).\n", "part.pl": "part(X) :- X > 0.\n"},
+        ["check", "."]),
+    "repl answers and fails": Transcript(
+        {}, ["repl"], "X is 6 * 7.\nfail.\n", stdout="?- X = 42\ntrue\nfalse\n?- "),
+    # the directive and the goal, whose clause starts with arithmetic guards,
+    # both answer true
+    "repl float overflow is an evaluation_error": Transcript(
+        {"count.pl": "count(0).\ncount(N) :- N > 0, N1 is N - 1, count(N1).\n"}, ["repl"],
+        ":- ensure_loaded(count).\ncount(3).\nX is 1.0e308 * 10.\n",
+        stdout={r"\?- true": 2, r"error: evaluation_error: .*": 1}),
+    # app/3 with a bound third argument backtracks through two candidate
+    # clauses per call; first/1 commits to its first answer with a cut
+    "repl backtracks and cuts": Transcript(
+        {"app.pl": "app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n"
+                   "first(X) :- app(X, _, [1,2]), !.\n"},
+        ["repl"], ":- ensure_loaded(app).\napp(X, Y, [1,2]).\n;\n;\n;\nfirst(X).\n;\n",
+        stdout=("?- true\n"
+                "?- X = []\nY = [1,2]\ntrue\nX = [1]\nY = [2]\ntrue\nX = [1,2]\nY = []\ntrue\n"
+                "false\n"
+                "?- X = []\ntrue\nfalse\n"
+                "?- ")),
+    # compiled body goals see predicates loaded after their clause was
+    # compiled: q/1, and then a loaded append/3 in place of the prelude's
+    "repl body goal sees a later predicate": Transcript(
+        {"r.pl": "r(X) :- q(X).\n", "q.pl": "q(1).\n"}, ["repl"],
+        ":- ensure_loaded(r).\nr(X).\n:- ensure_loaded(q).\nr(X).\n",
+        stdout=("?- true\n"
+                "?- error: existence_error: unknown predicate q/1\n"
+                "?- true\n"
+                "?- X = 1\ntrue\n"
+                "?- ")),
+    "repl body goal sees a later append": Transcript(
+        {"s.pl": "s(L) :- append([1], [2], L).\n", "mine.pl": "append(_, _, mine).\n"},
+        ["repl"], ":- ensure_loaded(s).\ns(L).\n:- ensure_loaded(mine).\ns(L).\n",
+        stdout=("?- true\n"
+                "?- L = [1,2]\ntrue\n"
+                "true\n"
+                "?- L = mine\ntrue\n"
+                "?- ")),
+    # `-` reads as a prefix operator until the second `p` clashes, then as
+    # an atom; the second reading does not count X twice
+    "check singleton after an operator re-read": Transcript(
+        {"ops.pl": ":- op(200, xfy, p).\n:- op(200, fx, p).\nt(Y) :- Y = (- p X p -).\n"},
+        ["check", ".", "--format", "machine"],
+        stdout="{root}/ops.pl\t3\t18\t3\t19\twarning\tsingleton_variable\tsingleton variable X\n"),
+    # Z = 3, read while X = 1 waits for a ';', comes after Y = 2
+    "repl answers in typed order": Transcript(
+        {}, ["repl"], "X = 1. Y = 2.\nZ = 3.\n",
+        stdout="?- X = 1\ntrue\nY = 2\ntrue\nZ = 3\ntrue\n?- "),
+    "check undefined call in a DCG {}/1": Transcript(
+        {"d.pl": "g --> [x], { nothere(1) }, h.\nh --> [].\n"},
+        ["check", ".", "--format", "machine"], status=1,
+        stdout="{root}/d.pl\t1\t14\t1\t24\terror\tundefined_predicate\t"
+               "undefined predicate nothere/1\n"),
+    "repl prints an integer of 5001 digits": Transcript(
+        {"p.pl": "p(0, X, X).\np(N, A, X) :- N > 0, M is N - 1, B is A * 10, p(M, B, X).\n"},
+        ["repl"], ":- ensure_loaded(p).\np(5000, 1, X).\n\np(5000, 1, X), call(X).\n",
+        stdout={r"\?- X = 10{5000}": 1,
+                r"\?- error: type_error: goal must be callable: 10{5000}": 1}),
+    # the including file's own sentences are still read and checked
+    "check non-UTF-8 included file": Transcript(
+        {"main.pl": ":- include(bad).\nfoo(1).\nbar :- foo(1), baz.\n", "bad.pl": "x(\udcff).\n"},
+        ["check", ".", "--format", "machine"], status=1,
+        stdout={r".*main\.pl.*internal_error.*": 0, r".*undefined predicate baz/0.*": 1}),
+    # unreadable_file on its own start, not internal_error; the other files
+    # are still checked
+    "check non-UTF-8 project file": Transcript(
+        {"bad.pl": "x(\udcff).\n", "main.pl": "main :- nothere.\n"},
+        ["check", ".", "--format", "machine"], status=1,
+        stdout={r"{root}/bad\.pl\t1\t1\t1\t1\terror\tunreadable_file\tcannot read bad\.pl: .*": 1,
+                r"{root}/main\.pl\t1\t9\t1\t16\terror\tundefined_predicate\t.*": 1,
+                r".*internal_error.*": 0}),
+    # one walk over the file gives its singleton, undefined-call and
+    # discontiguous diagnostics, in source order
+    "check diagnostics of one walk in source order": Transcript(
+        {"m.pl": "p(X).\nq :- nothere.\np(b).\n"}, ["check", ".", "--format", "machine"],
+        status=1,
+        stdout=("{root}/m.pl\t1\t3\t1\t4\twarning\tsingleton_variable\tsingleton variable X\n"
+                "{root}/m.pl\t2\t6\t2\t13\terror\tundefined_predicate\t"
+                "undefined predicate nothere/0\n"
+                "{root}/m.pl\t3\t1\t3\t6\twarning\tdiscontiguous_clauses\t"
+                "clauses of p/1 are not together (missing discontiguous declaration?)\n")),
+    # no compound past max_arity is built: the error comes at once
+    "repl functor past max_arity": Transcript(
+        {}, ["repl"], "functor(T, f, 100000000).\n",
+        stdout={r"\?- error: representation_error: .*": 1}, timeout=20),
+    "check quotes a predicate name": Transcript(
+        {"q.pl": "p :- 'hello world'.\n"}, ["check", ".", "--format", "machine"], status=1,
+        stdout="{root}/q.pl\t1\t6\t1\t19\terror\tundefined_predicate\t"
+               "undefined predicate 'hello world'/0\n"),
+}
+
+
+@pytest.mark.parametrize("case", TRANSCRIPTS)
+def test_transcript(tmp_path, case):
+    files, argv, stdin, status, stdout, stderr, timeout = TRANSCRIPTS[case]
+    for name, content in files.items():  # "\udcff" writes the byte 0xff
+        (tmp_path / name).write_bytes(content.encode("utf-8", "surrogateescape"))
+    root = str(tmp_path)
+    result = subprocess.run([sys.executable, "-m", "plkit.cli", *argv], cwd=root,
+                            input=stdin, capture_output=True, text=True, env=_ENV,
+                            timeout=timeout)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == status, result.stderr[-300:]
+    for actual, expected in ((result.stdout, stdout), (result.stderr, stderr)):
+        if isinstance(expected, str):
+            assert actual == expected.replace("{root}", root)
+            continue
+        lines = actual.splitlines()
+        for pattern, count in expected.items():
+            regex = re.compile(pattern.replace("{root}", re.escape(root)))
+            assert sum(1 for line in lines if regex.fullmatch(line)) == count, pattern
 
 
 def test_machine_format_from_config_file(project, capsys):
@@ -542,11 +681,15 @@ def test_doc_out_flag(project, capsys, tmp_path):
     assert os.path.isfile(os.path.join(out_dir, "index.html"))
 
 
-@pytest.mark.parametrize("source, line, code", [
-    ("p(1).\n% Description: too late\np(2).\n", 2, "doc_not_at_first_clause"),
-    ("% Description: about p\n\n% Author: second block\np(1).\n", 3, "duplicate_doc"),
+@pytest.mark.parametrize("source, line, code, label", [
+    ("p(1).\n% Description: too late\np(2).\n", 2, "doc_not_at_first_clause", "p/1"),
+    ("% Description: about p\n\n% Author: second block\np(1).\n", 3, "duplicate_doc",
+     "p/1"),
+    ("'a b'(1).\n% Description: late\n'a b'(2).\n", 2, "doc_not_at_first_clause",
+     "'a b'/1"),
 ])
-def test_doc_reports_doc_warnings(project, capsys, source, line, code):
+def test_doc_reports_doc_warnings(project, capsys, source, line, code, label):
+    """The warning and the page name the predicate as `label`."""
     root = project({"a.pl": source})
     status, out, err = run(["doc", root], capsys)
     assert status == 0
@@ -555,18 +698,10 @@ def test_doc_reports_doc_warnings(project, capsys, source, line, code):
     [warning] = err.splitlines()
     assert warning.startswith(f"{os.path.join(root, 'a.pl')}:{line}:1: warning: ")
     assert warning.endswith(f"[{code}]")
-
-
-def test_repl_subprocess():
-    env = dict(os.environ)
-    result = subprocess.run(
-        [sys.executable, "-m", "plkit.cli", "repl"],
-        input="X is 6 * 7.\nfail.\n",
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0
-    assert "X = 42" in result.stdout
-    assert "false" in result.stdout
+    assert f" {label} " in warning
+    [page] = [p for p in written if p.endswith("a.html")]
+    with open(page, encoding="utf-8") as fh:
+        assert f">{html.escape(label)}</h3>" in fh.read()
 
 
 def test_check_output_deterministic(project, capsys):

@@ -12,6 +12,7 @@ from plkit.diagnostics import Diagnostic, Severity
 from plkit.docgen import FileDocs
 from plkit.engine import Loader, consult_source
 from plkit.errors import PrologError
+from plkit.lexer import indicator_text
 from plkit.reader import Sentence
 from plkit.spans import file_start
 from plkit.terms import Atom, Compound, Int, Var
@@ -143,7 +144,7 @@ def test_indicator_is_the_name_arity_tuple():
     indicator = PredicateIndicator("fact", 1)
     assert indicator == ("fact", 1)
     assert hash(indicator) == hash(("fact", 1))
-    assert str(indicator) == "fact/1"
+    assert indicator_text(*indicator) == "fact/1"
     db = Database()
     entry = db.assert_clause(Compound("fact", [Int(1)]), Atom("true"))
     assert db.lookup(("fact", 1)) is entry

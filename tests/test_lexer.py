@@ -9,6 +9,7 @@ from plkit.lexer import (
     OFFSET_BOUND,
     Token,
     TokenKind,
+    indicator_text,
     lossless,
     tokenize,
 )
@@ -457,3 +458,12 @@ def test_lossless_view_is_tokenize_with_layout_between():
                 if t.kind is not TokenKind.LAYOUT] == sorted(tokens, key=start_of), source
         assert ([(d.code, d.message, d.span) for d in diagnostics]
                 == [(d.code, d.message, d.span) for d in view_diagnostics])
+
+
+def test_indicator_text_quotes_the_name_and_writes_a_nonterminal():
+    assert indicator_text("fact", 1) == "fact/1"
+    assert indicator_text(",", 2) == "','/2"
+    assert indicator_text("a b", 1) == "'a b'/1"
+    assert indicator_text("it's", 0) == "'it\\'s'/0"
+    assert indicator_text("greeting", 2, dcg=True) == "greeting//0"
+    assert indicator_text("a b", 3, dcg=True) == "'a b'//1"

@@ -761,9 +761,22 @@ def test_complete_matches_and_inserts_a_quoted_name_whole(project):
     items = complete_at(model, root, "a.pl", "p :- atom")
     labels = [i.label for i in items]
     # the builtin atom/1 is the exact match; 'atom/x' only starts with atom
-    assert labels.index("atom/1") < labels.index("atom/x/1")
+    assert labels.index("atom/1") < labels.index("'atom/x'/1")
     inserts = {i.label: i.insert_text for i in items}
-    assert inserts["atom/x/1"] == "'atom/x'" and inserts["atom/1"] == "atom"
+    assert inserts["'atom/x'/1"] == "'atom/x'" and inserts["atom/1"] == "atom"
+
+
+def test_outline_and_completion_labels_quote_a_name(project):
+    """A label quotes a name as a message does; the conjunction is the one
+    builtin whose name needs quotes, also in its hover text."""
+    model, root = build(project, {"a.pl": "'g h' --> [x].\np :- 'a b'(1).\n'a b'(1).\n"},
+                        completion_cap=500)
+    assert [item.label for item in outline(fpath(root, "a.pl"), model)] == [
+        "'g h'//0", "p/0", "'a b'/1"]
+    items = {item.label: item for item in complete_at(model, root, "a.pl", "p :- ")}
+    assert items["'a b'/1"].insert_text == "'a b'"
+    assert items["','/2"].insert_text == "','" and ",/2" not in items
+    assert workspace._builtin_doc(",", 2).startswith("','/2: ")
 
 
 def test_complete_variable_prefix(project):
