@@ -28,6 +28,9 @@ CONFIG_FILE = "plkit.cfg"
 EXIT_OK = 0
 EXIT_ERRORS = 1
 EXIT_FAILURE = 2
+# stdout closed by its reader, as `| head` does: the status a shell reports
+# for a process that SIGPIPE ended (128 + 13)
+EXIT_CLOSED_STDOUT = 141
 
 
 class CommandError(Exception):
@@ -308,14 +311,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "repl":  # runs goals: the collector stays on
-            return cmd_repl(args, sys.stdout)
-        # A one-shot command builds a model, uses it and drops it while the
-        # collector is paused, so the collector never walks it.
-        with collector_paused():
-            return args.func(args, sys.stdout)
+            status = cmd_repl(args, sys.stdout)
+        else:
+            # A one-shot command builds a model, uses it and drops it while
+            # the collector is paused, so the collector never walks it.
+            with collector_paused():
+                status = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return status
     except CommandError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_FAILURE
+    except BrokenPipeError:
+        # The rest of the output is not wanted. stdout still holds it, and
+        # the interpreter flushes stdout at exit, so point stdout at devnull
+        # for that flush to succeed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

@@ -155,12 +155,19 @@ class PredicateIndicator(NamedTuple):
 
 
 class Clause:
-    __slots__ = ("head", "body", "span")
+    """A clause that no source holds, such as one `assert_clause` adds. A
+    consulted clause is its `reader.Sentence`, which has the same `head`,
+    `body` and `span`."""
 
-    def __init__(self, head: Term, body: Term, span: Optional[SourceSpan] = None):
+    __slots__ = ("head", "body")
+
+    # read from no source: no line table and no span
+    lines = None
+    span = None
+
+    def __init__(self, head: Term, body: Term):
         self.head = head
         self.body = body
-        self.span = span
 
 
 class PredicateEntry:
@@ -209,9 +216,14 @@ class ModuleInfo:
 
 
 class Database:
-    """One consulted-file session: operators, predicates, module, flags."""
+    """One consulted-file session: operators, predicates, module, flags.
 
-    def __init__(self):
+    `indicators` maps (name, arity) to the one PredicateIndicator that the
+    session's sentences, predicates, exports and imports hold for it, which
+    is also its key. A Loader gives every database it makes its one table,
+    so that a build holds one object per indicator."""
+
+    def __init__(self, indicators: Optional[dict] = None):
         self.operators = OperatorTable()
         self.predicates: dict[PredicateIndicator, PredicateEntry] = {}
         self.module: Optional[ModuleInfo] = None
@@ -220,21 +232,36 @@ class Database:
         self.loaded_files: set[str] = set()
         # op/3 definitions executed in this session (own plus imported)
         self.declared_operators: list[OperatorDef] = []
+        self.indicators: dict[tuple[str, int], PredicateIndicator] = (
+            {} if indicators is None else indicators)
+
+    def indicator(self, name: str, arity: int) -> PredicateIndicator:
+        """The one PredicateIndicator name/arity of this session's table."""
+        found = self.indicators.get((name, arity))
+        if found is None:
+            found = PredicateIndicator(name, arity)
+            self.indicators[found] = found
+        return found
 
     def assert_clause(self, head: Term, body: Term,
-                      span: Optional[SourceSpan] = None,
                       indicator: Optional[PredicateIndicator] = None,
                       ) -> PredicateEntry:
-        """Add a clause to the predicate `indicator`, by default the one its
-        head names."""
+        """Add the clause `head :- body` to the predicate `indicator`, by
+        default the one its head names."""
+        return self.add_clause(Clause(head, body), indicator)
+
+    def add_clause(self, clause, indicator: Optional[PredicateIndicator] = None,
+                   ) -> PredicateEntry:
+        """Add `clause`, a Clause or a consulted Sentence, to the predicate
+        `indicator`, by default the one its head names."""
         if indicator is None:
-            ind = indicator_of(head)
+            ind = indicator_of(clause.head)
             if ind is None:
                 raise errors.type_error(
                     "clause head must be an atom or compound term")
-            indicator = PredicateIndicator(*ind)
+            indicator = self.indicator(*ind)
         entry = self._entry(indicator)
-        entry.clauses.append(Clause(head, body, span))
+        entry.clauses.append(clause)
         entry.compiled = None
         return entry
 
@@ -252,4 +279,3 @@ class Database:
         entry = self._entry(indicator)
         entry.properties.add(prop)
         return entry
-

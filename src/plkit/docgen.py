@@ -27,14 +27,13 @@ _TAG_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*:)\s*(.*)$")
 
 
 class DocBlock:
-    __slots__ = ("entries", "target_kind", "target", "display")
+    __slots__ = ("entries", "target_kind", "target")
 
     def __init__(self, entries: list[tuple[str, str]], target_kind: str,
-                 target: Union[tuple[str, int], str], display: str):
+                 target: Union[tuple[str, int], str]):
         self.entries = entries
         self.target_kind = target_kind  # "predicate" | "module"
         self.target = target
-        self.display = display
 
     def entry(self, tag: str) -> Optional[str]:
         for t, body in self.entries:
@@ -71,7 +70,7 @@ class ProjectDocs:
 # --- extraction -----------------------------------------------------------
 
 
-def _comment_groups(comments: list[Token]) -> list[list[Token]]:
+def _comment_groups(comments: tuple[Token, ...]) -> list[list[Token]]:
     """Split comment tokens into blocks: adjacent '%' lines group together,
     each block comment stands alone."""
     groups: list[list[Token]] = []
@@ -174,7 +173,7 @@ def extract_docs(sentences: list[Sentence], file: str) -> tuple[list[DocBlock], 
                 )
                 continue
             taken_targets.add((target_kind, target))
-            blocks.append(DocBlock(entries, target_kind, target, display))
+            blocks.append(DocBlock(entries, target_kind, target))
     return blocks, diagnostics
 
 

@@ -70,6 +70,8 @@ class Loader:
     def __init__(self, library_paths: tuple[str, ...] = ()):
         self.library_paths = tuple(library_paths)
         self._cache: dict[str, tuple[Database, list[Sentence], list[Diagnostic]]] = {}
+        # the predicate indicators of every database the loader makes
+        self._indicators: dict[tuple[str, int], PredicateIndicator] = {}
         self._loading: set[str] = set()
         self._sources: dict[str, str] = {}
         # The file consult_file is consulting, then the files that
@@ -117,7 +119,7 @@ class Loader:
         self._loading.add(path)
         outer_chain, self.include_chain = self.include_chain, [path]
         try:
-            db = Database()
+            db = Database(self._indicators)
             sentences: list[Sentence] = []
             try:
                 source, diagnostics = _read_source(path, file_start(path),
@@ -162,22 +164,18 @@ def _read_source(path: str, span: SourceSpan,
 
 # --- consulting -----------------------------------------------------------
 
-# The body every fact is stored with; one atom, shared by all of them.
-_TRUE = Atom("true")
-
 
 def consult_sentence(sentence: Sentence, db: Database,
                      loader: Loader) -> list[Diagnostic]:
-    """Run a directive, or store a clause, fact or DCG rule. A PrologError
-    becomes a diagnostic on the sentence."""
+    """Run a directive, or store a clause, fact or DCG rule: the sentence
+    itself is the stored clause. A PrologError becomes a diagnostic on the
+    sentence."""
     try:
         if sentence.kind == "directive":
             return exec_directive(sentence.goal, db, loader)
-        body = _TRUE if sentence.kind == "fact" else sentence.body
         # the indicator is None for a head that is not callable, which
-        # assert_clause rejects
-        entry = db.assert_clause(sentence.head, body, sentence.span,
-                                 sentence.indicator)
+        # add_clause rejects
+        entry = db.add_clause(sentence, sentence.indicator)
         if sentence.kind == "dcg_rule":
             entry.properties.add("dcg")
     except PrologError as err:
@@ -240,7 +238,7 @@ def _proper_list(term: Term) -> Optional[list[Term]]:
     return None
 
 
-def _parse_indicator(term: Term) -> Optional[PredicateIndicator]:
+def _parse_indicator(term: Term, db: Database) -> Optional[PredicateIndicator]:
     if (
         isinstance(term, Compound)
         and term.name in ("/", "//")
@@ -251,17 +249,18 @@ def _parse_indicator(term: Term) -> Optional[PredicateIndicator]:
     ):
         # name//arity: DCG nonterminal, resolvable at arity+2
         extra = 2 if term.name == "//" else 0
-        return PredicateIndicator(term.args[0].name, term.args[1].value + extra)
+        return db.indicator(term.args[0].name, term.args[1].value + extra)
     return None
 
 
-def _indicators(items: list[Term], what: str,
+def _indicators(items: list[Term], what: str, db: Database,
                 diagnostics: list[Diagnostic]) -> list[PredicateIndicator]:
-    """The predicate indicators among a directive's `items`; each other item
-    adds a `malformed_directive` error, "WHAT must be name/arity"."""
+    """The predicate indicators among a directive's `items`, from the table
+    of `db`; each other item adds a `malformed_directive` error, "WHAT must
+    be name/arity"."""
     indicators = []
     for item in items:
-        indicator = _parse_indicator(item)
+        indicator = _parse_indicator(item, db)
         if indicator is None:
             diagnostics.append(_error(item.span, "malformed_directive",
                                       f"{what} must be name/arity"))
@@ -330,7 +329,7 @@ def _dir_module(goal: Compound, db: Database, loader: Loader) -> list[Diagnostic
         return [_error(exports_t.span, "malformed_directive",
                        "module exports must be a list")]
     diagnostics: list[Diagnostic] = []
-    db.module = ModuleInfo(name, set(_indicators(exports, "export", diagnostics)))
+    db.module = ModuleInfo(name, set(_indicators(exports, "export", db, diagnostics)))
     return diagnostics
 
 
@@ -343,7 +342,7 @@ def _dir_use_module(goal: Compound, db: Database, loader: Loader) -> list[Diagno
         if items is None:
             return [_error(goal.args[1].span, "malformed_directive",
                            "import list must be a list")]
-        indicators = _indicators(items, "import", diagnostics)
+        indicators = _indicators(items, "import", db, diagnostics)
     record = ImportRecord(target, indicators, goal.span)
     db.imports.append(record)
     path = loader.resolve(goal, diagnostics)
@@ -370,7 +369,7 @@ def _dir_declare(prop: str):
         items = _proper_list(goal.args[0])
         if items is None:
             items = _comma_list(goal.args[0])
-        for indicator in _indicators(items, f"{prop} argument", diagnostics):
+        for indicator in _indicators(items, f"{prop} argument", db, diagnostics):
             db.declare(indicator, prop)
         return diagnostics
 

@@ -100,6 +100,10 @@ _PREFIX, _INFIX, _ARGS, _LIST, _LIST_TAIL, _PAREN, _CURLY = range(7)
 CLEAR_EVERY = 2048
 
 
+# The body of every fact; one atom, shared by all of them.
+TRUE = Atom("true")
+
+
 def _rule_head(term: Term) -> Term:
     """The head of a DCG rule whose left side is `term`: H of a pushback
     head `H, List` whose List is '[]', a '.'/2 cell or a string, else `term`
@@ -122,23 +126,40 @@ class Sentence:
 
     `indicator` is the predicate a clause, fact or DCG rule defines: name/N,
     or name/N+2 for the rule of a nonterminal name//N. It is None for a
-    directive or a head that is not callable.
+    directive or a head that is not callable. `leading_comments` is a tuple
+    of `Token`s, the shared empty tuple for a sentence with none.
+
+    The sentence holds only the offset `end`, just past its '.', and starts
+    where its term does, at `term.start`: `lines` is the term's, and `span`
+    a new SourceSpan on each call. A consulted clause, fact or DCG rule is
+    stored in its predicate's `clauses` as this object, which has `head`,
+    `body`, `lines` and `span` as a `database.Clause` has them.
     """
 
-    __slots__ = ("kind", "term", "span", "variables", "singletons",
+    __slots__ = ("kind", "term", "end", "variables", "singletons",
                  "indicator", "leading_comments")
 
-    def __init__(self, kind: str, term: Term, span: SourceSpan,
+    def __init__(self, kind: str, term: Term, end: int,
                  variables: tuple[Var, ...], singletons: tuple[Var, ...],
                  indicator: Optional[PredicateIndicator] = None,
-                 leading_comments: Optional[list[Token]] = None):
+                 leading_comments: tuple[Token, ...] = ()):
         self.kind = kind  # clause | directive | dcg_rule | fact
         self.term = term
-        self.span = span  # the term through its terminating '.'
+        self.end = end
         self.variables = variables
         self.singletons = singletons
         self.indicator = indicator
-        self.leading_comments = [] if leading_comments is None else leading_comments
+        self.leading_comments = leading_comments
+
+    @property
+    def lines(self) -> Optional[LineIndex]:
+        return self.term.lines
+
+    @property
+    def span(self) -> SourceSpan:
+        """The term through its terminating '.'."""
+        term = self.term
+        return SourceSpan(term.lines, term.start, self.end)
 
     @property
     def head(self) -> Term:
@@ -154,10 +175,12 @@ class Sentence:
 
     @property
     def body(self) -> Optional[Term]:
-        if self.kind == "clause":
+        """The body of a clause or DCG rule, `true` for a fact, None for a
+        directive."""
+        if self.kind == "clause" or self.kind == "dcg_rule":
             return self.term.args[1]
-        if self.kind == "dcg_rule":
-            return self.term.args[1]
+        if self.kind == "fact":
+            return TRUE
         return None
 
     @property
@@ -295,22 +318,18 @@ class Reader:
             self._cleared = last
         if term is None:
             return None
-        kind, head = "fact", term
+        kind = "fact"
         if isinstance(term, Compound):
-            name, args = term.name, term.args
-            if name == ":-" and len(args) == 1:
-                kind, head = "directive", None
-            elif name == ":-" and len(args) == 2:
-                kind, head = "clause", args[0]
-            elif name == "-->" and len(args) == 2:
-                kind, head = "dcg_rule", _rule_head(args[0])
-        indicator = indicator_of(head)
-        if indicator is not None:
-            name, arity = indicator
-            indicator = PredicateIndicator(
-                name, arity + 2 if kind == "dcg_rule" else arity)
-        comments = [Token(ckind, text, lines, start, end)
-                    for ckind, text, start, end, _ in self._take_comments(end_tok[_START])]
+            name, arity = term.name, term.arity
+            if name == ":-" and arity == 1:
+                kind = "directive"
+            elif name == ":-" and arity == 2:
+                kind = "clause"
+            elif name == "-->" and arity == 2:
+                kind = "dcg_rule"
+        comments = tuple([Token(ckind, text, lines, start, end)
+                          for ckind, text, start, end, _
+                          in self._take_comments(end_tok[_START])])
         first: dict[str, Var] = {}
         repeated: set[str] = set()
         for var in self._occurrences:
@@ -318,8 +337,15 @@ class Reader:
                 repeated.add(var.name)
         variables = tuple(first.values())
         singletons = tuple(var for var in variables if var.name not in repeated)
-        return Sentence(kind, term, SourceSpan(lines, term.start, end_tok[_END]),
-                        variables, singletons, indicator, comments)
+        sentence = Sentence(kind, term, end_tok[_END], variables, singletons,
+                            None, comments)
+        if kind != "directive":
+            indicator = indicator_of(sentence.head)
+            if indicator is not None:
+                name, arity = indicator
+                sentence.indicator = self.db.indicator(
+                    name, arity + 2 if kind == "dcg_rule" else arity)
+        return sentence
 
     def _recover(self):
         """Skip tokens up to and including the next End (or to end of input)."""
@@ -513,7 +539,8 @@ class Reader:
                             left.functor_start = op_tok[_START]
                             left.functor_end = op_tok[_END]
                             left.name = op.name
-                            left.args = [left0, right]
+                            left.first = left0
+                            left.second = right
                             left.op = op
                             lp = op.priority
                         elif tag == _LIST or tag == _LIST_TAIL:

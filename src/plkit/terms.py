@@ -4,7 +4,8 @@ Lists and curly terms are kept in their canonical compound encoding
 ('.'/2 chains ending in '[]', and '{}'/1) so that structural equality
 stays a plain functor/argument comparison; the pretty printer restores
 the sugar. Operator applications are Compound nodes tagged with the
-operator definition that produced them.
+operator definition that produced them, which hold their one or two
+arguments in slots rather than in a list.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ class Term:
     Two places set slots without the constructor, so a slot added to one of
     these classes is added there too: clause code (`engine._generate`), for
     a Compound, Int or Float that no source holds and for a RuntimeVar, and
-    the reader (`Reader.parse_term`), for a Var and an infix OpApply."""
+    the reader (`Reader.parse_term`), for a Var and for an infix OpApply,
+    whose `first` and `second` it sets."""
 
     __slots__ = ("lines", "start", "end")
 
@@ -139,9 +141,14 @@ class Compound(Term):
 
 
 class OpApply(Compound):
-    """Compound built by the reader from operator notation."""
+    """Compound built by the reader from operator notation. Its one or two
+    arguments are the slots `first` and `second`, `second` None for a
+    prefix or postfix operator; the Compound's own `args` slot stays empty.
+    `args` is read-only and builds a new list of the arguments on each call,
+    so any code that reads a Compound's arguments reads an OpApply's too;
+    code that walks many terms reads `first` and `second` instead."""
 
-    __slots__ = ("op",)
+    __slots__ = ("op", "first", "second")
 
     def __init__(self, op, args: list, lines=None, start=0, end=0,
                  functor_start=0, functor_end=0):
@@ -152,8 +159,18 @@ class OpApply(Compound):
         self.functor_start = functor_start
         self.functor_end = functor_end
         self.name = op.name
-        self.args = args
+        self.first = args[0]
+        self.second = args[1] if len(args) == 2 else None
         self.op = op
+
+    @property
+    def args(self) -> list:
+        second = self.second
+        return [self.first] if second is None else [self.first, second]
+
+    @property
+    def arity(self) -> int:
+        return 1 if self.second is None else 2
 
     def __repr__(self):
         return f"OpApply({self.op.name!r}/{self.op.fixity}, {self.args!r})"
@@ -234,9 +251,9 @@ def rebuild(term: Term, variable: Callable, compound: Callable):
 
 
 def indicator_of(term: Term) -> Optional[tuple[str, int]]:
-    """name/arity of a callable term, else None."""
+    """name/arity of a callable term, else None. Builds no argument list."""
     if isinstance(term, Compound):
-        return term.name, len(term.args)
+        return term.name, term.arity
     if isinstance(term, Atom):
         return term.name, 0
     return None

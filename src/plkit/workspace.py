@@ -12,7 +12,6 @@ from typing import Optional
 
 from .catalog import load_default_catalog
 from .database import (
-    Clause,
     Database,
     PredicateEntry,
     PredicateIndicator,
@@ -66,20 +65,27 @@ class FileIndex:
         entry = self.db.predicates.get((name, arity + 2))
         return entry if entry is not None and entry.dcg else None
 
-    def first_clause(self, entry: PredicateEntry) -> Optional[Clause]:
+    def first_clause(self, entry: PredicateEntry) -> Optional[Sentence]:
         """The first clause of `entry` in this file's own text, not in a
-        file it includes."""
+        file it includes. It reads each clause's line table, and builds no
+        span."""
+        file = self.file
         for clause in entry.clauses:
-            if clause.span.file_id == self.file:
+            lines = clause.lines
+            if lines is not None and lines.file_id == file:
                 return clause
         return None
 
     def unique_defs(self) -> list[PredicateEntry]:
         """The predicates with a clause in this file's own text, in the
         order of their first such clause."""
-        own = [entry for entry in self.db.predicates.values()
-               if self.first_clause(entry) is not None]
-        return sorted(own, key=lambda e: self.first_clause(e).span.start_offset)
+        firsts = []
+        for entry in self.db.predicates.values():
+            first = self.first_clause(entry)
+            if first is not None:
+                firsts.append((first.term.start, entry))
+        firsts.sort(key=lambda pair: pair[0])
+        return [entry for _, entry in firsts]
 
 
 class GlobalIndex:
@@ -208,7 +214,12 @@ def _walk_goals(body: Term, dcg: bool = False):
         if ind is None:
             continue  # a variable (meta-call), or a number or string terminal
         if ind in _TRANSPARENT:
-            stack.extend(reversed(goal.args))
+            if type(goal) is OpApply:  # its arguments are slots: no list
+                if goal.second is not None:
+                    stack.append(goal.second)
+                stack.append(goal.first)
+            else:
+                stack.extend(reversed(goal.args))
         elif dcg and ind == ("{}", 1):
             yield from _walk_goals(goal.args[0])  # plain goals: no deeper recursion
         elif not (dcg and ind in _DCG_NON_CALLS):
@@ -334,10 +345,9 @@ def _link_file(index: FileIndex, indices: dict[str, FileIndex],
             if not var.name.startswith("_"):
                 diagnostics.append(Diagnostic(Severity.WARNING, "singleton_variable",
                                               f"singleton variable {var.name}", var.span))
-        body = sentence.body
-        if body is None:
-            continue  # a fact
-        for key, goal in _walk_goals(body, sentence.kind == "dcg_rule"):
+        if sentence.kind == "fact":
+            continue
+        for key, goal in _walk_goals(sentence.body, sentence.kind == "dcg_rule"):
             if key in local or key in BUILTIN_INDICATORS or key in visible:
                 continue
             name, arity = key
@@ -431,11 +441,16 @@ def build_project(root: str, config: Optional[ProjectConfig] = None) -> ProjectM
 
     The build runs with the collector paused: it allocates several terms per
     token of source, all living as long as the model, and the collector
-    would walk them again and again as the model grows. When the collector
-    was on, one young collection before returning moves the new objects out
-    of generation 0, so the collection the build deferred runs here and not
-    at the caller's next allocation. A caller that pauses the collector
-    itself, as the one-shot CLI commands do, skips that collection.
+    would walk them again and again as the model grows. The model holds few
+    objects beyond its terms: an operator term keeps its arguments in
+    slots, a consulted sentence is itself the stored clause and builds its
+    span only when asked, a build holds one indicator object per predicate
+    name and arity, and a sentence with no comments holds the shared empty
+    tuple. When the collector was on, one young collection before returning
+    moves the new objects out of generation 0, so the collection the build
+    deferred runs here and not at the caller's next allocation. A caller
+    that pauses the collector itself, as the one-shot CLI commands do, skips
+    that collection.
     """
     with collector_paused() as enabled:
         model = _build_project(root, config)
@@ -528,8 +543,9 @@ def outline(file: str, model: ProjectModel) -> list[OutlineItem]:
 
 
 def _sentence_at(index: FileIndex, offset: int) -> Optional[Sentence]:
+    """The sentence whose text covers `offset`, found by its offsets."""
     for sentence in index.sentences:
-        if sentence.span.covers(offset):
+        if sentence.term.start <= offset < sentence.end:
             return sentence
     return None
 
@@ -539,8 +555,10 @@ def _term_at(term: Term, offset: int) -> Optional[Term]:
     if not term.start <= offset < term.end:
         return None
     while isinstance(term, Compound):
-        for arg in term.args:
-            if arg.start <= offset < arg.end:
+        # an OpApply's arguments are slots: no list is built for them
+        args = (term.first, term.second) if type(term) is OpApply else term.args
+        for arg in args:
+            if arg is not None and arg.start <= offset < arg.end:
                 term = arg
                 break
         else:
@@ -622,9 +640,9 @@ def hover(file: str, offset: int, mode: str,
     entry = _find_def(name, arity, index, model)
     if entry is not None:
         first = entry.clauses[0]
-        where = os.path.basename(first.span.file_id)
+        at = first.span
         return HoverInfo(f"{pretty_print(first.head)} defined at "
-                         f"{where}:{first.span.start_line}", span)
+                         f"{os.path.basename(at.file_id)}:{at.start_line}", span)
 
     doc = _builtin_doc(name, arity)
     return HoverInfo(doc, span) if doc is not None else None
@@ -749,7 +767,7 @@ def _directive_insert_offset(index: FileIndex) -> int:
     offset = 0
     for sentence in index.sentences:
         if sentence.kind == "directive":
-            offset = sentence.span.end_offset
+            offset = sentence.end
         else:
             break
     return offset

@@ -240,6 +240,27 @@ def test_long_list_fact_does_not_crash(tmp_path):
         assert expected in result.stdout, argv
 
 
+def test_a_stdout_closed_early_ends_check_quietly(tmp_path):
+    """`plkit check ROOT | head -1`: once the reader has closed the pipe,
+    check stops with no traceback and exits EXIT_CLOSED_STDOUT."""
+    # 3,000 undefined calls: far more output than a pipe buffers
+    (tmp_path / "big.pl").write_text(
+        "".join(f"p{i} :- q{i}.\n" for i in range(3000)), encoding="utf-8")
+    proc = subprocess.Popen([sys.executable, "-m", "plkit.cli", "check", str(tmp_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=_ENV)
+    try:
+        assert "undefined predicate q0/0" in proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == ""
+    assert status == cli.EXIT_CLOSED_STDOUT
+
+
 def test_importing_the_cli_generates_no_code_and_loads_no_digest_module():
     """A fresh `import plkit.cli` builds its records without dataclasses
     (and so without inspect and the modules inspect loads), and leaves

@@ -110,8 +110,12 @@ def test_module_doc_block():
 def test_dcg_doc_display():
     source = "% Description: a greeting\ngreeting --> [hi].\n"
     blocks, _ = extract_docs(sentences_of(source), "<t>")
-    assert blocks[0].display == "greeting//0"
     assert blocks[0].target == ("greeting", 2)
+    # a user sees the nonterminal's label in the warning on a late block
+    late = source + "% Description: late\ngreeting --> [ho].\n"
+    _, diagnostics = extract_docs(sentences_of(late), "<t>")
+    assert [d.message for d in diagnostics] == [
+        "documentation for greeting//0 must precede its first clause"]
 
 
 # --- HTML generation ------------------------------------------------------

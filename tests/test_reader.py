@@ -358,12 +358,26 @@ def test_span_and_functor_span_of_each_construct():
     assert _texts(read_term("(-(a))")) == ("(-(a))", "-")
 
 
+def test_an_operator_term_holds_its_arguments_in_slots():
+    db = Database()
+    db.operators.add(OperatorDef("@@", 100, "xf"))
+    for text, names in (("- a", ["a"]), ("a + b", ["a", "b"]), ("a @@", ["a"])):
+        term = read_term(text, db)
+        assert type(term) is OpApply, text
+        # `args` is built from the slots on each call, and is read-only
+        assert [arg.name for arg in term.args] == names, text
+        assert term.args == [term.first] + ([] if term.second is None else [term.second])
+        assert term.args is not term.args and term.arity == len(names)
+        with pytest.raises(AttributeError):
+            term.args = []
+
+
 def test_leading_comments_attached():
     sentences, diagnostics = read_source("% doc line\n%% more\nfoo.\nbar.")
     assert not diagnostics
     assert [t.text for t in sentences[0].leading_comments] == [
         "% doc line", "%% more"]
-    assert sentences[1].leading_comments == []
+    assert sentences[1].leading_comments == ()
 
 
 def test_comments_inside_and_after_errors():
@@ -408,7 +422,8 @@ def test_sentence_span_shared_with_its_clause():
     sentence = sentences[0]
     assert (sentence.span.start_offset, sentence.span.end_offset) == (0, 13)
     (clause,) = db.lookup(("p", 1)).clauses
-    assert clause.span is sentence.span
+    # the stored clause is the sentence, so it has no span of its own
+    assert clause is sentence
 
 
 def test_consumed_end_is_past_the_sentence_read_or_skipped():
